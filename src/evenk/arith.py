@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
-Rational = Fraction
-
 # Witnesses making Miller-Rabin deterministic below 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981

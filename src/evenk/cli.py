@@ -11,9 +11,10 @@ Field specs use a small grammar: `q`, `quad:D`, `cyclic:p:f` (or
 `elem:p:part,part,...` where each part is itself a `quad:` or
 `cyclic:` spec.
 
-Exit codes: 0 success, 1 usage error, 2 computation/data error
-(NonIntegralOrder, InexactDivision, NotRational, bad character files
-and kin), 3 witness inconsistency.
+Exit codes: 0 success, 1 usage error (including a --method that does
+not apply to the field, a negative --factor-budget and --jobs < 1), 2
+computation/data error (NonIntegralOrder, InexactDivision, NotRational,
+bad character files and kin), 3 witness inconsistency.
 """
 
 from __future__ import annotations
@@ -161,17 +162,30 @@ def emit_table(records: list[OutputRecord], fmt: str) -> str:
     raise UsageError(f"unknown format {fmt!r}")
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), default="text"
     )
     parser.add_argument(
         "--factor-budget",
-        type=int,
+        type=_int_at_least(0),
         default=10**6,
         help="trial-division limit and Pollard-rho iteration cap",
     )
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1)
 
 
 def _build_parser() -> _Parser:
@@ -285,6 +299,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "kgroup":
         spec = parse_field_spec(args.field)
+        if args.method is not None and args.method not in spec.ORDER_METHODS:
+            raise UsageError(
+                f"method {args.method!r} does not apply to {spec.label()}"
+            )
         result = k_even_order(spec, args.k, method=args.method)
         sys.stdout.write(
             emit_table([_record_from_order(result, args.k, budget)], fmt)

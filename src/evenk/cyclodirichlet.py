@@ -2,10 +2,17 @@
 
 Elements of Q(zeta_n) are rational-coefficient polynomials reduced
 modulo the n-th cyclotomic polynomial.  Dirichlet characters store
-their values as root-of-unity exponents, so multiplicativity and
-equality checks stay in integer arithmetic; expansion into a
+their values as root-of-unity exponents, so the character check and
+equality stay in integer arithmetic; expansion into a
 CyclotomicElement happens only when a generalized Bernoulli number or
 an L-value is assembled.
+
+Every character, whether read from a file or built here (powers,
+products, primitive parts, Kronecker characters, discrete-log tuples),
+passes the same check at construction: its exponents must be a linear
+form in the discrete logs of the cyclic decomposition of (Z/mZ)^*,
+whose generator values are killed by the component orders.  That is
+exactly multiplicativity, at O(phi(m) * rank) cost.
 """
 
 from __future__ import annotations
@@ -236,22 +243,6 @@ def _reduce_mod_cyclotomic(raw: list[Fraction], order: int) -> list[Fraction]:
     return out
 
 
-def cyc_add(a: CyclotomicElement, b: CyclotomicElement) -> CyclotomicElement:
-    return a + b
-
-
-def cyc_mul(a: CyclotomicElement, b: CyclotomicElement) -> CyclotomicElement:
-    return a * b
-
-
-def cyc_pow(a: CyclotomicElement, exponent: int) -> CyclotomicElement:
-    return a**exponent
-
-
-def as_rational(a: CyclotomicElement) -> Fraction:
-    return a.as_rational()
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet characters
 # ---------------------------------------------------------------------------
@@ -269,9 +260,12 @@ class DirichletCharacter:
     """A character of (Z/mZ)^* with values recorded as exponents:
     chi(a) = zeta_order^exponent(a).
 
-    The stored order is the exact multiplicative order of chi, and
-    complete multiplicativity is verified exhaustively over all unit
-    pairs at construction.
+    The stored order is the exact multiplicative order of chi: a
+    stated order that is a multiple of it is normalized down.  Complete
+    multiplicativity is verified at construction against the
+    discrete-log tables of _unit_group_data(modulus), in O(phi(m) *
+    rank) (see _check_homomorphism); a map that fails raises
+    ValueError.
     """
 
     __slots__ = ("modulus", "order", "_exp", "_conductor")
@@ -281,8 +275,7 @@ class DirichletCharacter:
             raise ValueError("modulus must be >= 1")
         if order < 1:
             raise ValueError("order must be >= 1")
-        units = _canonical_units(modulus)
-        if sorted(value_exponents) != units:
+        if sorted(value_exponents) != _canonical_units(modulus):
             raise ValueError("value map must cover exactly the units")
         exps = {a: e % order for a, e in value_exponents.items()}
         # normalize to the exact order of the character
@@ -294,19 +287,7 @@ class DirichletCharacter:
         if g > 1:
             order //= g
             exps = {a: e // g for a, e in exps.items()}
-        one = 1 % modulus
-        if exps[one] != 0:
-            raise ValueError("chi(1) must be 1")
-        table = [-1] * modulus if modulus > 1 else [0]
-        for a, e in exps.items():
-            table[a] = e
-        for i, u in enumerate(units):
-            eu = exps[u]
-            for v in units[i:]:
-                if table[u * v % modulus] != (eu + exps[v]) % order:
-                    raise ValueError(
-                        f"multiplicativity fails at ({u}, {v}) mod {modulus}"
-                    )
+        _check_homomorphism(modulus, order, exps)
         self.modulus = modulus
         self.order = order
         self._exp = exps
@@ -377,11 +358,9 @@ class DirichletCharacter:
     def conductor(self) -> int:
         """Smallest modulus f through which chi factors."""
         if self._conductor is None:
-            m = self.modulus
-            units = _canonical_units(m)
-            for f in _sorted_divisors(m):
+            for f in _sorted_divisors(self.modulus):
                 if all(
-                    self._exp[a] == 0 for a in units if a % f == 1 % f
+                    e == 0 for a, e in self._exp.items() if a % f == 1 % f
                 ):
                     self._conductor = f
                     break
@@ -429,10 +408,13 @@ def _primitive_root(q: int, e: int) -> int:
 def _unit_group_data(m: int):
     """Cyclic decomposition of (Z/mZ)^* with discrete-log tables.
 
-    Returns (gens, units) where gens is a list of (generator mod its
-    prime power, component_order, dlog) and dlog maps each unit residue
-    mod m to its exponent along that component.  Odd prime powers use a
-    primitive root; 2^e splits as <-1> x <5> for e >= 3.
+    Returns (gens, units) where gens is a list of (generator,
+    component_order, dlog) and dlog maps each unit residue mod m to its
+    exponent along that component.  The generator is the unit mod m
+    whose dlog vector is this component's basis vector: the local
+    generator lifted by CRT to 1 modulo the other prime powers.  Odd
+    prime powers use a primitive root; 2^e splits as <-1> x <5> for
+    e >= 3.
     """
     units = _canonical_units(m)
     if m <= 2:
@@ -472,10 +454,40 @@ def _unit_group_data(m: int):
                 table[x] = i
                 x = x * g % qe
             local.append((g, order, table))
+        rest = m // qe
         for g, order, table in local:
+            lifted = (1 + rest * ((g - 1) * pow(rest, -1, qe) % qe)) % m
             dlog = {u: table[u % qe] for u in units}
-            gens.append((g, order, dlog))
+            gens.append((lifted, order, dlog))
     return gens, units
+
+
+def _check_homomorphism(m: int, n: int, exps: dict[int, int]) -> None:
+    """Raise ValueError unless a -> exps[a] (mod n) is a homomorphism
+    from (Z/mZ)^* to Z/nZ.
+
+    With b_i the generator of component i, of order o_i, and
+    t_i = exps[b_i], the map is a homomorphism iff o_i * t_i = 0 (mod n)
+    for every i and exps[u] = sum_i t_i * dlog_i(u) (mod n) for every
+    unit u (Washington, Introduction to Cyclotomic Fields, ch. 3).
+    Costs O(phi(m) * rank).
+    """
+    gens, units = _unit_group_data(m)
+    t = [exps[b] for b, _, _ in gens]
+    for (b, order, _), ti in zip(gens, t):
+        if order * ti % n:
+            raise ValueError(
+                f"chi({b})^{order} != 1, but {b} has order {order} mod {m}"
+            )
+    for u in units:
+        e = 0
+        for (_, _, dlog), ti in zip(gens, t):
+            e += ti * dlog[u]
+        if (e - exps[u]) % n:
+            raise ValueError(
+                f"multiplicativity fails at {u} mod {m}: chi({u}) disagrees "
+                "with the generators' values"
+            )
 
 
 def _character_from_tuple(m: int, t: tuple[int, ...]) -> DirichletCharacter:

@@ -62,6 +62,9 @@ class UnsupportedField(ValueError):
 
 @dataclass(frozen=True)
 class Rationals:
+    # zeta routes k_even_order accepts, default first
+    ORDER_METHODS = ("characters", "kz")
+
     def degree(self) -> int:
         return 1
 
@@ -74,6 +77,8 @@ class Rationals:
 
 @dataclass(frozen=True)
 class RealQuadratic:
+    ORDER_METHODS = ("characters", "zagier")
+
     d: int
 
     def __post_init__(self) -> None:
@@ -94,6 +99,8 @@ class CyclicPrime:
     """A real cyclic field of odd prime degree p and conductor f; when
     several such fields share the conductor, `orbit` picks the Galois
     orbit of defining characters (construction order, starting at 0)."""
+
+    ORDER_METHODS = ("characters",)
 
     p: int
     f: int
@@ -126,6 +133,8 @@ class CyclicPrime:
 class Elementary:
     """A totally real field with Galois group (Z/pZ)^n, n >= 2, listed
     by its (p^n - 1)/(p - 1) degree-p subfields."""
+
+    ORDER_METHODS = ("combiner", "characters")
 
     p: int
     parts: tuple
@@ -172,6 +181,8 @@ class Elementary:
 class AbelianByCharacters:
     """An abelian field described by Galois orbits of even characters;
     supports zeta evaluation only."""
+
+    ORDER_METHODS = ()
 
     conductor_value: int
     orbits: tuple[CharacterOrbit, ...]
@@ -350,41 +361,39 @@ def k_even_order(
 ) -> KGroupOrder:
     """|K_{4k-2}(O_F)| assembled from w_2k(F) and zeta_F(1-2k).
 
-    method selects the zeta route: "characters" (default), "zagier"
-    (real quadratic only), "combiner" or "characters" for elementary
-    fields, "kz" for the rationals.
+    method selects the zeta route among spec.ORDER_METHODS, whose first
+    entry is the default: "characters" (any field), "zagier" (real
+    quadratic only), "combiner" (elementary fields only), "kz" (the
+    rationals only).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(spec, Elementary):
-        if method in (None, "combiner"):
-            return combine_elementary(spec, k)
-        if method == "characters":
-            return elementary_order_via_characters(
-                spec.conductor(), spec.p, spec.rank(), k, spec=spec
-            )
-        raise UnsupportedField(f"method {method!r} not defined for {spec!r}")
-    if isinstance(spec, AbelianByCharacters):
+    methods = spec.ORDER_METHODS
+    if not methods:
         raise UnsupportedField(
             "order computation needs w invariants beyond this field class; "
             "only zeta evaluation is supported"
         )
     if method is None:
-        method = "characters"
+        method = methods[0]
+    elif method not in methods:
+        raise UnsupportedField(
+            f"method {method!r} does not apply to {spec.label()}"
+        )
+    if method == "combiner":
+        return combine_elementary(spec, k)
+    if isinstance(spec, Elementary):
+        return elementary_order_via_characters(
+            spec.conductor(), spec.p, spec.rank(), k, spec=spec
+        )
     if method == "kz":
-        if not isinstance(spec, Rationals):
-            raise UnsupportedField("method 'kz' applies to the rationals only")
         return KGroupOrder(
             spec, 4 * k - 2, kz(4 * k - 2), "kz", riemann_zeta_negative(k)
         )
     if method == "zagier":
-        if not isinstance(spec, RealQuadratic):
-            raise UnsupportedField("method 'zagier' applies to quadratic fields")
         zeta = zeta_quadratic(spec.d, k)
-    elif method == "characters":
-        zeta = zeta_abelian(spec, k)
     else:
-        raise UnsupportedField(f"unknown method {method!r}")
+        zeta = zeta_abelian(spec, k)
     w = w_invariant(spec, k)
     value = _corollary_multiplier(spec.degree(), w.value, k) * zeta
     order = _as_positive_int(

@@ -185,6 +185,39 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+def test_impossible_budget_and_jobs_are_usage_errors(capsys):
+    code, out, err = invoke(
+        capsys, "kgroup", "--field", "q", "--k", "1", "--factor-budget", "-5"
+    )
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "--factor-budget" in err
+    code, out, err = invoke(
+        capsys, "cubic-table", "--max-f", "20", "--k", "1", "--jobs", "0"
+    )
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "--jobs" in err
+    code, _, _ = invoke(
+        capsys, "kgroup", "--field", "q", "--k", "1", "--factor-budget", "0"
+    )
+    assert code == 0
+
+
+def test_inapplicable_method_is_usage_error(capsys):
+    for field, method in (
+        ("quad:5", "combiner"),
+        ("quad:5", "kz"),
+        ("cyclic:3:7", "zagier"),
+        ("elem:2:quad:5,quad:8,quad:40", "zagier"),
+    ):
+        code, out, err = invoke(
+            capsys, "kgroup", "--field", field, "--k", "1", "--method", method
+        )
+        assert code == 1 and out == "", (field, method)
+        assert err.startswith("error:") and method in err
+    code, out, _ = invoke(capsys, "kgroup", "--field", "q", "--k", "1", "--method", "kz")
+    assert code == 0 and "kz" in out
+
+
 def test_computation_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}", encoding="utf-8")

@@ -1,8 +1,11 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from evenk.arith import bernoulli, bernoulli_poly_value
 from evenk.cyclodirichlet import (
@@ -22,6 +25,7 @@ from evenk.cyclodirichlet import (
     parse_character_file,
     primitive_orbits_of_order,
     quadratic_character,
+    _unit_group_data,
 )
 
 
@@ -146,6 +150,140 @@ def _tampered_map():
     exps = {a: 0 for a in range(35) if gcd(a, 35) == 1}
     exps[6] = 1  # breaks chi(2) chi(3) = chi(6)
     return exps
+
+
+# -- the linear character check against the exhaustive oracle ---------------
+
+def pairwise_is_character(m, n, exps):
+    """Exhaustive oracle: a -> exps[a] (mod n) is multiplicative on
+    every pair of units mod m (which forces chi(1) = 1)."""
+    units = sorted(exps)
+    return all(
+        (exps[u * v % m] - exps[u] - exps[v]) % n == 0
+        for i, u in enumerate(units)
+        for v in units[i:]
+    )
+
+
+def linear_check_accepts(m, n, exps):
+    try:
+        DirichletCharacter(m, n, exps)
+    except ValueError:
+        return False
+    return True
+
+
+def linear_map(m, n, t):
+    """u -> sum_i t_i dlog_i(u) mod n: linear in the stored discrete
+    logs, but a character only when o_i t_i = 0 (mod n) for every i."""
+    gens, units = _unit_group_data(m)
+    return {
+        u: sum(ti * dlog[u] for (_, _, dlog), ti in zip(gens, t)) % n
+        for u in units
+    }
+
+
+@lru_cache(maxsize=None)
+def cached_group(m):
+    return tuple(character_group(m))
+
+
+def test_lifted_generators_have_basis_dlogs():
+    for m in range(1, 201):
+        gens, units = _unit_group_data(m)
+        for i, (b, order, _) in enumerate(gens):
+            assert b in units
+            assert pow(b, order, m) == 1 % m
+            assert [dlog[b] for _, _, dlog in gens] == [
+                int(i == j) for j in range(len(gens))
+            ], (m, b)
+
+
+def test_linear_check_accepts_every_character():
+    for m in range(1, 61):
+        for chi in cached_group(m):
+            for scale in (1, 2, 3):
+                n = chi.order * scale
+                exps = {a: e * scale for a, e in chi.exponent_items()}
+                assert pairwise_is_character(m, n, exps)
+                assert DirichletCharacter(m, n, exps) == chi
+
+
+def test_linear_check_rejects_wrap_around():
+    # e(u) = dlog(u) mod 4 for the primitive root 3 mod 7: linear in the
+    # stored dlogs, but chi(3)^6 = zeta_4^6 != 1
+    exps = linear_map(7, 4, (1,))
+    assert not pairwise_is_character(7, 4, exps)
+    with pytest.raises(ValueError):
+        DirichletCharacter(7, 4, exps)
+
+
+def test_linear_check_matches_oracle_on_dlog_maps():
+    for m in range(1, 61):
+        rank = len(_unit_group_data(m)[0])
+        for n in range(1, 13):
+            for i in range(rank):
+                exps = linear_map(m, n, tuple(int(i == j) for j in range(rank)))
+                assert linear_check_accepts(m, n, exps) == pairwise_is_character(
+                    m, n, exps
+                ), (m, n, i)
+
+
+def test_every_construction_path_runs_the_check(monkeypatch, tmp_path):
+    from evenk import cyclodirichlet
+
+    checked = []
+    real_check = cyclodirichlet._check_homomorphism
+
+    def counting_check(m, n, exps):
+        checked.append(m)
+        real_check(m, n, exps)
+
+    monkeypatch.setattr(cyclodirichlet, "_check_homomorphism", counting_check)
+    chi = cyclodirichlet._character_from_tuple(15, (1, 1))
+    imprimitive = chi**2  # conductor 5
+    path = write_char(
+        tmp_path,
+        "quad5.json",
+        {"modulus": 5, "order": 2, "values": [[1, 0], [2, 1], [3, 1], [4, 0]]},
+    )
+    for build in (
+        lambda: DirichletCharacter(5, 2, {1: 0, 2: 1, 3: 1, 4: 0}),
+        lambda: parse_character_file(path),
+        lambda: chi**3,
+        lambda: chi * chi,
+        lambda: imprimitive.primitive_part(),
+        lambda: quadratic_character.__wrapped__(13),
+        lambda: cyclodirichlet._character_from_tuple(15, (1, 2)),
+    ):
+        before = len(checked)
+        build()
+        assert len(checked) == before + 1
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_linear_check_matches_oracle_on_tampered_characters(m, data):
+    chi = data.draw(st.sampled_from(cached_group(m)))
+    scale = data.draw(st.integers(1, 3))
+    n = chi.order * scale
+    assume(n > 1)
+    exps = {a: e * scale for a, e in chi.exponent_items()}
+    a = data.draw(st.sampled_from(sorted(exps)))
+    exps[a] = (exps[a] + data.draw(st.integers(1, n - 1))) % n
+    assert linear_check_accepts(m, n, exps) == pairwise_is_character(m, n, exps)
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_linear_check_matches_oracle_on_random_dlog_maps(m, data):
+    n = data.draw(st.integers(1, 24))
+    rank = len(_unit_group_data(m)[0])
+    t = tuple(data.draw(st.integers(0, n - 1)) for _ in range(rank))
+    exps = linear_map(m, n, t)
+    assert linear_check_accepts(m, n, exps) == pairwise_is_character(m, n, exps)
 
 
 # -- conductors and primitive parts -------------------------------------------
