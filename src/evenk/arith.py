@@ -2,7 +2,7 @@
 
 Everything here is pure big-integer / big-rational arithmetic: divisor
 power sums, the full Kronecker symbol, l-adic valuations, Bernoulli
-numbers and Bernoulli polynomial values, a prime sieve, and best-effort
+numbers (from integer tangent numbers), a prime sieve, and best-effort
 factorization (trial division + Pollard rho with Brent cycle detection).
 `fractions.Fraction` is the rational scalar used throughout the package.
 """
@@ -14,7 +14,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt
 
 # Witnesses making Miller-Rabin deterministic below 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -33,7 +34,7 @@ def primes_up_to(x: int) -> list[int]:
     for p in range(2, isqrt(x) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, x + 1) if sieve[i]]
+    return list(compress(range(x + 1), sieve))
 
 
 def is_prime(n: int) -> bool:
@@ -165,46 +166,49 @@ _bernoulli_cache: list[Fraction] = [Fraction(1)]
 _bernoulli_lock = threading.RLock()
 
 
+def _tangent_numbers(m: int) -> list[int]:
+    """T_0..T_m with tan x = sum_k T_k x^(2k-1) / (2k-1)! (T_0 = 0).
+
+    Brent-Harvey, "Fast computation of Bernoulli, tangent and secant
+    numbers" (arXiv:1108.0286), Algorithm TangentNumbers: O(m^2)
+    additions and small multiples of Python ints, in place.
+    """
+    t = [0] * (m + 1)
+    if m < 1:
+        return t
+    t[1] = 1
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        prev = 0
+        for i in range(m - k + 1):
+            prev = i * prev + (i + 2) * t[k + i]
+            t[k + i] = prev
+    return t
+
+
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the B_1 = -1/2 convention.
 
-    Computed by the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0
-    and memoized; the memo is guarded by a lock so concurrent callers
-    are safe.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers
+    T_k.  A miss extends the memo to at least twice its length, so
+    callers walking 0..n cost O(n^2) in all; the memo is guarded by a
+    lock so concurrent callers are safe.
     """
     if n < 0:
         raise ValueError("bernoulli requires n >= 0")
     with _bernoulli_lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            if m > 1 and m % 2 == 1:
-                _bernoulli_cache.append(Fraction(0))
-                continue
-            acc = sum(
-                comb(m + 1, j) * _bernoulli_cache[j] for j in range(m)
-            )
-            _bernoulli_cache.append(-acc / (m + 1))
+        top = len(_bernoulli_cache) - 1
+        if n > top:
+            top = max(n, 2 * top)
+            t = _tangent_numbers(top // 2)
+            out = [Fraction(1), Fraction(-1, 2)]
+            for k in range(1, top // 2 + 1):
+                four_k = 4**k
+                b = Fraction(2 * k * t[k], four_k * (four_k - 1))
+                out += (b if k % 2 else -b, Fraction(0))
+            _bernoulli_cache[:] = out[: top + 1]
         return _bernoulli_cache[n]
-
-
-def bernoulli_poly_value(n: int, a: int, f: int) -> Fraction:
-    """B_n(a/f), the n-th Bernoulli polynomial at the rational a/f.
-
-    B_n(x) = sum_{i=0}^{n} C(n, i) B_i x^(n-i).
-    """
-    if n < 0:
-        raise ValueError("bernoulli_poly_value requires n >= 0")
-    if f < 1:
-        raise ValueError("bernoulli_poly_value requires f >= 1")
-    if not 0 <= a <= f:
-        raise ValueError("bernoulli_poly_value requires 0 <= a <= f")
-    x = Fraction(a, f)
-    total = Fraction(0)
-    power = Fraction(1)
-    for i in range(n, -1, -1):
-        total += comb(n, i) * bernoulli(i) * power
-        power *= x
-    return total
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Exact cyclotomic arithmetic and Dirichlet characters.
 
-Elements of Q(zeta_n) are rational-coefficient polynomials reduced
-modulo the n-th cyclotomic polynomial.  Dirichlet characters store
-their values as root-of-unity exponents, so the character check and
-equality stay in integer arithmetic; expansion into a
+Elements of Q(zeta_n) are polynomials reduced modulo the n-th
+cyclotomic polynomial, held as integer numerators over one common
+denominator.  Dirichlet characters store their values as root-of-unity
+exponents, so the character check and equality stay in integer
+arithmetic; expansion into a
 CyclotomicElement happens only when a generalized Bernoulli number or
 an L-value is assembled.
 
@@ -94,43 +95,67 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 class CyclotomicElement:
     """An element of Q(zeta_n): phi(n) rational coordinates in the
-    power basis 1, zeta, ..., zeta^(phi(n)-1)."""
+    power basis 1, zeta, ..., zeta^(phi(n)-1).
 
-    __slots__ = ("order", "coeffs")
+    The coordinates are stored as integer numerators `_num` over one
+    positive common denominator `_den`, in lowest terms (the gcd of
+    `_den` and every numerator is 1), so equal elements of one field
+    have equal fields and arithmetic never builds a Fraction.
+    """
+
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs) -> None:
         phi = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}")
+        den = lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = coeffs
+        self._num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self._den = den
+
+    @classmethod
+    def _make(cls, order: int, num, den: int) -> CyclotomicElement:
+        """The element with coordinates num[i] / den (den != 0), brought
+        to lowest terms."""
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        self = object.__new__(cls)
+        self.order = order
+        self._num = tuple(num) if g == 1 else tuple(c // g for c in num)
+        self._den = den // g
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as rationals."""
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> CyclotomicElement:
-        coeffs = [Fraction(value)] + [Fraction(0)] * (euler_phi(order) - 1)
-        return cls(order, coeffs)
+        value = Fraction(value)
+        num = [value.numerator] + [0] * (euler_phi(order) - 1)
+        return cls._make(order, num, value.denominator)
 
     @classmethod
     def root_of_unity(cls, order: int, exponent: int = 1) -> CyclotomicElement:
         """zeta_order^exponent, fully reduced."""
-        exponent %= order
-        raw = [Fraction(0)] * (exponent + 1)
-        raw[exponent] = Fraction(1)
-        return cls(order, _reduce_mod_cyclotomic(raw, order))
+        return cls._make(order, _zeta_powers(order)[exponent % order], 1)
 
     def __repr__(self) -> str:
         return f"CyclotomicElement(order={self.order}, coeffs={self.coeffs})"
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and Fraction(self._num[0], self._den) == other
         if not isinstance(other, CyclotomicElement):
             return NotImplemented
         if self.order != other.order:
             n = lcm(self.order, other.order)
             return self.embed(n) == other.embed(n)
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
@@ -145,14 +170,15 @@ class CyclotomicElement:
     def __add__(self, other) -> CyclotomicElement:
         other = _coerce(other, self.order)
         self._check_order(other)
-        return CyclotomicElement(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        den = lcm(self._den, other._den)
+        s1, s2 = den // self._den, den // other._den
+        num = [a * s1 + b * s2 for a, b in zip(self._num, other._num)]
+        return CyclotomicElement._make(self.order, num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> CyclotomicElement:
-        return CyclotomicElement(self.order, [-a for a in self.coeffs])
+        return CyclotomicElement._make(self.order, [-a for a in self._num], self._den)
 
     def __sub__(self, other) -> CyclotomicElement:
         return self + (-_coerce(other, self.order))
@@ -162,15 +188,23 @@ class CyclotomicElement:
 
     def __mul__(self, other) -> CyclotomicElement:
         if isinstance(other, (int, Fraction)):
-            return CyclotomicElement(self.order, [a * other for a in self.coeffs])
+            other = Fraction(other)
+            p = other.numerator
+            return CyclotomicElement._make(
+                self.order, [a * p for a in self._num], self._den * other.denominator
+            )
         self._check_order(other)
-        raw = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        raw = [0] * (len(self._num) + len(other._num) - 1)
+        for i, a in enumerate(self._num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other._num, i):
                     if b:
-                        raw[i + j] += a * b
-        return CyclotomicElement(self.order, _reduce_mod_cyclotomic(raw, self.order))
+                        raw[j] += a * b
+        return CyclotomicElement._make(
+            self.order,
+            _reduce_mod_cyclotomic(raw, self.order),
+            self._den * other._den,
+        )
 
     __rmul__ = __mul__
 
@@ -199,18 +233,30 @@ class CyclotomicElement:
         if new_order == self.order:
             return self
         step = new_order // self.order
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, a in enumerate(self.coeffs):
-            raw[i * step] = a
-        return CyclotomicElement(new_order, _reduce_mod_cyclotomic(raw, new_order))
+        raw = [0] * ((len(self._num) - 1) * step + 1)
+        raw[::step] = self._num
+        return CyclotomicElement._make(
+            new_order, _reduce_mod_cyclotomic(raw, new_order), self._den
+        )
+
+    def conjugate(self, i: int) -> CyclotomicElement:
+        """sigma_i(self), where sigma_i is the automorphism of
+        Q(zeta_order) with zeta -> zeta^i; needs gcd(i, order) = 1."""
+        n = self.order
+        if gcd(i, n) != 1:
+            raise ValueError(f"{i} is not a unit mod {n}")
+        raw = [0] * n
+        for j, a in enumerate(self._num):
+            raw[i * j % n] = a
+        return CyclotomicElement._make(n, _reduce_mod_cyclotomic(raw, n), self._den)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise NotRational(f"element of Q(zeta_{self.order}) is irrational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
 
 def _coerce(value, order: int) -> CyclotomicElement:
@@ -221,26 +267,45 @@ def _coerce(value, order: int) -> CyclotomicElement:
     raise TypeError(f"cannot coerce {type(value).__name__}")
 
 
-def _reduce_mod_cyclotomic(raw: list[Fraction], order: int) -> list[Fraction]:
-    """Remainder of the polynomial `raw` (constant term first) modulo
-    Phi_order, after folding exponents with zeta^order = 1."""
+def _reduce_mod_cyclotomic(raw: list[int], order: int) -> list[int]:
+    """Remainder of the integer polynomial `raw` (constant term first)
+    modulo the monic Phi_order, after folding exponents with
+    zeta^order = 1; `raw` may be overwritten."""
     phi = euler_phi(order)
     if len(raw) > order:
-        folded = [Fraction(0)] * order
-        for k, c in enumerate(raw):
-            folded[k % order] += c
+        folded = raw[:order]
+        for k in range(order, len(raw)):
+            folded[k % order] += raw[k]
         raw = folded
-    else:
-        raw = list(raw)
     mod = cyclotomic_polynomial(order)
     for i in range(len(raw) - 1, phi - 1, -1):
         c = raw[i]
         if c:
-            for j in range(phi + 1):
-                raw[i - phi + j] -= c * mod[j]
-    out = raw[:phi]
-    out += [Fraction(0)] * (phi - len(out))
-    return out
+            base = i - phi
+            for j in range(phi):
+                if mod[j]:
+                    raw[base + j] -= c * mod[j]
+    if len(raw) < phi:
+        return raw + [0] * (phi - len(raw))
+    del raw[phi:]
+    return raw
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(order: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_order^e reduced mod Phi_order, for e = 0 .. order-1."""
+    phi = euler_phi(order)
+    mod = cyclotomic_polynomial(order)
+    row = [1] + [0] * (phi - 1)
+    rows = []
+    for _ in range(order):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            for j in range(phi):
+                row[j] -= top * mod[j]
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +663,13 @@ def _bernoulli_poly_int_coeffs(n: int, f: int) -> tuple[tuple[int, ...], int]:
     """Integers (c_0..c_n, d) with d * f^(n-1) * B_n(a/f) =
     (1/f) * sum_i c_i a^(n-i), i.e. the numerator polynomial of the
     generalized Bernoulli summand, evaluated by Horner."""
-    denoms = [bernoulli(i).denominator for i in range(n + 1)]
-    d = 1
-    for q in denoms:
-        d = d * q // gcd(d, q)
-    coeffs = []
-    for i in range(n + 1):
-        b = bernoulli(i)
-        coeffs.append(comb(n, i) * (b.numerator * (d // b.denominator)) * f**i)
-    return tuple(coeffs), d
+    bs = [bernoulli(i) for i in range(n + 1)]
+    d = lcm(*(b.denominator for b in bs))
+    coeffs = tuple(
+        comb(n, i) * (b.numerator * (d // b.denominator)) * f**i
+        for i, b in enumerate(bs)
+    )
+    return coeffs, d
 
 
 def gen_bernoulli(chi: DirichletCharacter, n: int) -> CyclotomicElement:
@@ -616,7 +679,8 @@ def gen_bernoulli(chi: DirichletCharacter, n: int) -> CyclotomicElement:
 
     Exact, as an element of Q(zeta_order).  Imprimitive input is
     rejected: the same sum over a non-minimal modulus is a different
-    (Euler-factor-deflated) quantity.
+    (Euler-factor-deflated) quantity.  The summands are added in
+    integers, one bucket per root of unity, and reduced once.
     """
     if n < 1:
         raise ValueError("gen_bernoulli requires n >= 1")
@@ -635,13 +699,9 @@ def gen_bernoulli(chi: DirichletCharacter, n: int) -> CyclotomicElement:
         for c in coeffs:
             acc = acc * a + c
         buckets[e] += acc
-    total = CyclotomicElement.from_rational(0, chi.order)
-    for e, s in enumerate(buckets):
-        if s:
-            total = total + CyclotomicElement.root_of_unity(chi.order, e) * Fraction(
-                s, d * f
-            )
-    return total
+    return CyclotomicElement._make(
+        chi.order, _reduce_mod_cyclotomic(buckets, chi.order), d * f
+    )
 
 
 def l_value(chi: DirichletCharacter, k: int) -> CyclotomicElement:
@@ -655,12 +715,20 @@ def l_value(chi: DirichletCharacter, k: int) -> CyclotomicElement:
 
 def orbit_l_product(orbit: CharacterOrbit, k: int) -> Fraction:
     """Product of L(chi^i, 1-2k) over the orbit; Galois-stable, so the
-    result must be rational (NotRational signals an arithmetic bug)."""
-    if orbit.representative.is_trivial():
+    result must be rational (NotRational signals an arithmetic bug).
+
+    L(chi^i, 1-2k) is sigma_i(L(chi, 1-2k)) for the automorphism
+    zeta -> zeta^i, so one generalized Bernoulli number per orbit
+    suffices; each conjugate only permutes the powers of zeta.
+    """
+    chi = orbit.representative
+    if chi.is_trivial():
         raise ValueError("orbit_l_product requires a nontrivial orbit")
-    total = CyclotomicElement.from_rational(1, orbit.representative.order)
-    for chi in orbit.conjugates:
-        total = total * l_value(chi.primitive_part(), k)
+    value = l_value(chi.primitive_part(), k)
+    total = value
+    for i in range(2, chi.order):
+        if gcd(i, chi.order) == 1:
+            total = total * value.conjugate(i)
     return total.as_rational()
 
 

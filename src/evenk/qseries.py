@@ -3,7 +3,9 @@
 Provides the two generators needed downstream - the Eisenstein series
 G_k and the discriminant cusp form Delta - plus the auxiliary forms
 T_h = G_{12r-h+2} Delta^(-r) whose principal parts carry the weights
-b_j(h) of the finite zeta formula for real quadratic fields.
+b_j(h) of the finite zeta formula for real quadratic fields.  The
+integral factors (the eta product and Delta^(-r)) are computed on
+plain integer lists; only the Eisenstein factor is rational.
 """
 
 from __future__ import annotations
@@ -198,18 +200,52 @@ def delta(prec: int) -> LaurentSeries:
     """Delta = q * prod (1-q^n)^24, truncated at q^prec (valuation 1)."""
     if prec < 2:
         raise ValueError("delta requires prec >= 2")
-    return _eta_product_part(prec - 1).shift(1)
+    return LaurentSeries(1, _eta24(prec - 1), prec)
+
+
+# Integer kernels: prod (1-q^n)^24 and its inverse powers have integer
+# coefficients and constant term 1, so they are computed on plain int
+# lists (coefficients of q^0 .. q^(prec-1)) and wrapped once.
+
+
+def _int_mul(a, b, prec: int) -> list[int]:
+    """Product of two integer power series of length prec, truncated
+    at q^prec."""
+    out = [0] * prec
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: prec - i], i):
+                out[j] += x * y
+    return out
 
 
 @lru_cache(maxsize=None)
-def _eta_product_part(prec: int) -> LaurentSeries:
-    """prod_{n>=1} (1-q^n)^24 truncated at q^prec."""
-    result = LaurentSeries.one(prec)
+def _eta24(prec: int) -> tuple[int, ...]:
+    """prod_{n>=1} (1-q^n)^24 truncated at q^prec: Jacobi's identity
+    prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), squared three
+    times."""
+    e = [0] * prec
+    k = 0
+    while k * (k + 1) // 2 < prec:
+        e[k * (k + 1) // 2] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    for _ in range(3):
+        e = _int_mul(e, e, prec)
+    return tuple(e)
+
+
+def _int_inverse_power(a, r: int, prec: int) -> list[int]:
+    """a^(-r) truncated at q^prec, for an integer series with a[0] = 1."""
+    inv = [1] + [0] * (prec - 1)
     for n in range(1, prec):
-        coeffs = [Fraction(0)] * prec
-        coeffs[0] = Fraction(1)
-        coeffs[n] = Fraction(-1)
-        result = result * (LaurentSeries(0, coeffs, prec) ** 24)
+        inv[n] = -sum(a[i] * inv[n - i] for i in range(1, n + 1))
+    result = [1] + [0] * (prec - 1)
+    while r:
+        if r & 1:
+            result = _int_mul(result, inv, prec)
+        r >>= 1
+        if r:
+            inv = _int_mul(inv, inv, prec)
     return result
 
 
@@ -230,7 +266,7 @@ def t_series(h: int, extra_prec: int = 0) -> LaurentSeries:
     r = t_series_pole_order(h)
     k = 12 * r - h + 2
     rel = r + 2 + extra_prec
-    core = (_eta_product_part(rel) ** (-r)).shift(-r)
+    core = LaurentSeries(-r, _int_inverse_power(_eta24(rel), r, rel), rel - r)
     if k > 0:
         core = core * eisenstein(k, rel)
     return core.truncate(1)

@@ -1,0 +1,190 @@
+"""Slow, independent reference implementations for the tests.
+
+Each is a plain transcription of a definition, or the earlier
+Fraction-based code that an integer kernel in `evenk` replaced; the
+tests require the kernels to agree with them exactly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, lcm
+
+from evenk.arith import bernoulli
+from evenk.cyclodirichlet import NotRational, cyclotomic_polynomial, euler_phi
+
+
+# -- Bernoulli polynomials ----------------------------------------------------
+
+def bernoulli_poly_value(n: int, a: int, f: int) -> Fraction:
+    """B_n(a/f), the n-th Bernoulli polynomial at the rational a/f.
+
+    B_n(x) = sum_{i=0}^{n} C(n, i) B_i x^(n-i).
+    """
+    if n < 0:
+        raise ValueError("bernoulli_poly_value requires n >= 0")
+    if f < 1:
+        raise ValueError("bernoulli_poly_value requires f >= 1")
+    if not 0 <= a <= f:
+        raise ValueError("bernoulli_poly_value requires 0 <= a <= f")
+    x = Fraction(a, f)
+    total = Fraction(0)
+    power = Fraction(1)
+    for i in range(n, -1, -1):
+        total += comb(n, i) * bernoulli(i) * power
+        power *= x
+    return total
+
+
+# -- cyclotomic elements with Fraction coordinates ----------------------------
+
+class FractionCyclotomic:
+    """An element of Q(zeta_n): phi(n) rational coordinates in the
+    power basis 1, zeta, ..., zeta^(phi(n)-1), each a Fraction; the
+    element type evenk used before its integer coordinates."""
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs) -> None:
+        phi = euler_phi(order)
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != phi:
+            raise ValueError(f"need {phi} coefficients for order {order}")
+        self.order = order
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_rational(cls, value, order: int = 1) -> FractionCyclotomic:
+        coeffs = [Fraction(value)] + [Fraction(0)] * (euler_phi(order) - 1)
+        return cls(order, coeffs)
+
+    @classmethod
+    def root_of_unity(cls, order: int, exponent: int = 1) -> FractionCyclotomic:
+        """zeta_order^exponent, fully reduced."""
+        exponent %= order
+        raw = [Fraction(0)] * (exponent + 1)
+        raw[exponent] = Fraction(1)
+        return cls(order, _reduce_mod_cyclotomic(raw, order))
+
+    def __repr__(self) -> str:
+        return f"FractionCyclotomic(order={self.order}, coeffs={self.coeffs})"
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.coeffs[0] == other
+        if not isinstance(other, FractionCyclotomic):
+            return NotImplemented
+        if self.order != other.order:
+            n = lcm(self.order, other.order)
+            return self.embed(n) == other.embed(n)
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.coeffs))
+
+    def _check_order(self, other: FractionCyclotomic) -> None:
+        if self.order != other.order:
+            raise ValueError(
+                f"order mismatch ({self.order} vs {other.order}); "
+                "embed explicitly first"
+            )
+
+    def __add__(self, other) -> FractionCyclotomic:
+        other = _coerce(other, self.order)
+        self._check_order(other)
+        return FractionCyclotomic(
+            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> FractionCyclotomic:
+        return FractionCyclotomic(self.order, [-a for a in self.coeffs])
+
+    def __sub__(self, other) -> FractionCyclotomic:
+        return self + (-_coerce(other, self.order))
+
+    def __rsub__(self, other) -> FractionCyclotomic:
+        return (-self) + _coerce(other, self.order)
+
+    def __mul__(self, other) -> FractionCyclotomic:
+        if isinstance(other, (int, Fraction)):
+            return FractionCyclotomic(self.order, [a * other for a in self.coeffs])
+        self._check_order(other)
+        raw = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        raw[i + j] += a * b
+        return FractionCyclotomic(self.order, _reduce_mod_cyclotomic(raw, self.order))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> FractionCyclotomic:
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / Fraction(other))
+        raise TypeError("cyclotomic division only by rational scalars")
+
+    def __pow__(self, exponent: int) -> FractionCyclotomic:
+        if exponent < 0:
+            raise ValueError("negative cyclotomic powers unsupported")
+        result = FractionCyclotomic.from_rational(1, self.order)
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def embed(self, new_order: int) -> FractionCyclotomic:
+        """Image in Q(zeta_new_order); requires order | new_order."""
+        if new_order % self.order:
+            raise ValueError("can only embed into a multiple of the order")
+        if new_order == self.order:
+            return self
+        step = new_order // self.order
+        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        for i, a in enumerate(self.coeffs):
+            raw[i * step] = a
+        return FractionCyclotomic(new_order, _reduce_mod_cyclotomic(raw, new_order))
+
+    def is_rational(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def as_rational(self) -> Fraction:
+        if not self.is_rational():
+            raise NotRational(f"element of Q(zeta_{self.order}) is irrational")
+        return self.coeffs[0]
+
+
+def _coerce(value, order: int) -> FractionCyclotomic:
+    if isinstance(value, FractionCyclotomic):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return FractionCyclotomic.from_rational(value, order)
+    raise TypeError(f"cannot coerce {type(value).__name__}")
+
+
+def _reduce_mod_cyclotomic(raw: list[Fraction], order: int) -> list[Fraction]:
+    """Remainder of the polynomial `raw` (constant term first) modulo
+    Phi_order, after folding exponents with zeta^order = 1."""
+    phi = euler_phi(order)
+    if len(raw) > order:
+        folded = [Fraction(0)] * order
+        for k, c in enumerate(raw):
+            folded[k % order] += c
+        raw = folded
+    else:
+        raw = list(raw)
+    mod = cyclotomic_polynomial(order)
+    for i in range(len(raw) - 1, phi - 1, -1):
+        c = raw[i]
+        if c:
+            for j in range(phi + 1):
+                raw[i - phi + j] -= c * mod[j]
+    out = raw[:phi]
+    out += [Fraction(0)] * (phi - len(out))
+    return out

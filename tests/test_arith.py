@@ -8,7 +8,6 @@ from evenk.arith import (
     FactorBudget,
     PartialFactorization,
     bernoulli,
-    bernoulli_poly_value,
     divisor_sum,
     factorize,
     is_prime,
@@ -16,6 +15,7 @@ from evenk.arith import (
     primes_up_to,
     valuation,
 )
+from oracles import bernoulli_poly_value
 
 
 # -- independent oracles -----------------------------------------------------
@@ -141,9 +141,48 @@ def test_valuation_rejects_zero_and_composite():
 # -- Bernoulli numbers -------------------------------------------------------
 
 def test_bernoulli_matches_independent_recurrence():
-    oracle = bernoulli_by_recurrence(60)
-    for n in range(61):
+    oracle = bernoulli_by_recurrence(300)
+    for n in range(301):
         assert bernoulli(n) == oracle[n]
+
+
+def test_bernoulli_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    # sympy >= 1.12 uses B_1 = +1/2, so start past it
+    for n in range(2, 701):
+        expected = sympy.bernoulli(n)
+        assert bernoulli(n) == Fraction(int(expected.p), int(expected.q)), n
+
+
+def test_bernoulli_request_order_does_not_matter(monkeypatch):
+    from evenk import arith
+
+    monkeypatch.setattr(arith, "_bernoulli_cache", [Fraction(1)])
+    upward = [bernoulli(n) for n in range(301)]
+    monkeypatch.setattr(arith, "_bernoulli_cache", [Fraction(1)])
+    downward = [bernoulli(n) for n in range(300, -1, -1)]
+    assert upward == downward[::-1]
+
+
+def test_bernoulli_upward_walk_extends_the_memo_geometrically(monkeypatch):
+    from evenk import arith
+
+    sizes = []
+    real = arith._tangent_numbers
+
+    def recording(m):
+        sizes.append(m)
+        return real(m)
+
+    monkeypatch.setattr(arith, "_tangent_numbers", recording)
+    monkeypatch.setattr(arith, "_bernoulli_cache", [Fraction(1)])
+    n = 600
+    for i in range(n + 1):
+        bernoulli(i)
+    # sizes double, so the total work is O(max(sizes)^2) = O(n^2)
+    assert len(sizes) <= n.bit_length() + 1
+    assert max(sizes) <= n
+    assert all(2 * a <= b for a, b in zip(sizes[1:], sizes[2:]))
 
 
 def test_bernoulli_examples():
@@ -159,7 +198,7 @@ def test_bernoulli_odd_vanishing():
 
 
 def test_von_staudt_clausen():
-    for n in range(2, 61, 2):
+    for n in range(2, 601, 2):
         expected = 1
         for p in primes_up_to(n + 1):
             if n % (p - 1) == 0:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evenk.arith import bernoulli, bernoulli_poly_value
+from evenk.arith import bernoulli
 from evenk.cyclodirichlet import (
     CharacterFileError,
     CharacterOrbit,
@@ -27,6 +27,8 @@ from evenk.cyclodirichlet import (
     quadratic_character,
     _unit_group_data,
 )
+from oracles import FractionCyclotomic, bernoulli_poly_value
+from oracles import _reduce_mod_cyclotomic as reduce_fraction_poly
 
 
 # -- cyclotomic polynomials ---------------------------------------------------
@@ -96,6 +98,91 @@ def test_power_and_high_exponents():
     for k in range(12):
         assert zeta(8) ** k == zeta(8, k)
     assert zeta(7, 6) * zeta(7, 5) == zeta(7, 11 % 7)
+
+
+# -- integer coordinates against the Fraction oracle ----------------------------
+
+def agrees(elem, oracle):
+    """Same field, same rational coordinates, same hash."""
+    return (
+        isinstance(elem, CyclotomicElement)
+        and elem.order == oracle.order
+        and elem.coeffs == oracle.coeffs
+        and hash(elem) == hash(oracle)
+    )
+
+
+def test_roots_of_unity_match_oracle():
+    for n in range(1, 61):
+        for e in range(-1, n + 2):
+            assert agrees(
+                CyclotomicElement.root_of_unity(n, e),
+                FractionCyclotomic.root_of_unity(n, e),
+            ), (n, e)
+
+
+def test_coordinates_are_in_lowest_terms():
+    x = CyclotomicElement(6, [Fraction(2, 4), Fraction(-6, 8)])
+    assert x._den == 4 and x._num == (2, -3)
+    assert x.coeffs == (Fraction(1, 2), Fraction(-3, 4))
+    y = x * 4
+    assert y._den == 1 and y._num == (2, -3)
+    zero = x - x
+    assert zero._den == 1 and zero._num == (0, 0) and zero == 0
+
+
+RATIONALS = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+)
+
+
+@lru_cache(maxsize=None)
+def coordinates(order):
+    """phi(order) rationals, about half of them 0 (the Fraction oracle
+    is slow on dense elements of large degree)."""
+    n = euler_phi(order)
+    return st.lists(RATIONALS, min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("order", range(1, 61))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_fraction_oracle(order, data):
+    ca = data.draw(coordinates(order))
+    cb = data.draw(coordinates(order))
+    a, b = CyclotomicElement(order, ca), CyclotomicElement(order, cb)
+    oa, ob = FractionCyclotomic(order, ca), FractionCyclotomic(order, cb)
+    assert agrees(a, oa) and agrees(b, ob)
+    assert agrees(a + b, oa + ob)
+    assert agrees(a - b, oa - ob)
+    assert agrees(-a, -oa)
+    assert agrees(a * b, oa * ob)
+    scalar = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    assert agrees(a * scalar, oa * scalar)
+    assert agrees(scalar - a, scalar - oa)
+    if scalar:
+        assert agrees(a / scalar, oa / scalar)
+    e = data.draw(st.integers(0, 2))
+    assert agrees(a**e, oa**e)
+    step = data.draw(st.sampled_from([j for j in (1, 2, 3) if order * j <= 120]))
+    assert agrees(a.embed(order * step), oa.embed(order * step))
+    assert (a == b) == (oa == ob)
+    assert (a == scalar) == (oa == scalar)
+    assert (a.embed(order * step) == b) == (oa == ob)
+    i = data.draw(st.sampled_from([i for i in range(1, order + 1) if gcd(i, order) == 1]))
+    raw = [Fraction(0)] * order
+    for j, c in enumerate(oa.coeffs):
+        raw[i * j % order] = c
+    sigma = FractionCyclotomic(order, reduce_fraction_poly(raw, order))
+    assert agrees(a.conjugate(i), sigma)
+    # equal values built different ways are equal and hash equal
+    for x, y in (((a + b) - b, a), (a * b, b * a), (a.embed(order * step), a)):
+        assert x == y
+        if x.order == y.order:
+            assert hash(x) == hash(y)
 
 
 # -- character groups ---------------------------------------------------------
@@ -406,6 +493,42 @@ def test_primitive_orbit_counts():
     assert len(primitive_orbits_of_order(63, 3)) == 2
     orbits = primitive_orbits_of_order(63, 3)
     assert all(o.representative.conductor() == 63 for o in orbits)
+
+
+def per_conjugate_l_product(orbit, k):
+    """The orbit product with one generalized Bernoulli number per
+    conjugate, as orbit_l_product computed it before."""
+    total = CyclotomicElement.from_rational(1, orbit.representative.order)
+    for chi in orbit.conjugates:
+        total = total * l_value(chi.primitive_part(), k)
+    return total.as_rational()
+
+
+def test_orbit_l_product_matches_per_conjugate_product():
+    checked = 0
+    for f in range(1, 101):
+        seen = set()
+        for chi in cached_group(f):
+            if chi.is_trivial() or not chi.is_even() or chi in seen:
+                continue
+            orbit = CharacterOrbit.of(chi)
+            seen.update(orbit.conjugates)
+            if not chi.is_primitive():
+                continue
+            for k in (1, 2):
+                assert orbit_l_product(orbit, k) == per_conjugate_l_product(
+                    orbit, k
+                ), (f, chi.order, k)
+            checked += 1
+    assert checked == 188  # nontrivial primitive even orbits, conductor <= 100
+
+
+def test_orbit_l_product_of_imprimitive_orbits():
+    for chi in cached_group(63):
+        if chi.is_trivial() or not chi.is_even() or chi.is_primitive():
+            continue
+        orbit = CharacterOrbit.of(chi)
+        assert orbit_l_product(orbit, 2) == per_conjugate_l_product(orbit, 2)
 
 
 def test_orbit_l_product_rejects_trivial():

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from evenk.arith import divisor_sum
 from evenk.qseries import (
     LaurentSeries,
+    _eta24,
     delta,
     eisenstein,
     siegel_coeffs,
@@ -26,6 +28,27 @@ def eta24_oracle(prec):
                 nxt[i + n] -= coeffs[i]
             coeffs = nxt
     return coeffs
+
+
+@lru_cache(maxsize=None)
+def eta24_prefix(prec):
+    return tuple(eta24_oracle(prec))
+
+
+def siegel_coeffs_by_fractions(h):
+    """b_j(h) by the Fraction route: T_h = G_k * Delta^(-r) with the
+    inverse and the power taken in LaurentSeries arithmetic, from the
+    oracle eta product."""
+    r = t_series_pole_order(h)
+    k = 12 * r - h + 2
+    rel = r + 2
+    eta = LaurentSeries(0, eta24_prefix(36)[:rel], rel)
+    t = (eta ** (-r)).shift(-r)
+    if k > 0:
+        t = t * eisenstein(k, rel)
+    t = t.truncate(1)
+    c0 = t.coefficient(0)
+    return [-t.coefficient(-j) / c0 for j in range(1, r + 1)]
 
 
 # -- Laurent series mechanics --------------------------------------------------
@@ -101,6 +124,13 @@ def test_delta_against_eta_oracle():
         assert d.coefficient(i + 1) == oracle[i]
 
 
+def test_integral_eta_product_matches_oracle():
+    oracle = eta24_oracle(200)
+    assert list(_eta24(200)) == oracle
+    d = delta(201)
+    assert [d.coefficient(i + 1) for i in range(200)] == oracle
+
+
 def test_ramanujan_congruence():
     d = delta(16)
     for n in range(1, 16):
@@ -151,3 +181,9 @@ def test_t_series_independent_of_working_precision():
         wide = t_series(h, extra_prec=3)
         for e in range(base.valuation, 1):
             assert base.coefficient(e) == wide.coefficient(e), (h, e)
+
+
+def test_siegel_coeffs_match_fraction_route():
+    # every even h <= 400 has r + 2 <= 36 terms of working precision
+    for h in range(4, 401, 2):
+        assert siegel_coeffs(h) == siegel_coeffs_by_fractions(h), h
