@@ -3,7 +3,8 @@
 Everything here is pure big-integer / big-rational arithmetic: divisor
 power sums, the full Kronecker symbol, l-adic valuations, Bernoulli
 numbers (from integer tangent numbers), a prime sieve, and best-effort
-factorization (trial division + Pollard rho with Brent cycle detection).
+factorization (trial division + Pollard rho with Brent cycle detection,
+optionally run on the factors a number was multiplied from).
 `fractions.Fraction` is the rational scalar used throughout the package.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 # Witnesses making Miller-Rabin deterministic below 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -287,7 +288,9 @@ def _pollard_rho_brent(n: int, budget: int) -> int | None:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    # x - y may be negative: q changes only by a sign
+                    # mod n, which leaves gcd(q, n) alone
+                    q = q * (x - y) % n
                 iterations += min(m, r - k)
                 g = gcd(q, n)
                 k += m
@@ -296,25 +299,104 @@ def _pollard_rho_brent(n: int, budget: int) -> int | None:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if 1 < g < n:
             return g
     return None
 
 
-def factorize(n: int, budget: FactorBudget | None = None) -> PartialFactorization:
+def _coprime_base(numbers: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1, in increasing order, such that
+    every input is a product of some of them; their primes are exactly
+    the primes of the inputs.  Quadratic in the (short) input list."""
+    base: list[int] = []
+    todo = [a for a in numbers if a > 1]
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += [c for c in (g, b // g, a // g) if c > 1]
+                break
+        else:
+            base.append(a)
+    return sorted(base)
+
+
+def _rho_stack(
+    stack: list[int], rho_iterations: int
+) -> tuple[dict[int, int], list[int]]:
+    """Split every stack entry by primality test and Pollard rho: the
+    primes met (with how often they were met) and the composites rho
+    could not split within its budget."""
+    found: dict[int, int] = {}
+    stubborn: list[int] = []
+    while stack:
+        c = stack.pop()
+        if is_prime(c):
+            found[c] = found.get(c, 0) + 1
+            continue
+        g = _pollard_rho_brent(c, rho_iterations)
+        if g is None:
+            stubborn.append(c)
+        else:
+            stack.append(g)
+            stack.append(c // g)
+    return found, stubborn
+
+
+def _split_along_pieces(
+    m: int, pieces: tuple[int, ...], rho_iterations: int
+) -> tuple[dict[int, int], int]:
+    """Prime powers of m found through the pieces, and the cofactor.
+
+    Rho runs on a coprime base of m and of each piece's common part
+    with m, so a prime shared by several pieces is split once, on a
+    number far smaller than m.  Whatever of m no piece explains is a
+    base element of its own and goes through the same stack.  The
+    composites rho gave up on are refined by gcds against each other,
+    the primes found and the rest of m; exponents are read by dividing
+    m, and what is left of it is the cofactor.
+    """
+    base = _coprime_base([m, *(gcd(piece, m) for piece in pieces)])
+    met, stubborn = _rho_stack(base, rho_iterations)
+    found: dict[int, int] = {}
+    new = sorted(met)
+    while new:
+        for p in new:
+            found[p] = 0
+            while m % p == 0:
+                m //= p
+                found[p] += 1
+        new = [
+            c
+            for c in _coprime_base([*found, *stubborn, m])
+            if c not in found and is_prime(c)
+        ] if m > 1 else []
+    return found, m
+
+
+def factorize(
+    n: int, budget: FactorBudget | None = None, pieces: tuple[int, ...] = ()
+) -> PartialFactorization:
     """Best-effort factorization of n >= 1 under the given budget.
 
     Trial division first, then Pollard rho (Brent variant) on what is
     left; anything still composite when the budget runs out is returned
     as an explicit cofactor with complete=False, never mislabeled.
+
+    pieces are optional positive integers whose primes should cover
+    those of n, typically the factors n was multiplied from: rho then
+    runs on their parts in common with n instead of on n itself.  They
+    are hints only; n stays the ground truth, and primes of n that no
+    piece carries are found as without pieces.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if budget is None:
         budget = FactorBudget()
     found: dict[int, int] = {}
-    stubborn: list[int] = []
     m = n
     tested_to = 1
     for p in _trial_primes(budget.trial_limit):
@@ -329,21 +411,13 @@ def factorize(n: int, budget: FactorBudget | None = None) -> PartialFactorizatio
         # trial division below sqrt(m) proves the survivor prime
         found[m] = found.get(m, 0) + 1
         m = 1
-    stack = [m] if m > 1 else []
-    while stack:
-        c = stack.pop()
-        if is_prime(c):
-            found[c] = found.get(c, 0) + 1
-            continue
-        g = _pollard_rho_brent(c, budget.rho_iterations)
-        if g is None:
-            stubborn.append(c)
-        else:
-            stack.append(g)
-            stack.append(c // g)
-    cofactor = 1
-    for c in stubborn:
-        cofactor *= c
+    if m > 1 and pieces:
+        large, cofactor = _split_along_pieces(m, pieces, budget.rho_iterations)
+        found.update(large)
+    else:
+        large, stubborn = _rho_stack([m] if m > 1 else [], budget.rho_iterations)
+        found.update(large)
+        cofactor = prod(stubborn)
     return PartialFactorization(
         factored=tuple(sorted(found.items())),
         cofactor=cofactor,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from . import winv
 from .arith import (
@@ -35,7 +35,11 @@ from .cyclodirichlet import (
     primitive_orbits_of_order,
     quadratic_character,
 )
-from .siegel import QuadraticDiscriminant, zeta_quadratic
+from .siegel import (
+    QuadraticDiscriminant,
+    fundamental_discriminant,
+    zeta_quadratic,
+)
 from .winv import WInvariant
 
 
@@ -154,6 +158,16 @@ class Elementary:
         if len(set(self.parts)) != len(self.parts):
             raise ValueError("parts must be pairwise distinct")
         self.rank()  # validates the count
+        if self.p == 2:
+            discriminants = {part.d for part in self.parts}
+            for i, a in enumerate(self.parts):
+                for b in self.parts[i + 1 :]:
+                    d = _product_discriminant(a.d, b.d)
+                    if d not in discriminants:
+                        raise ValueError(
+                            f"quad:{a.d} and quad:{b.d} generate quad:{d}, "
+                            "which is not a part"
+                        )
 
     def rank(self) -> int:
         count = len(self.parts)
@@ -175,6 +189,15 @@ class Elementary:
     def label(self) -> str:
         inner = ",".join(part.label() for part in self.parts)
         return f"elem:{self.p}:{inner}"
+
+
+def _product_discriminant(d1: int, d2: int) -> int:
+    """Discriminant of Q(sqrt(d1 d2)) for distinct fundamental
+    discriminants d1, d2 > 1."""
+    s1 = d1 if d1 % 4 == 1 else d1 // 4
+    s2 = d2 if d2 % 4 == 1 else d2 // 4
+    g = gcd(s1, s2)
+    return fundamental_discriminant((s1 // g) * (s2 // g))
 
 
 @dataclass(frozen=True)
@@ -213,7 +236,9 @@ FieldSpec = (
 class KGroupOrder:
     """A computed |K_index(O_F)| with method provenance; the partial
     factorization is filled in lazily because the orders can run to
-    hundreds of digits."""
+    hundreds of digits.  pieces are positive integers whose primes
+    cover those of the order (the factors a route multiplied it from);
+    factorization splits them instead of the whole order."""
 
     field: FieldSpec
     index: int
@@ -221,12 +246,13 @@ class KGroupOrder:
     method: str
     zeta_value: Fraction | None = None
     factorization: PartialFactorization | None = None
+    pieces: tuple[int, ...] = ()
 
     def ensure_factorization(
         self, budget: FactorBudget | None = None
     ) -> PartialFactorization:
         if self.factorization is None:
-            self.factorization = factorize(self.order, budget)
+            self.factorization = factorize(self.order, budget, self.pieces)
         return self.factorization
 
 
@@ -411,16 +437,23 @@ def combine_elementary(
     if k < 1:
         raise ValueError("k must be >= 1")
     n = spec.rank()
-    numerator = 1
-    for part in spec.parts:
-        numerator *= k_even_order(part, k, method=part_method).order
-    denominator = kz(4 * k - 2) ** ((spec.p**n - spec.p) // (spec.p - 1))
+    part_orders = [
+        k_even_order(part, k, method=part_method).order for part in spec.parts
+    ]
+    numerator = prod(part_orders)
+    kz_order = kz(4 * k - 2)
+    denominator = kz_order ** ((spec.p**n - spec.p) // (spec.p - 1))
     if numerator % denominator:
         raise InexactDivision(
             f"{numerator} not divisible by {denominator} for {spec.label()}"
         )
     return KGroupOrder(
-        spec, 4 * k - 2, numerator // denominator, "combiner", zeta_abelian(spec, k)
+        spec,
+        4 * k - 2,
+        numerator // denominator,
+        "combiner",
+        zeta_abelian(spec, k),
+        pieces=_distinct(part_orders + [kz_order]),
     )
 
 
@@ -464,23 +497,33 @@ def elementary_order_via_characters(
     subfield_count = (p**n - 1) // (p - 1)
     if len(orbits) != subfield_count:
         raise AssertionError("orbit partition does not match subfield count")
-    value = riemann_zeta_negative(k) ** subfield_count
+    zeta = riemann_zeta_negative(k)
+    # a prime of a product of fractions divides one of their numerators
+    factors = [zeta] * subfield_count
     for orbit in orbits:
-        value *= orbit_l_product(orbit, k)
         f = orbit.representative.conductor()
         if p == 2:
             w = winv.w_quadratic(f, k).value
         else:
             w = winv.w_cyclic(p, f, k).value
-        value *= _corollary_multiplier(p, w, k)
+        factors.append(
+            orbit_l_product(orbit, k) * _corollary_multiplier(p, w, k)
+        )
+    kz_order = kz(4 * k - 2)
     exponent = (p**n - p) // (p - 1)
-    value /= kz(4 * k - 2) ** exponent
+    value = prod(factors) / kz_order**exponent
     order = _as_positive_int(
         value, f"p-elementary order mod {conductor} via characters"
     )
     if spec is None:
         spec = Elementary(p, _parts_from_orbits(p, orbits))
-    return KGroupOrder(spec, 4 * k - 2, order, "characters")
+    pieces = _distinct([abs(x.numerator) for x in factors] + [kz_order])
+    return KGroupOrder(spec, 4 * k - 2, order, "characters", pieces=pieces)
+
+
+def _distinct(pieces: list[int]) -> tuple[int, ...]:
+    """The pieces without repeats or units, in first-seen order."""
+    return tuple(dict.fromkeys(x for x in pieces if x > 1))
 
 
 def _parts_from_orbits(p: int, orbits: list[CharacterOrbit]) -> tuple:

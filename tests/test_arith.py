@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evenk.arith import (
     FactorBudget,
@@ -284,6 +286,126 @@ def test_factorization_format():
     assert factorize(1).format() == "1"
     assert factorize(2193408).format() == "2^11·3^2·7·17"
     assert factorize(59144).format() == "2^3·7393"
+
+
+def _next_prime(x):
+    while not is_prime(x):
+        x += 1
+    return x
+
+
+# primes below the trial limit of PIECES_BUDGET, primes rho splits off
+# quickly, and primes rho cannot separate from each other in its budget
+_PRIME_POOLS = (
+    primes_up_to(97),
+    [_next_prime(x) for x in range(10**4, 2 * 10**5, 9973)],
+    [_next_prime(10**15 + 37 * 10**12 * i) for i in range(8)],
+)
+PIECES_BUDGET = FactorBudget(trial_limit=100, rho_iterations=3000)
+
+
+def check_partial_factorization(result, n):
+    assert result.value() == n
+    primes = [p for p, _ in result.factored]
+    assert primes == sorted(set(primes))
+    assert all(is_prime(p) and e >= 1 for p, e in result.factored)
+    assert result.complete == (result.cofactor == 1)
+    assert result.cofactor == 1 or not is_prime(result.cofactor)
+    for p in primes:
+        assert result.cofactor % p
+
+
+@st.composite
+def prime_powers_and_pieces(draw):
+    """(powers, pieces): distinct prime powers of every size class; the
+    pieces are groups of them (possibly with smaller exponents), some
+    groups dropped, plus unrelated integers."""
+    powers = draw(st.lists(
+        st.tuples(
+            st.sampled_from(_PRIME_POOLS).flatmap(st.sampled_from),
+            st.integers(1, 3),
+        ),
+        min_size=1,
+        max_size=7,
+        unique_by=lambda pe: pe[0],
+    ))
+    groups = draw(st.lists(st.integers(0, 3), min_size=len(powers),
+                           max_size=len(powers)))
+    pieces = []
+    for g in sorted(set(groups)):
+        if draw(st.booleans()):
+            continue
+        piece = 1
+        for (p, e), h in zip(powers, groups):
+            if h == g:
+                piece *= p ** draw(st.integers(1, e))
+        pieces.append(piece)
+    pieces += draw(st.lists(st.integers(1, 10**40), max_size=2))
+    return sorted(powers), tuple(draw(st.permutations(pieces)))
+
+
+def _product(powers):
+    return prod(p**e for p, e in powers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prime_powers_and_pieces())
+def test_factorize_with_pieces_is_a_valid_factorization(case):
+    powers, pieces = case
+    n = _product(powers)
+    with_pieces = factorize(n, PIECES_BUDGET, pieces)
+    check_partial_factorization(with_pieces, n)
+    if with_pieces.complete:
+        assert with_pieces.factored == tuple(powers)
+    whole = factorize(n, PIECES_BUDGET)
+    if with_pieces.complete and whole.complete:
+        assert with_pieces == whole
+
+
+@settings(max_examples=100, deadline=None)
+@given(prime_powers_and_pieces())
+def test_factorize_with_every_prime_as_a_piece_is_complete(case):
+    # exponents are read off n, whatever the pieces' exponents
+    powers, _ = case
+    pieces = tuple(p for p, _ in powers)
+    budget = FactorBudget(trial_limit=100, rho_iterations=0)
+    result = factorize(_product(powers), budget, pieces)
+    assert result == PartialFactorization(tuple(powers))
+
+
+def test_factorize_pieces_refine_what_rho_cannot_split():
+    p, q, r, s, t = _PRIME_POOLS[2][:5]
+    n = p**2 * q * r**3 * s * t
+    budget = FactorBudget(trial_limit=100, rho_iterations=1000)
+    assert not factorize(n, budget).complete
+    # no piece is a prime, but their gcds with each other and with n
+    # separate all five
+    result = factorize(n, budget, (p * q, q * r, r * s * t, s, 12))
+    assert result.factored == ((p, 2), (q, 1), (r, 3), (s, 1), (t, 1))
+    # s * t shares no piece, and rho cannot split it
+    result = factorize(n, budget, (p * q, q * r))
+    check_partial_factorization(result, n)
+    assert result.factored == ((p, 2), (q, 1), (r, 3))
+    assert result.cofactor == s * t
+
+
+def test_factorize_refines_what_rho_leaves_against_the_rest():
+    # rho splits this n into parts that share primes; gcds between the
+    # parts, the primes found and the rest of n finish the job
+    a, b, c, d, e = 907391, 1429951, 1801489, 3464173, 6104047
+    n = a * b**2 * c**2 * d * e**3
+    budget = FactorBudget(trial_limit=100, rho_iterations=800)
+    assert not factorize(n, budget).complete
+    result = factorize(n, budget, (a * e, a * b))
+    assert result.factored == ((a, 1), (b, 2), (c, 2), (d, 1), (e, 3))
+
+
+def test_factorize_with_pieces_keeps_trial_division():
+    n = 2**5 * 3 * 7393 * 1000003
+    for pieces in ((), (7393,), (1000003 * 7393, 6), (10**30,)):
+        assert factorize(n, pieces=pieces).factored == (
+            (2, 5), (3, 1), (7393, 1), (1000003, 1)
+        )
 
 
 def test_bernoulli_memo_is_thread_safe():

@@ -31,12 +31,21 @@ def test_parse_field_specs():
 def test_parse_field_spec_failures():
     from evenk.cli import UsageError
 
-    for bad in ("x", "quad", "quad:seven", "quad:7", "elem:2:quad:8"):
+    for bad in ("x", "quad", "quad:seven", "quad:7", "elem:2:quad:8",
+                "elem:2:quad:5,quad:8,quad:12"):
         with pytest.raises(UsageError):
             parse_field_spec(bad)
 
 
 # -- single order commands --------------------------------------------------------
+
+def test_elementary_spec_that_is_not_a_field_is_usage_error(capsys):
+    code, out, err = invoke(
+        capsys, "kgroup", "--field", "elem:2:quad:5,quad:8,quad:12", "--k", "1"
+    )
+    assert code == 1 and out == ""
+    assert "quad:40" in err
+
 
 def test_kgroup_rationals(capsys):
     code, out, _ = invoke(capsys, "kgroup", "--field", "q", "--k", "6")
@@ -106,6 +115,34 @@ def test_multiquad_table(capsys):
     record = json.loads(out)
     assert record["order"] == str(2**11 * 3**2 * 7 * 17)
     assert record["method"] == "combiner"
+
+
+def _factorization_value(text):
+    value = 1
+    for token in text.removesuffix("·C").split("·"):
+        prime, _, exponent = token.partition("^")
+        value *= int(prime) ** int(exponent or 1)
+    return value
+
+
+def test_multiquad_table_factors_from_subfield_orders(capsys):
+    from evenk.kgroups import elementary_order_via_characters
+
+    code, out, _ = invoke(
+        capsys,
+        "multiquad-table", "--m", "5", "--max-k", "10", "--format", "json",
+        "--factor-budget", "10000",
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["k"] for r in records] == list(range(1, 11))
+    for record in records:
+        order = elementary_order_via_characters(120, 2, 3, record["k"]).order
+        assert record["order"] == str(order)
+        assert _factorization_value(record["factorization"]) == order
+    # factoring each order whole leaves 6 of these rows incomplete
+    incomplete = [r["k"] for r in records if r["factorization"].endswith("·C")]
+    assert len(incomplete) <= 3, incomplete
 
 
 def test_multiquad_table_with_parts(capsys):

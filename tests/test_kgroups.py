@@ -176,6 +176,47 @@ def test_elementary_validation():
     assert spec.conductor() == 63
 
 
+def test_elementary_parts_must_be_closed_under_products():
+    # Q(sqrt5, sqrt2) contains Q(sqrt10) (discriminant 40), not Q(sqrt3)
+    with pytest.raises(ValueError, match="quad:40"):
+        Elementary(2, (RealQuadratic(5), RealQuadratic(8), RealQuadratic(12)))
+    Elementary(2, (RealQuadratic(5), RealQuadratic(8), RealQuadratic(40)))
+    # Q(sqrt3, sqrt7) contains Q(sqrt21), whose discriminant is 21
+    Elementary(2, (RealQuadratic(12), RealQuadratic(28), RealQuadratic(21)))
+    with pytest.raises(ValueError):
+        Elementary(2, (RealQuadratic(12), RealQuadratic(28), RealQuadratic(84)))
+    parts = (8, 12, 5, 24, 40, 60, 120)
+    for i in range(len(parts)):
+        broken = parts[:i] + (13,) + parts[i + 1 :]
+        with pytest.raises(ValueError):
+            Elementary(2, tuple(RealQuadratic(d) for d in broken))
+
+
+def test_elementary_orders_carry_their_pieces():
+    from evenk.arith import FactorBudget, factorize
+
+    spec = multiquad_235()
+    budget = FactorBudget(trial_limit=1000, rho_iterations=10**5)
+    for k in (1, 2, 3, 4):
+        for result in (
+            combine_elementary(spec, k),
+            elementary_order_via_characters(120, 2, 3, k),
+        ):
+            assert kz(4 * k - 2) in result.pieces + (1,)  # |K_6(Z)| = 1
+            assert len(set(result.pieces)) == len(result.pieces)
+            assert all(piece > 1 for piece in result.pieces)
+            whole = factorize(result.order)
+            assert whole.complete
+            for prime, _ in whole.factored:
+                assert any(piece % prime == 0 for piece in result.pieces)
+            assert result.ensure_factorization(budget) == whole
+    part_orders = {k_even_order(part, 3).order for part in spec.parts}
+    assert set(combine_elementary(spec, 3).pieces) == part_orders | {kz(10)}
+    # routes over a single L-norm factor the order whole
+    assert k_even_order(RealQuadratic(5), 3).pieces == ()
+    assert k_even_order(CyclicPrime(3, 7), 3).pieces == ()
+
+
 def test_combine_elementary_multiquad_k1():
     assert combine_elementary(multiquad_235(), 1).order == 2**11 * 3**2 * 7 * 17
 
