@@ -11,7 +11,6 @@ optionally run on the factors a number was multiplied from).
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -164,7 +163,6 @@ def valuation(x: int | Fraction, ell: int) -> int:
 
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.RLock()
 
 
 def _tangent_numbers(m: int) -> list[int]:
@@ -193,23 +191,21 @@ def bernoulli(n: int) -> Fraction:
 
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers
     T_k.  A miss extends the memo to at least twice its length, so
-    callers walking 0..n cost O(n^2) in all; the memo is guarded by a
-    lock so concurrent callers are safe.
+    callers walking 0..n cost O(n^2) in all.
     """
     if n < 0:
         raise ValueError("bernoulli requires n >= 0")
-    with _bernoulli_lock:
-        top = len(_bernoulli_cache) - 1
-        if n > top:
-            top = max(n, 2 * top)
-            t = _tangent_numbers(top // 2)
-            out = [Fraction(1), Fraction(-1, 2)]
-            for k in range(1, top // 2 + 1):
-                four_k = 4**k
-                b = Fraction(2 * k * t[k], four_k * (four_k - 1))
-                out += (b if k % 2 else -b, Fraction(0))
-            _bernoulli_cache[:] = out[: top + 1]
-        return _bernoulli_cache[n]
+    top = len(_bernoulli_cache) - 1
+    if n > top:
+        top = max(n, 2 * top)
+        t = _tangent_numbers(top // 2)
+        out = [Fraction(1), Fraction(-1, 2)]
+        for k in range(1, top // 2 + 1):
+            four_k = 4**k
+            b = Fraction(2 * k * t[k], four_k * (four_k - 1))
+            out += (b if k % 2 else -b, Fraction(0))
+        _bernoulli_cache[:] = out[: top + 1]
+    return _bernoulli_cache[n]
 
 
 @dataclass(frozen=True)
@@ -258,15 +254,13 @@ class PartialFactorization:
 
 
 _trial_primes_cache: dict[int, list[int]] = {}
-_trial_primes_lock = threading.Lock()
 
 
 def _trial_primes(limit: int) -> list[int]:
     key = min(limit, 10**6)
-    with _trial_primes_lock:
-        if key not in _trial_primes_cache:
-            _trial_primes_cache[key] = primes_up_to(max(key, 2))
-        return _trial_primes_cache[key]
+    if key not in _trial_primes_cache:
+        _trial_primes_cache[key] = primes_up_to(max(key, 2))
+    return _trial_primes_cache[key]
 
 
 def _pollard_rho_brent(n: int, budget: int) -> int | None:

@@ -11,10 +11,11 @@ Field specs use a small grammar: `q`, `quad:D`, `cyclic:p:f` (or
 `elem:p:part,part,...` where each part is itself a `quad:` or
 `cyclic:` spec.
 
-Exit codes: 0 success, 1 usage error (including a --method that does
-not apply to the field, a negative --factor-budget and --jobs < 1), 2
-computation/data error (NonIntegralOrder, InexactDivision, NotRational,
-bad character files and kin), 3 witness inconsistency.
+Exit codes: 0 success, 1 usage error (including a field spec that names
+no field, a --method that does not apply to the field and a negative
+--factor-budget), 2 computation/data error (NonIntegralOrder,
+InexactDivision, NotRational, bad character files and kin), 3 witness
+inconsistency.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .arith import FactorBudget
@@ -185,7 +185,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=10**6,
         help="trial-division limit and Pollard-rho iteration cap",
     )
-    parser.add_argument("--jobs", type=_int_at_least(1), default=1)
 
 
 def _build_parser() -> _Parser:
@@ -248,13 +247,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _compute_records(tasks, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda fn: fn(), tasks))
-    return [fn() for fn in tasks]
-
-
 def _cubic_conductors(max_f: int) -> list[int]:
     from .arith import is_prime
 
@@ -297,21 +289,16 @@ def _dispatch(args: argparse.Namespace) -> int:
     )
     fmt = args.format
 
-    if args.command == "kgroup":
+    if args.command in ("kgroup", "kodd"):
         spec = parse_field_spec(args.field)
-        if args.method is not None and args.method not in spec.ORDER_METHODS:
+        if args.command == "kodd":
+            result = k_odd_order(spec, args.k)
+        elif args.method is None or args.method in spec.ORDER_METHODS:
+            result = k_even_order(spec, args.k, method=args.method)
+        else:
             raise UsageError(
                 f"method {args.method!r} does not apply to {spec.label()}"
             )
-        result = k_even_order(spec, args.k, method=args.method)
-        sys.stdout.write(
-            emit_table([_record_from_order(result, args.k, budget)], fmt)
-        )
-        return 0
-
-    if args.command == "kodd":
-        spec = parse_field_spec(args.field)
-        result = k_odd_order(spec, args.k)
         sys.stdout.write(
             emit_table([_record_from_order(result, args.k, budget)], fmt)
         )
@@ -381,14 +368,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "cubic-table":
-        conductors = _cubic_conductors(args.max_f)
-        tasks = [
-            (lambda f=f: _record_from_order(
+        records = [
+            _record_from_order(
                 k_even_order(CyclicPrime(3, f), args.k), args.k, budget
-            ))
-            for f in conductors
+            )
+            for f in _cubic_conductors(args.max_f)
         ]
-        records = _compute_records(tasks, args.jobs)
         sys.stdout.write(emit_table(records, fmt))
         return 0
 
@@ -402,13 +387,10 @@ def _dispatch(args: argparse.Namespace) -> int:
                 parse_field_spec(tok) for tok in args.parts.split(",")
             )
             spec = Elementary(2, members)
-        tasks = [
-            (lambda k=k: _record_from_order(
-                k_even_order(spec, k), k, budget
-            ))
+        records = [
+            _record_from_order(k_even_order(spec, k), k, budget)
             for k in range(1, args.max_k + 1)
         ]
-        records = _compute_records(tasks, args.jobs)
         sys.stdout.write(emit_table(records, fmt))
         return 0
 

@@ -19,7 +19,6 @@ exactly multiplicativity, at O(phi(m) * rank) cost.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,30 +66,28 @@ def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 _cyclotomic_cache: dict[int, tuple[int, ...]] = {}
-_cyclotomic_lock = threading.RLock()
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n(x), constant term first.
 
     Built by exact division of x^n - 1 by the Phi_d for proper
-    divisors d; memoized behind a lock.
+    divisors d; memoized.
     """
     if n < 1:
         raise ValueError("cyclotomic_polynomial requires n >= 1")
-    with _cyclotomic_lock:
-        if n in _cyclotomic_cache:
-            return _cyclotomic_cache[n]
-        num = [0] * (n + 1)
-        num[0], num[n] = -1, 1
-        for d in range(1, n):
-            if n % d == 0:
-                num = _poly_divmod_exact(num, list(cyclotomic_polynomial(d)))
-        result = tuple(num)
-        if len(result) - 1 != euler_phi(n):
-            raise ArithmeticError(f"Phi_{n} has wrong degree")
-        _cyclotomic_cache[n] = result
-        return result
+    if n in _cyclotomic_cache:
+        return _cyclotomic_cache[n]
+    num = [0] * (n + 1)
+    num[0], num[n] = -1, 1
+    for d in range(1, n):
+        if n % d == 0:
+            num = _poly_divmod_exact(num, list(cyclotomic_polynomial(d)))
+    result = tuple(num)
+    if len(result) - 1 != euler_phi(n):
+        raise ArithmeticError(f"Phi_{n} has wrong degree")
+    _cyclotomic_cache[n] = result
+    return result
 
 
 class CyclotomicElement:
@@ -617,40 +614,106 @@ class CharacterOrbit:
 
     @classmethod
     def of(cls, chi: DirichletCharacter) -> CharacterOrbit:
-        conj = tuple(
-            chi**i for i in range(1, chi.order + 1) if gcd(i, chi.order) == 1
-        )
-        return cls(chi, conj)
+        rest = (chi**i for i in range(2, chi.order) if gcd(i, chi.order) == 1)
+        return cls(chi, (chi, *rest))
 
 
-@lru_cache(maxsize=None)
-def _primitive_orbits_of_order(f: int, p: int) -> tuple[CharacterOrbit, ...]:
-    return tuple(_build_primitive_orbits(f, p))
-
-
-def primitive_orbits_of_order(f: int, p: int) -> list[CharacterOrbit]:
-    """Galois orbits of the order-p characters with conductor exactly f,
-    in a fixed construction order (orbit indices are stable but need not
-    match any external labeling)."""
-    return list(_primitive_orbits_of_order(f, p))
-
-
-def _build_primitive_orbits(f: int, p: int) -> list[CharacterOrbit]:
-    chars = [
-        chi
-        for chi in characters_of_order_dividing(f, p)
-        if chi.order == p and chi.conductor() == f
-    ]
-    chars.sort(key=lambda c: c.exponent_items())
+def galois_orbits(chars) -> list[CharacterOrbit]:
+    """Partition a Galois-stable set of characters into its orbits, each
+    represented by its member with the smallest exponent_items()."""
     orbits: list[CharacterOrbit] = []
     seen: set[DirichletCharacter] = set()
-    for chi in chars:
+    for chi in sorted(chars, key=lambda c: c.exponent_items()):
         if chi in seen:
             continue
         orbit = CharacterOrbit.of(chi)
         seen.update(orbit.conjugates)
         orbits.append(orbit)
     return orbits
+
+
+@lru_cache(maxsize=None)
+def primitive_orbits_of_order(f: int, p: int) -> tuple[CharacterOrbit, ...]:
+    """Galois orbits of the order-p characters with conductor exactly f,
+    in a fixed construction order (orbit indices are stable but need not
+    match any external labeling)."""
+    chars = characters_of_order_dividing(f, p)
+    return tuple(galois_orbits(c for c in chars if c.order == p and c.conductor() == f))
+
+
+def local_coordinates(chi: DirichletCharacter, n: int) -> tuple:
+    """chi at local generators, as ((q, g), e) pairs with e != 0: for
+    each q^d exactly dividing the modulus m and generator g of (Z/q^d)^*
+    (a primitive root mod q^2 for odd q; -1 and 5 for q = 2),
+    chi(x) = zeta_n^e for x = g mod q^d, x = 1 mod m/q^d (n a multiple
+    of chi.order).  The generators do not depend on m, so chi and its
+    primitive part agree and a product of characters adds coordinates."""
+    out = []
+    m = chi.modulus
+    for q, e in factor_small(m):
+        qe = q**e
+        rest = m // qe
+        for g in ((-1, 5) if q == 2 else (_primitive_root(q, 2),)):
+            x = (1 + rest * ((g - 1) * pow(rest, -1, qe) % qe)) % m
+            exponent = chi.exponent(x) * (n // chi.order) % n
+            if exponent:
+                out.append(((q, g), exponent))
+    return tuple(out)
+
+
+def orbit_key(coords, p: int) -> tuple:
+    """The Galois orbit of an order-p character (p prime) from its
+    ((q, g), exponent) coordinates, where repeated generators add (the
+    coordinates of a product): the sorted nonzero coordinates mod p
+    scaled so that the first is 1 (the trivial character gives ())."""
+    total: dict[tuple[int, int], int] = {}
+    for g, x in coords:
+        total[g] = (total.get(g, 0) + x) % p
+    items = sorted((g, x) for g, x in total.items() if x)
+    if not items:
+        return ()
+    scale = pow(items[0][1], -1, p)
+    return tuple((g, x * scale % p) for g, x in items)
+
+
+def primitive_orbit_index(key, p: int) -> tuple[int, int]:
+    """(f, i): the conductor of the even order-p orbit with this
+    orbit_key and its index in primitive_orbits_of_order(f, p), without
+    building characters mod f.  That tuple is sorted by the exponents at
+    the units 2, 3, ...; for odd p the exponent at a is sum_q c_q log_q(a)
+    mod p, read off a^(phi(q^e)/p) mod q^e, and the units are walked
+    until the primitive characters of conductor f all differ."""
+    primes = sorted({q for (q, _), _ in key})
+    f = 1
+    for q in primes:  # for p = 2, a character moving 5 has 2-part 8, else 4
+        f *= (8 if ((2, 5), 1) in key else 4) if q == 2 else q * q if q == p else q
+    if p == 2 or len(primes) == 1:
+        return f, 0
+    logs = []
+    for q in primes:
+        qe = q * q if q == p else q
+        step = euler_phi(qe) // p
+        h = pow(_primitive_root(q, 2), step, qe)
+        logs.append((qe, step, [pow(h, j, qe) for j in range(p)]))
+    chars = list(product(range(1, p), repeat=len(primes)))
+    prefixes: list[list[int]] = [[] for _ in chars]
+    a = 1
+    while len(set(map(tuple, prefixes))) < len(chars):
+        a += 1
+        if gcd(a, f) == 1:
+            ls = [powers.index(pow(a, step, qe)) for qe, step, powers in logs]
+            for c, prefix in zip(chars, prefixes):
+                prefix.append(sum(x * y for x, y in zip(c, ls)) % p)
+    target = tuple(x for _, x in key)
+    seen: set[tuple[int, ...]] = set()
+    for _, c in sorted(zip(prefixes, chars)):
+        scale = pow(c[0], -1, p)
+        normal = tuple(x * scale % p for x in c)
+        if normal not in seen:
+            if normal == target:
+                return f, len(seen)
+            seen.add(normal)
+    raise AssertionError(f"no primitive orbit of conductor {f} has key {key}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,28 +18,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 
 from . import winv
 from .arith import (
     FactorBudget,
     PartialFactorization,
     bernoulli,
+    factor_small,
     factorize,
     is_prime,
+    valuation,
 )
 from .cyclodirichlet import (
     CharacterOrbit,
     characters_of_order_dividing,
+    galois_orbits,
+    local_coordinates,
+    orbit_key,
     orbit_l_product,
+    primitive_orbit_index,
     primitive_orbits_of_order,
     quadratic_character,
 )
-from .siegel import (
-    QuadraticDiscriminant,
-    fundamental_discriminant,
-    zeta_quadratic,
-)
+from .siegel import QuadraticDiscriminant, zeta_quadratic
 from .winv import WInvariant
 
 
@@ -64,23 +66,45 @@ class UnsupportedField(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rationals:
-    # zeta routes k_even_order accepts, default first
-    ORDER_METHODS = ("characters", "kz")
+class _Field:
+    """What every field spec shares.  A spec states the (conductor,
+    size) of each nontrivial Galois orbit of the field's even Dirichlet
+    characters (orbit_shapes; none for Q); degree, conductor, rank, zeta
+    values and w are derived from those.  The orbits themselves
+    (character_orbits) are built only when an L-value needs them."""
+
+    # zeta routes k_even_order accepts, default first; a spec with none
+    # is not known to be a field and supports zeta evaluation only
+    ORDER_METHODS: tuple[str, ...] = ()
+
+    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
+        return ()
+
+    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
+        return ()
 
     def degree(self) -> int:
-        return 1
+        return 1 + sum(size for _, size in self.orbit_shapes())
 
     def conductor(self) -> int:
-        return 1
+        return lcm(1, *(f for f, _ in self.orbit_shapes()))
+
+    def rank(self) -> int:
+        """n with degree p^n, where p - 1 is the size of every orbit."""
+        shapes = self.orbit_shapes()
+        return valuation(self.degree(), shapes[0][1] + 1) if shapes else 0
+
+
+@dataclass(frozen=True)
+class Rationals(_Field):
+    ORDER_METHODS = ("characters", "kz")
 
     def label(self) -> str:
         return "q"
 
 
 @dataclass(frozen=True)
-class RealQuadratic:
+class RealQuadratic(_Field):
     ORDER_METHODS = ("characters", "zagier")
 
     d: int
@@ -88,21 +112,23 @@ class RealQuadratic:
     def __post_init__(self) -> None:
         QuadraticDiscriminant(self.d)
 
-    def degree(self) -> int:
-        return 2
+    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
+        return ((self.d, 1),)
 
-    def conductor(self) -> int:
-        return self.d
+    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
+        return (CharacterOrbit.of(quadratic_character(self.d)),)
 
     def label(self) -> str:
         return f"quad:{self.d}"
 
 
 @dataclass(frozen=True)
-class CyclicPrime:
+class CyclicPrime(_Field):
     """A real cyclic field of odd prime degree p and conductor f; when
     several such fields share the conductor, `orbit` picks the Galois
-    orbit of defining characters (construction order, starting at 0)."""
+    orbit of defining characters (construction order, starting at 0).
+    A conductor with s distinct prime factors carries (p - 1)^(s - 1)
+    such fields."""
 
     ORDER_METHODS = ("characters",)
 
@@ -118,14 +144,18 @@ class CyclicPrime:
                 f"{self.f} is not a conductor of a real cyclic "
                 f"degree-{self.p} field"
             )
-        if self.orbit < 0:
-            raise ValueError("orbit index must be >= 0")
+        fields = (self.p - 1) ** (len(factor_small(self.f)) - 1)
+        if not 0 <= self.orbit < fields:
+            raise ValueError(
+                f"orbit index {self.orbit} does not exist; the indices for "
+                f"conductor {self.f} run from 0 to {fields - 1}"
+            )
 
-    def degree(self) -> int:
-        return self.p
+    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
+        return ((self.f, self.p - 1),)
 
-    def conductor(self) -> int:
-        return self.f
+    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
+        return (primitive_orbits_of_order(self.f, self.p)[self.orbit],)
 
     def label(self) -> str:
         if self.orbit:
@@ -133,10 +163,18 @@ class CyclicPrime:
         return f"cyclic:{self.p}:{self.f}"
 
 
+def _cyclic_field(p: int, f: int, index: int = 0):
+    """The spec of the index-th real cyclic degree-p field of conductor f."""
+    return RealQuadratic(f) if p == 2 else CyclicPrime(p, f, index)
+
+
 @dataclass(frozen=True)
-class Elementary:
+class Elementary(_Field):
     """A totally real field with Galois group (Z/pZ)^n, n >= 2, listed
-    by its (p^n - 1)/(p - 1) degree-p subfields."""
+    by its (p^n - 1)/(p - 1) degree-p subfields.  Their characters must
+    generate a group of order p^n whose nontrivial Galois orbits are
+    exactly the parts: with the count right, every chi_a * chi_b^e of
+    two parts must lie in a part (checked in local coordinates)."""
 
     ORDER_METHODS = ("combiner", "characters")
 
@@ -144,68 +182,49 @@ class Elementary:
     parts: tuple
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
+        p = self.p
+        if not is_prime(p):
             raise ValueError("p must be prime")
         for part in self.parts:
-            if isinstance(part, RealQuadratic):
-                if self.p != 2:
-                    raise ValueError("quadratic part in a p != 2 field")
-            elif isinstance(part, CyclicPrime):
-                if part.p != self.p:
-                    raise ValueError("part degree differs from field degree")
-            else:
-                raise ValueError(f"unsupported part {part!r}")
+            if part.degree() != p or len(part.orbit_shapes()) != 1:
+                raise ValueError(f"{part.label()} is not a cyclic degree-{p} field")
         if len(set(self.parts)) != len(self.parts):
             raise ValueError("parts must be pairwise distinct")
-        self.rank()  # validates the count
-        if self.p == 2:
-            discriminants = {part.d for part in self.parts}
-            for i, a in enumerate(self.parts):
-                for b in self.parts[i + 1 :]:
-                    d = _product_discriminant(a.d, b.d)
-                    if d not in discriminants:
+        degree = self.degree()
+        if degree < p * p or p ** valuation(degree, p) != degree:
+            raise ValueError(
+                f"{len(self.parts)} parts is not (p^n - 1)/(p - 1) for any n >= 2"
+            )
+        keys = [
+            orbit_key(local_coordinates(part.character_orbits()[0].representative, p), p)
+            for part in self.parts
+        ]
+        for i, a in enumerate(keys):
+            for j in range(i + 1, len(keys)):
+                for e in range(1, p):
+                    key = orbit_key(a + tuple((g, e * x) for g, x in keys[j]), p)
+                    if key not in keys:
+                        missing = _cyclic_field(p, *primitive_orbit_index(key, p))
                         raise ValueError(
-                            f"quad:{a.d} and quad:{b.d} generate quad:{d}, "
-                            "which is not a part"
+                            f"{self.parts[i].label()} and {self.parts[j].label()} "
+                            f"generate {missing.label()}, which is not a part"
                         )
 
-    def rank(self) -> int:
-        count = len(self.parts)
-        n = 2
-        while (self.p**n - 1) // (self.p - 1) < count:
-            n += 1
-        if (self.p**n - 1) // (self.p - 1) != count:
-            raise ValueError(
-                f"{count} parts is not (p^n - 1)/(p - 1) for any n >= 2"
-            )
-        return n
+    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
+        return tuple(s for part in self.parts for s in part.orbit_shapes())
 
-    def degree(self) -> int:
-        return self.p ** self.rank()
-
-    def conductor(self) -> int:
-        return lcm(*(part.conductor() for part in self.parts))
+    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
+        return tuple(o for part in self.parts for o in part.character_orbits())
 
     def label(self) -> str:
         inner = ",".join(part.label() for part in self.parts)
         return f"elem:{self.p}:{inner}"
 
 
-def _product_discriminant(d1: int, d2: int) -> int:
-    """Discriminant of Q(sqrt(d1 d2)) for distinct fundamental
-    discriminants d1, d2 > 1."""
-    s1 = d1 if d1 % 4 == 1 else d1 // 4
-    s2 = d2 if d2 % 4 == 1 else d2 // 4
-    g = gcd(s1, s2)
-    return fundamental_discriminant((s1 // g) * (s2 // g))
-
-
 @dataclass(frozen=True)
-class AbelianByCharacters:
+class AbelianByCharacters(_Field):
     """An abelian field described by Galois orbits of even characters;
     supports zeta evaluation only."""
-
-    ORDER_METHODS = ()
 
     conductor_value: int
     orbits: tuple[CharacterOrbit, ...]
@@ -217,11 +236,13 @@ class AbelianByCharacters:
             if not orbit.representative.is_even():
                 raise ValueError("odd characters do not give totally real fields")
 
-    def degree(self) -> int:
-        return 1 + sum(len(o.conjugates) for o in self.orbits)
+    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (o.representative.conductor(), len(o.conjugates)) for o in self.orbits
+        )
 
-    def conductor(self) -> int:
-        return self.conductor_value
+    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
+        return self.orbits
 
     def label(self) -> str:
         return f"abelian:{self.conductor_value}"
@@ -257,35 +278,7 @@ class KGroupOrder:
 
 
 # ---------------------------------------------------------------------------
-# Character orbits per field
-# ---------------------------------------------------------------------------
-
-
-def quadratic_orbit(d: int) -> CharacterOrbit:
-    chi = quadratic_character(d)
-    if chi.conductor() != d or not chi.is_even():
-        raise AssertionError(f"Kronecker character mod {d} is not primitive even")
-    return CharacterOrbit.of(chi)
-
-
-def cyclic_orbit(p: int, f: int, orbit: int) -> CharacterOrbit:
-    orbits = primitive_orbits_of_order(f, p)
-    if orbit >= len(orbits):
-        raise UnsupportedField(
-            f"conductor {f} has {len(orbits)} degree-{p} orbits, "
-            f"index {orbit} does not exist"
-        )
-    return orbits[orbit]
-
-
-def _part_orbit(part) -> CharacterOrbit:
-    if isinstance(part, RealQuadratic):
-        return quadratic_orbit(part.d)
-    return cyclic_orbit(part.p, part.f, part.orbit)
-
-
-# ---------------------------------------------------------------------------
-# zeta values and w invariants by field
+# zeta values and w invariants
 # ---------------------------------------------------------------------------
 
 
@@ -299,40 +292,18 @@ def riemann_zeta_negative(k: int) -> Fraction:
 def zeta_abelian(spec: FieldSpec, k: int) -> Fraction:
     """Exact zeta_F(1-2k) via the product of L-values over the
     nontrivial character orbits of the field."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     value = riemann_zeta_negative(k)
-    if isinstance(spec, Rationals):
-        return value
-    if isinstance(spec, RealQuadratic):
-        return value * orbit_l_product(quadratic_orbit(spec.d), k)
-    if isinstance(spec, CyclicPrime):
-        return value * orbit_l_product(_part_orbit(spec), k)
-    if isinstance(spec, Elementary):
-        for part in spec.parts:
-            value *= orbit_l_product(_part_orbit(part), k)
-        return value
-    if isinstance(spec, AbelianByCharacters):
-        for orbit in spec.orbits:
-            value *= orbit_l_product(orbit, k)
-        return value
-    raise UnsupportedField(f"unsupported field spec {spec!r}")
+    for orbit in spec.character_orbits():
+        value *= orbit_l_product(orbit, k)
+    return value
 
 
 def w_invariant(spec: FieldSpec, k: int) -> WInvariant:
-    if isinstance(spec, Rationals):
-        return winv.w_rational(k)
-    if isinstance(spec, RealQuadratic):
-        return winv.w_quadratic(spec.d, k)
-    if isinstance(spec, CyclicPrime):
-        return winv.w_cyclic(spec.p, spec.f, k)
-    if isinstance(spec, Elementary):
-        return winv.w_elementary(
-            spec.p, [part.conductor() for part in spec.parts], k
+    if not spec.ORDER_METHODS:
+        raise UnsupportedField(
+            f"w invariants need a field; {spec.label()} supports zeta only"
         )
-    raise UnsupportedField(
-        f"w invariants are not available for {type(spec).__name__}"
-    )
+    return winv.w_from_orbits(spec.orbit_shapes(), k)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +345,6 @@ def _corollary_multiplier(degree: int, w: int, k: int) -> Fraction:
 
 def k_odd_order(spec: FieldSpec, k: int) -> KGroupOrder:
     """|K_{4k-1}(O_F)| = 2^r w_2k(F) for odd k, w_2k(F) for even k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     w = w_invariant(spec, k)
     r = spec.degree()
     order = (2**r if k % 2 else 1) * w.value
@@ -408,7 +377,8 @@ def k_even_order(
         )
     if method == "combiner":
         return combine_elementary(spec, k)
-    if isinstance(spec, Elementary):
+    if spec.rank() >= 2:
+        # p-elementary: the characters route builds the whole group
         return elementary_order_via_characters(
             spec.conductor(), spec.p, spec.rank(), k, spec=spec
         )
@@ -483,17 +453,7 @@ def elementary_order_via_characters(
             f"order dividing {p}, expected {p**n}; the conductor route "
             "cannot see this field"
         )
-    orbits: list[CharacterOrbit] = []
-    seen = set()
-    for chi in sorted(
-        (c for c in chars if not c.is_trivial()),
-        key=lambda c: c.exponent_items(),
-    ):
-        if chi in seen:
-            continue
-        orbit = CharacterOrbit.of(chi)
-        seen.update(orbit.conjugates)
-        orbits.append(orbit)
+    orbits = galois_orbits(c for c in chars if not c.is_trivial())
     subfield_count = (p**n - 1) // (p - 1)
     if len(orbits) != subfield_count:
         raise AssertionError("orbit partition does not match subfield count")
@@ -502,10 +462,7 @@ def elementary_order_via_characters(
     factors = [zeta] * subfield_count
     for orbit in orbits:
         f = orbit.representative.conductor()
-        if p == 2:
-            w = winv.w_quadratic(f, k).value
-        else:
-            w = winv.w_cyclic(p, f, k).value
+        w = winv.w_from_orbits(((f, p - 1),), k).value
         factors.append(
             orbit_l_product(orbit, k) * _corollary_multiplier(p, w, k)
         )
@@ -516,7 +473,12 @@ def elementary_order_via_characters(
         value, f"p-elementary order mod {conductor} via characters"
     )
     if spec is None:
-        spec = Elementary(p, _parts_from_orbits(p, orbits))
+        spec = Elementary(p, tuple(
+            _cyclic_field(p, *primitive_orbit_index(
+                orbit_key(local_coordinates(orbit.representative, p), p), p
+            ))
+            for orbit in orbits
+        ))
     pieces = _distinct([abs(x.numerator) for x in factors] + [kz_order])
     return KGroupOrder(spec, 4 * k - 2, order, "characters", pieces=pieces)
 
@@ -524,19 +486,6 @@ def elementary_order_via_characters(
 def _distinct(pieces: list[int]) -> tuple[int, ...]:
     """The pieces without repeats or units, in first-seen order."""
     return tuple(dict.fromkeys(x for x in pieces if x > 1))
-
-
-def _parts_from_orbits(p: int, orbits: list[CharacterOrbit]) -> tuple:
-    parts = []
-    counts: dict[int, int] = {}
-    for orbit in orbits:
-        f = orbit.representative.conductor()
-        if p == 2:
-            parts.append(RealQuadratic(f))
-        else:
-            parts.append(CyclicPrime(p, f, counts.get(f, 0)))
-            counts[f] = counts.get(f, 0) + 1
-    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------

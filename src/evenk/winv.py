@@ -1,16 +1,25 @@
-"""The invariants w_2k(F): orders of the Galois-fixed twisted roots
-of unity, computed per field class with an explicit per-prime split.
+"""The invariants w_2k(F) of a totally real abelian field F.
 
-The 2-part is 2^(2+v_2(2k)), doubled exactly when sqrt(2) lies in the
-field.  An odd prime l contributes l^(1+v_l(k)) when (l-1) | 2k; a
-degree-p subfield inside Q(zeta_l) lowers that divisibility requirement
-to (l-1)/p | 2k, and for odd p a subfield inside Q(zeta_{p^2}) raises
-the p-exponent by one.
+w_2k(F) is the largest m such that Gal(F(zeta_m)/F) has exponent
+dividing 2k (Weibel, The K-book, VI.2).  It is read off the field's
+group X of even Dirichlet characters, given as the (conductor, size)
+of each nontrivial Galois orbit.  Let X_{l,a} be the characters in X
+whose conductor divides l^a; they are the characters of
+F ∩ Q(zeta_{l^a}) (Washington, Introduction to Cyclotomic Fields,
+ch. 3).  One formula then covers every field:
+
+* for odd l, Gal(F(zeta_{l^a})/F) is cyclic of order
+  l^(a-1)(l-1)/|X_{l,a}|, and v_l(w) is the largest a for which that
+  order divides 2k;
+* for l = 2, F ∩ Q(zeta_{2^∞}) = Q(zeta_{2^c})^+ where 2^(c-2) is the
+  number of characters in X of 2-power conductor, and
+  v_2(w) = c + v_2(2k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm, prod
 
 from .arith import factor_small, is_prime, primes_up_to, valuation
 from .siegel import QuadraticDiscriminant, is_fundamental_discriminant
@@ -24,68 +33,65 @@ class WInvariant:
     parts: dict[int, int]
 
     def __post_init__(self) -> None:
-        prod = 1
-        for ell, e in self.parts.items():
-            if e < 1:
-                raise ValueError("zero exponents must be omitted")
-            prod *= ell**e
-        if prod != self.value:
+        if any(e < 1 for e in self.parts.values()):
+            raise ValueError("zero exponents must be omitted")
+        if prod(ell**e for ell, e in self.parts.items()) != self.value:
             raise ValueError("parts do not multiply to value")
 
     def __int__(self) -> int:
         return self.value
 
 
-def _assemble(k: int, *, sqrt2: bool, zeta_prime: dict[int, int],
-              zeta_p_squared: int | None) -> WInvariant:
-    """Common per-prime case analysis.
+def _valuation_of_w(ell: int, orbits: tuple, k: int) -> int:
+    """v_ell(w_2k) of the field with these (conductor, size) orbits."""
+    if ell == 2:
+        # 2^(c-2) characters of 2-power conductor, the trivial one included
+        count = 1 + sum(size for f, size in orbits if f & (f - 1) == 0)
+        return count.bit_length() + 1 + valuation(2 * k, 2)
+    a = 0
+    while True:
+        power = ell ** (a + 1)
+        fixed = 1 + sum(size for f, size in orbits if power % f == 0)
+        galois, rest = divmod(power // ell * (ell - 1), fixed)
+        if rest:
+            raise ValueError("the orbits are not those of a field")
+        if (2 * k) % galois:
+            return a
+        a += 1
 
-    zeta_prime maps l -> p for each subfield of degree p inside
-    Q(zeta_l); zeta_p_squared is p when a degree-p subfield of
-    Q(zeta_{p^2}) is present.
-    """
-    if k < 1:
-        raise ValueError("w invariants need k >= 1")
-    two_k = 2 * k
-    parts: dict[int, int] = {2: 2 + valuation(two_k, 2) + (1 if sqrt2 else 0)}
-    candidates = set(primes_up_to(two_k + 1)) | set(zeta_prime)
-    if zeta_p_squared is not None:
-        candidates.add(zeta_p_squared)
-    for ell in sorted(candidates):
-        if ell == 2:
-            continue
-        exponent = 0
-        if two_k % (ell - 1) == 0:
-            exponent = 1 + valuation(k, ell)
-        elif ell in zeta_prime and two_k % ((ell - 1) // zeta_prime[ell]) == 0:
-            exponent = 1 + valuation(k, ell)
-        if ell == zeta_p_squared and two_k % (ell - 1) == 0:
-            exponent = 2 + valuation(k, ell)
-        if exponent:
-            parts[ell] = exponent
-    value = 1
-    for ell, e in parts.items():
-        value *= ell**e
-    return WInvariant(value, parts)
+
+def _w_from_valuations(parts: dict[int, int]) -> WInvariant:
+    parts = {ell: e for ell, e in sorted(parts.items()) if e}
+    return WInvariant(prod(ell**e for ell, e in parts.items()), parts)
 
 
 def w_rational(k: int) -> WInvariant:
     """w_2k(Q)."""
-    return _assemble(k, sqrt2=False, zeta_prime={}, zeta_p_squared=None)
+    if k < 1:
+        raise ValueError("w invariants need k >= 1")
+    primes = primes_up_to(2 * k + 1)
+    return _w_from_valuations({ell: _valuation_of_w(ell, (), k) for ell in primes})
+
+
+def w_from_orbits(orbits, k: int) -> WInvariant:
+    """w_2k of the totally real abelian field whose nontrivial Galois
+    orbits of even characters have the (conductor, size) pairs `orbits`:
+    w_2k(Q) with the 2-part and the parts at primes dividing the
+    conductor recomputed (elsewhere X_{l,a} is trivial, as for Q)."""
+    orbits = tuple(orbits)
+    parts = dict(w_rational(k).parts)
+    conductor = lcm(1, *(f for f, _ in orbits))
+    for ell in [2] + [q for q, _ in factor_small(conductor)]:
+        parts[ell] = _valuation_of_w(ell, orbits, k)
+    return _w_from_valuations(parts)
 
 
 def w_quadratic(disc: QuadraticDiscriminant | int, k: int) -> WInvariant:
-    """w_2k of the real quadratic field with fundamental discriminant D.
-
-    D = 8 doubles the 2-part (sqrt(2) in the field); a prime D = 1 mod 4
-    puts the field inside Q(zeta_D).
-    """
+    """w_2k of the real quadratic field with fundamental discriminant D."""
     d = int(disc)
     if not isinstance(disc, QuadraticDiscriminant):
         QuadraticDiscriminant(d)
-    zeta_prime = {d: 2} if d % 4 == 1 and is_prime(d) else {}
-    return _assemble(k, sqrt2=(d == 8), zeta_prime=zeta_prime,
-                     zeta_p_squared=None)
+    return w_from_orbits(((d, 1),), k)
 
 
 def cyclic_conductor_is_valid(p: int, f: int) -> bool:
@@ -109,12 +115,7 @@ def w_cyclic(p: int, f: int, k: int) -> WInvariant:
         raise ValueError("w_cyclic expects an odd prime degree")
     if not cyclic_conductor_is_valid(p, f):
         raise ValueError(f"{f} is not a real cyclic degree-{p} conductor")
-    if f == p * p:
-        return _assemble(k, sqrt2=False, zeta_prime={}, zeta_p_squared=p)
-    if is_prime(f):
-        return _assemble(k, sqrt2=False, zeta_prime={f: p},
-                         zeta_p_squared=None)
-    return _assemble(k, sqrt2=False, zeta_prime={}, zeta_p_squared=None)
+    return w_from_orbits(((f, p - 1),), k)
 
 
 def w_elementary(p: int, conductors: list[int], k: int) -> WInvariant:
@@ -126,34 +127,14 @@ def w_elementary(p: int, conductors: list[int], k: int) -> WInvariant:
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    count = len(conductors)
-    n = 1
-    while (p ** (n + 1) - 1) // (p - 1) < count:
-        n += 1
-    n += 1
-    if (p**n - 1) // (p - 1) != count or n < 2:
+    degree = 1 + (p - 1) * len(conductors)
+    if degree < p * p or p ** valuation(degree, p) != degree:
         raise ValueError(
-            f"{count} subfields is not (p^n - 1)/(p - 1) for any n >= 2"
+            f"{len(conductors)} subfields is not (p^n - 1)/(p - 1) for any n >= 2"
         )
-    if len(set(conductors)) != count and p != 2:
-        pass  # same conductor can house several cyclic fields when p > 2
-    sqrt2 = False
-    zeta_prime: dict[int, int] = {}
-    zeta_p_squared: int | None = None
     for f in conductors:
-        if p == 2:
-            if not is_fundamental_discriminant(f):
-                raise ValueError(f"{f} is not a fundamental discriminant")
-            if f == 8:
-                sqrt2 = True
-            elif f % 4 == 1 and is_prime(f):
-                zeta_prime[f] = 2
-        else:
-            if not cyclic_conductor_is_valid(p, f):
-                raise ValueError(f"{f} is not a degree-{p} conductor")
-            if f == p * p:
-                zeta_p_squared = p
-            elif is_prime(f):
-                zeta_prime[f] = p
-    return _assemble(k, sqrt2=sqrt2, zeta_prime=zeta_prime,
-                     zeta_p_squared=zeta_p_squared)
+        if p == 2 and not is_fundamental_discriminant(f):
+            raise ValueError(f"{f} is not a fundamental discriminant")
+        if p != 2 and not cyclic_conductor_is_valid(p, f):
+            raise ValueError(f"{f} is not a degree-{p} conductor")
+    return w_from_orbits(((f, p - 1) for f in conductors), k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 
-from evenk.arith import bernoulli
+from evenk.arith import bernoulli, is_prime, primes_up_to, valuation
 from evenk.cyclodirichlet import NotRational, cyclotomic_polynomial, euler_phi
 
 
@@ -188,3 +188,31 @@ def _reduce_mod_cyclotomic(raw: list[Fraction], order: int) -> list[Fraction]:
     out = raw[:phi]
     out += [Fraction(0)] * (phi - len(out))
     return out
+
+
+
+# -- w invariants by per-class case analysis ----------------------------------
+
+def w_case_analysis(p: int, conductors, k: int) -> dict[int, int]:
+    """{l: v_l(w_2k)} of the field whose cyclic degree-p subfields have
+    these conductors (discriminants for p = 2; none gives Q), by the
+    per-prime case analysis evenk used before its character formula:
+    sqrt(2) adds one to the 2-part, a subfield in Q(zeta_l) relaxes
+    (l-1) | 2k to (l-1)/p | 2k, one in Q(zeta_{p^2}) adds one at p."""
+    sqrt2 = p == 2 and 8 in conductors
+    zeta_prime = {f for f in conductors if is_prime(f)}
+    zeta_p_squared = p if p * p in conductors else None
+    two_k = 2 * k
+    parts = {2: 2 + valuation(two_k, 2) + (1 if sqrt2 else 0)}
+    candidates = set(primes_up_to(two_k + 1)) | zeta_prime | {zeta_p_squared}
+    for ell in sorted(candidates - {2, None}):
+        exponent = 0
+        if two_k % (ell - 1) == 0 or (
+            ell in zeta_prime and two_k % ((ell - 1) // p) == 0
+        ):
+            exponent = 1 + valuation(k, ell)
+        if ell == zeta_p_squared and two_k % (ell - 1) == 0:
+            exponent = 2 + valuation(k, ell)
+        if exponent:
+            parts[ell] = exponent
+    return parts

@@ -47,6 +47,23 @@ def test_elementary_spec_that_is_not_a_field_is_usage_error(capsys):
     assert "quad:40" in err
 
 
+@pytest.mark.parametrize("command", ["kgroup", "kodd", "w", "zeta"])
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        # the compositum of the conductor-7 and -9 cubic fields has
+        # subfields of conductor 63, not 13 and 19
+        ("elem:3:cyclic:3:7,cyclic:3:9,cyclic:3:13,cyclic:3:19", "cyclic:3:63"),
+        ("cyclic:3:63:5", "orbit index 5"),
+        ("cyclic:3:7:1", "orbit index 1"),
+    ],
+)
+def test_specs_that_name_no_field_are_usage_errors(capsys, command, field, message):
+    code, out, err = invoke(capsys, command, "--field", field, "--k", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_kgroup_rationals(capsys):
     code, out, _ = invoke(capsys, "kgroup", "--field", "q", "--k", "6")
     assert code == 0
@@ -155,18 +172,6 @@ def test_multiquad_table_with_parts(capsys):
     assert json.loads(out)["order"] == "48"
 
 
-def test_jobs_flag_produces_identical_output(capsys):
-    _, serial, _ = invoke(
-        capsys, "cubic-table", "--max-f", "50", "--k", "1",
-        "--factor-budget", "1000",
-    )
-    _, threaded, _ = invoke(
-        capsys, "cubic-table", "--max-f", "50", "--k", "1",
-        "--factor-budget", "1000", "--jobs", "4",
-    )
-    assert serial == threaded
-
-
 # -- emit_table --------------------------------------------------------------------
 
 def sample_records():
@@ -228,8 +233,9 @@ def test_impossible_budget_and_jobs_are_usage_errors(capsys):
     )
     assert code == 1 and out == "" and err.startswith("error:")
     assert "--factor-budget" in err
+    # --jobs is gone; it is now an unrecognized argument
     code, out, err = invoke(
-        capsys, "cubic-table", "--max-f", "20", "--k", "1", "--jobs", "0"
+        capsys, "cubic-table", "--max-f", "20", "--k", "1", "--jobs", "1"
     )
     assert code == 1 and out == "" and err.startswith("error:")
     assert "--jobs" in err

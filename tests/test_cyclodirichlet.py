@@ -21,8 +21,11 @@ from evenk.cyclodirichlet import (
     euler_phi,
     gen_bernoulli,
     l_value,
+    local_coordinates,
+    orbit_key,
     orbit_l_product,
     parse_character_file,
+    primitive_orbit_index,
     primitive_orbits_of_order,
     quadratic_character,
     _unit_group_data,
@@ -493,6 +496,38 @@ def test_primitive_orbit_counts():
     assert len(primitive_orbits_of_order(63, 3)) == 2
     orbits = primitive_orbits_of_order(63, 3)
     assert all(o.representative.conductor() == 63 for o in orbits)
+
+
+def test_primitive_orbit_index_matches_the_built_orbits():
+    from evenk.siegel import is_fundamental_discriminant
+    from evenk.winv import cyclic_conductor_is_valid
+
+    checked = 0
+    for p, bound in ((2, 400), (3, 1500), (5, 1000), (7, 1000)):
+        for f in range(3, bound):
+            if p == 2:
+                if not is_fundamental_discriminant(f):
+                    continue
+                orbits = [CharacterOrbit.of(quadratic_character(f))]
+            elif cyclic_conductor_is_valid(p, f):
+                orbits = primitive_orbits_of_order(f, p)
+            else:
+                continue
+            for i, orbit in enumerate(orbits):
+                for chi in orbit.conjugates:
+                    key = orbit_key(local_coordinates(chi, p), p)
+                    assert primitive_orbit_index(key, p) == (f, i), (p, f, i)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_local_coordinates_are_additive_and_intrinsic():
+    chars = characters_of_order_dividing(63, 3)
+    for a in chars:
+        for b in chars:
+            summed = orbit_key(local_coordinates(a, 3) + local_coordinates(b, 3), 3)
+            assert orbit_key(local_coordinates(a * b, 3), 3) == summed
+        assert local_coordinates(a.primitive_part(), 3) == local_coordinates(a, 3)
 
 
 def per_conjugate_l_product(orbit, k):

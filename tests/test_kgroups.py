@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evenk.kgroups import (
     AbelianByCharacters,
@@ -14,7 +16,6 @@ from evenk.kgroups import (
     UnsupportedField,
     combine_elementary,
     cubic_from_conductor,
-    cyclic_orbit,
     elementary_order_via_characters,
     k_even_order,
     k_odd_order,
@@ -23,6 +24,7 @@ from evenk.kgroups import (
     quadratic_k6_closed_form,
     zeta_abelian,
 )
+from evenk.arith import is_prime
 from evenk.cyclodirichlet import primitive_orbits_of_order
 from evenk.siegel import is_fundamental_discriminant
 
@@ -294,11 +296,104 @@ def test_k_even_order_dispatches_elementary_methods():
 
 
 def test_cyclic_orbit_index_bounds():
-    first = cyclic_orbit(3, 63, 0)
-    second = cyclic_orbit(3, 63, 1)
+    (first,) = CyclicPrime(3, 63, 0).character_orbits()
+    (second,) = CyclicPrime(3, 63, 1).character_orbits()
     assert first.representative != second.representative
-    with pytest.raises(UnsupportedField):
-        cyclic_orbit(3, 63, 5)
+    for f, orbit in ((63, 5), (63, 2), (7, 1), (7, -1)):
+        with pytest.raises(ValueError, match="orbit index"):
+            CyclicPrime(3, f, orbit)
+    # the bound (p - 1)^(s - 1) is the number of orbits actually built
+    from evenk.winv import cyclic_conductor_is_valid
+
+    for p, bound in ((3, 400), (5, 400), (7, 400)):
+        for f in range(3, bound):
+            if not cyclic_conductor_is_valid(p, f):
+                continue
+            count = len(primitive_orbits_of_order(f, p))
+            CyclicPrime(p, f, count - 1)
+            with pytest.raises(ValueError):
+                CyclicPrime(p, f, count)
+
+
+CUBIC_CONDUCTORS = [9] + [q for q in range(7, 200) if q % 3 == 1 and is_prime(q)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_elementary_closure_for_odd_p(data):
+    # the four cubic subfields of the compositum of two cubic fields of
+    # coprime conductors f1, f2 are those two and the two orbits of
+    # conductor f1 f2; a foreign part or a repeated one must be refused
+    f1, f2, f3 = data.draw(
+        st.lists(st.sampled_from(CUBIC_CONDUCTORS), min_size=3, max_size=3, unique=True)
+    )
+    subfields = [
+        CyclicPrime(3, f1), CyclicPrime(3, f2),
+        CyclicPrime(3, f1 * f2, 0), CyclicPrime(3, f1 * f2, 1),
+    ]
+    parts = list(subfields)
+    slot = data.draw(st.integers(0, 3))
+    variant = data.draw(st.sampled_from(["field", "foreign", "foreign product", "repeat"]))
+    if variant == "foreign":
+        parts[slot] = CyclicPrime(3, f3)
+    elif variant == "foreign product":
+        parts[slot] = CyclicPrime(3, f1 * f3, data.draw(st.integers(0, 1)))
+    elif variant == "repeat":
+        parts[slot] = parts[(slot + data.draw(st.integers(1, 3))) % 4]
+    parts = data.draw(st.permutations(parts))
+    if set(parts) != set(subfields):
+        with pytest.raises(ValueError):
+            Elementary(3, tuple(parts))
+        return
+    spec = Elementary(3, tuple(parts))
+    assert spec.degree() == 9 and spec.conductor() == f1 * f2
+    for k in (1, 2):
+        assert (
+            combine_elementary(spec, k).order
+            == elementary_order_via_characters(f1 * f2, 3, 2, k).order
+        )
+
+
+def test_elementary_closure_names_the_missing_subfield():
+    with pytest.raises(ValueError, match="generate cyclic:3:63"):
+        Elementary(3, tuple(CyclicPrime(3, f) for f in (7, 9, 13, 19)))
+    # a degree-25 field: chi_11 * chi_31^e runs over the four orbits of
+    # conductor 341, and leaving one out names it
+    orbits = range(len(primitive_orbits_of_order(341, 5)))
+    assert list(orbits) == [0, 1, 2, 3]
+    parts = [CyclicPrime(5, 11), CyclicPrime(5, 31)]
+    parts += [CyclicPrime(5, 341, i) for i in orbits]
+    Elementary(5, tuple(parts))
+    with pytest.raises(ValueError, match="generate cyclic:5:341:3,"):
+        Elementary(5, tuple(parts[:-1] + [CyclicPrime(5, 61)]))
+
+
+def test_zagier_and_w_routes_build_no_characters(monkeypatch):
+    import evenk.cyclodirichlet as cyclodirichlet
+    import evenk.kgroups as kgroups
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a character was built")
+
+    for name in (
+        "quadratic_character",
+        "primitive_orbits_of_order",
+        "characters_of_order_dividing",
+    ):
+        monkeypatch.setattr(cyclodirichlet, name, forbidden)
+        monkeypatch.setattr(kgroups, name, forbidden)
+    with pytest.raises(AssertionError, match="a character was built"):
+        zeta_abelian(RealQuadratic(5), 1)
+    for k in (1, 2, 3):
+        for d in (5, 8, 12, 4001):
+            spec = RealQuadratic(d)
+            k_even_order(spec, k, method="zagier")
+            kgroups.w_invariant(spec, k)
+            k_odd_order(spec, k)
+        for p, f, orbit in ((3, 7, 0), (3, 9, 0), (3, 63, 1), (5, 1181, 0)):
+            spec = CyclicPrime(p, f, orbit)
+            kgroups.w_invariant(spec, k)
+            k_odd_order(spec, k)
 
 
 # -- Hasse parameterization -------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import pytest
 
 from field_enum import two_elementary_fields
+from oracles import w_case_analysis
+from evenk.siegel import fundamental_discriminant, is_fundamental_discriminant
 from evenk.winv import (
     WInvariant,
     cyclic_conductor_is_valid,
     w_cyclic,
     w_elementary,
+    w_from_orbits,
     w_quadratic,
     w_rational,
 )
@@ -100,3 +103,44 @@ def test_winvariant_consistency_check():
         WInvariant(24, {2: 3})
     with pytest.raises(ValueError):
         WInvariant(24, {2: 3, 3: 0})
+
+
+def test_w_formula_matches_case_analysis():
+    # every quad:D with D < 2000, every cyclic:p:f with p <= 13 and
+    # f < 3000, and the elementary fields of the test suite, k = 1..39
+    ks = range(1, 40)
+    for k in ks:
+        assert w_rational(k).parts == w_case_analysis(2, (), k)
+    for d in range(2, 2000):
+        if is_fundamental_discriminant(d):
+            for k in ks:
+                assert w_quadratic(d, k).parts == w_case_analysis(2, (d,), k)
+    for p in (3, 5, 7, 11, 13):
+        for f in range(3, 3000):
+            if cyclic_conductor_is_valid(p, f):
+                for k in ks:
+                    got = w_cyclic(p, f, k).parts
+                    assert got == w_case_analysis(p, (f,), k), (p, f, k)
+    fields = [(3, (7, 9, 63, 63))]
+    fields += [
+        (2, tuple(fundamental_discriminant(x) for x in (2, 3, m, 6, 2 * m, 3 * m, 6 * m)))
+        for m in (5, 7, 11, 13, 17, 19)
+    ]
+    fields += [(2, discs) for discs in two_elementary_fields(120, 2)]
+    fields += [(2, discs) for discs in two_elementary_fields(120, 3)]
+    for p, conductors in fields:
+        for k in ks:
+            got = w_elementary(p, list(conductors), k).parts
+            assert got == w_case_analysis(p, conductors, k), (conductors, k)
+
+
+def test_w_formula_beyond_the_case_analysis():
+    # Q(zeta_16)^+ is cyclic quartic with orbits of conductor 8 (sqrt 2)
+    # and 16 (two characters of order 4): 2^(c-2) = 4, so c = 4
+    assert w_from_orbits(((8, 1), (16, 2)), 1).parts == {2: 5, 3: 1}
+    # the degree-9 subfield of Q(zeta_27): p-part 3^(3 + v_3(k))
+    assert w_from_orbits(((9, 2), (27, 6)), 1).parts[3] == 3
+    with pytest.raises(ValueError):
+        w_from_orbits(((5, 1), (5, 1)), 1)
+    with pytest.raises(ValueError):
+        w_from_orbits((), 0)
