@@ -7,11 +7,13 @@ For a totally real abelian field of degree r,
                       w_2k(F) zeta_F(1-2k) / 2^r        (k even)
 
 with zeta_F(1-2k) evaluated exactly: through generalized Bernoulli
-numbers for any supported field, through the finite quadratic formula
-as an independent second route, and for p-elementary fields through
-the product over their cyclic degree-p subfields divided by a power of
-|K_{4k-2}(Z)|.  Every assembled order is asserted to be a positive
-integer before it is returned.
+numbers over the field's own character orbits for any supported field,
+and through the finite quadratic formula as an independent second
+route.  For p-elementary fields the combiner instead multiplies the
+orders of the cyclic degree-p subfields and divides by a power of
+|K_{4k-2}(Z)|; the direct formula above, over the whole field, checks
+it.  Every assembled order is asserted to be a positive integer before
+it is returned.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .arith import (
 )
 from .cyclodirichlet import (
     CharacterOrbit,
-    characters_of_order_dividing,
-    galois_orbits,
     local_coordinates,
     orbit_key,
     orbit_l_product,
@@ -335,14 +335,6 @@ def _as_positive_int(value: Fraction, context: str) -> int:
     return value.numerator
 
 
-def _corollary_multiplier(degree: int, w: int, k: int) -> Fraction:
-    """The factor multiplying zeta_F(1-2k) in the even-order formula:
-    (-1)^r w for odd k, w / 2^r for even k."""
-    if k % 2:
-        return Fraction((-1) ** degree * w)
-    return Fraction(w, 2**degree)
-
-
 def k_odd_order(spec: FieldSpec, k: int) -> KGroupOrder:
     """|K_{4k-1}(O_F)| = 2^r w_2k(F) for odd k, w_2k(F) for even k."""
     w = w_invariant(spec, k)
@@ -377,25 +369,35 @@ def k_even_order(
         )
     if method == "combiner":
         return combine_elementary(spec, k)
-    if spec.rank() >= 2:
-        # p-elementary: the characters route builds the whole group
-        return elementary_order_via_characters(
-            spec.conductor(), spec.p, spec.rank(), k, spec=spec
-        )
     if method == "kz":
         return KGroupOrder(
             spec, 4 * k - 2, kz(4 * k - 2), "kz", riemann_zeta_negative(k)
         )
+    if spec.rank() >= 2:
+        return elementary_order_via_characters(spec, k)
     if method == "zagier":
         zeta = zeta_quadratic(spec.d, k)
     else:
         zeta = zeta_abelian(spec, k)
-    w = w_invariant(spec, k)
-    value = _corollary_multiplier(spec.degree(), w.value, k) * zeta
+    return _order_from_zeta(spec, k, method, zeta, w_invariant(spec, k).value)
+
+
+def _order_from_zeta(
+    spec: FieldSpec,
+    k: int,
+    method: str,
+    zeta: Fraction,
+    w: int,
+    pieces: tuple[int, ...] = (),
+) -> KGroupOrder:
+    """|K_{4k-2}(O_F)| = (-1)^r w zeta_F(1-2k) for odd k, and
+    w zeta_F(1-2k) / 2^r for even k, asserted a positive integer."""
+    r = spec.degree()
+    multiplier = Fraction((-1) ** r * w) if k % 2 else Fraction(w, 2**r)
     order = _as_positive_int(
-        value, f"|K_{4 * k - 2}| of {spec.label()} via {method}"
+        multiplier * zeta, f"|K_{4 * k - 2}| of {spec.label()} via {method}"
     )
-    return KGroupOrder(spec, 4 * k - 2, order, method, zeta)
+    return KGroupOrder(spec, 4 * k - 2, order, method, zeta, pieces=pieces)
 
 
 def combine_elementary(
@@ -427,60 +429,19 @@ def combine_elementary(
     )
 
 
-def elementary_order_via_characters(
-    conductor: int,
-    p: int,
-    n: int,
-    k: int,
-    spec: Elementary | None = None,
-) -> KGroupOrder:
-    """Second, independent route to the p-elementary order: build the
-    even characters of order dividing p directly mod the conductor,
-    multiply their L-values with the per-subfield w/sign factors, and
-    divide by the |K_{4k-2}(Z)| power."""
-    if n < 2:
-        raise UnsupportedField("p-elementary combining needs rank n >= 2")
+def elementary_order_via_characters(spec: Elementary, k: int) -> KGroupOrder:
+    """Second, independent route to the p-elementary order: the direct
+    formula over the whole field, w_2k(E) zeta_E(1-2k) with zeta_E the
+    product of zeta(1-2k) and one L-product per character orbit.  It
+    shares no w and no |K_{4k-2}(Z)| division with the combiner."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    chars = [
-        chi
-        for chi in characters_of_order_dividing(conductor, p)
-        if chi.is_even()
-    ]
-    if len(chars) != p**n:
-        raise UnsupportedField(
-            f"modulus {conductor} carries {len(chars)} even characters of "
-            f"order dividing {p}, expected {p**n}; the conductor route "
-            "cannot see this field"
-        )
-    orbits = galois_orbits(c for c in chars if not c.is_trivial())
-    subfield_count = (p**n - 1) // (p - 1)
-    if len(orbits) != subfield_count:
-        raise AssertionError("orbit partition does not match subfield count")
-    zeta = riemann_zeta_negative(k)
+    w = w_invariant(spec, k).value
+    factors = [riemann_zeta_negative(k)]
+    factors += [orbit_l_product(orbit, k) for orbit in spec.character_orbits()]
     # a prime of a product of fractions divides one of their numerators
-    factors = [zeta] * subfield_count
-    for orbit in orbits:
-        f = orbit.representative.conductor()
-        w = winv.w_from_orbits(((f, p - 1),), k).value
-        factors.append(
-            orbit_l_product(orbit, k) * _corollary_multiplier(p, w, k)
-        )
-    kz_order = kz(4 * k - 2)
-    exponent = (p**n - p) // (p - 1)
-    value = prod(factors) / kz_order**exponent
-    order = _as_positive_int(
-        value, f"p-elementary order mod {conductor} via characters"
-    )
-    if spec is None:
-        spec = Elementary(p, tuple(
-            _cyclic_field(p, *primitive_orbit_index(
-                orbit_key(local_coordinates(orbit.representative, p), p), p
-            ))
-            for orbit in orbits
-        ))
-    pieces = _distinct([abs(x.numerator) for x in factors] + [kz_order])
-    return KGroupOrder(spec, 4 * k - 2, order, "characters", pieces=pieces)
+    pieces = _distinct([abs(x.numerator) for x in factors] + [w])
+    return _order_from_zeta(spec, k, "characters", prod(factors), w, pieces)
 
 
 def _distinct(pieces: list[int]) -> tuple[int, ...]:

@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import kronecker
-from .siegel import QuadraticDiscriminant, e_sum, is_fundamental_discriminant
+from .siegel import (
+    QuadraticDiscriminant,
+    as_discriminant,
+    e_sum,
+    is_fundamental_discriminant,
+)
 
 
 @dataclass(frozen=True)
@@ -48,9 +53,7 @@ def _witness(
 
 def rank3_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
     """The eight 3-divisibility statements for discriminant D."""
-    d = int(disc)
-    if not isinstance(disc, QuadraticDiscriminant):
-        QuadraticDiscriminant(d)
+    d = int(as_discriminant(disc))
     chi2 = kronecker(d, 2)
     sums = {
         "e_1(D)": e_sum(d, 1),
@@ -89,9 +92,7 @@ def rank3_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
 
 def rank5_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
     """The four 5-divisibility statements for discriminant D."""
-    d = int(disc)
-    if not isinstance(disc, QuadraticDiscriminant):
-        QuadraticDiscriminant(d)
+    d = int(as_discriminant(disc))
     chi2 = kronecker(d, 2)
     sums = {
         "e_1(D)": e_sum(d, 1),

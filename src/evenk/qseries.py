@@ -44,10 +44,6 @@ class LaurentSeries:
         self.coeffs = tuple(coeffs)
         self.precision = precision
 
-    @classmethod
-    def one(cls, precision: int) -> LaurentSeries:
-        return cls(0, [Fraction(1)] + [Fraction(0)] * (precision - 1), precision)
-
     def __repr__(self) -> str:
         terms = [
             f"{c}*q^{self.valuation + i}"
@@ -129,46 +125,6 @@ class LaurentSeries:
         return LaurentSeries(val, coeffs, prec)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> LaurentSeries:
-        """Multiply by q^k."""
-        return LaurentSeries(
-            self.valuation + k, list(self.coeffs), self.precision + k
-        )
-
-    def invert(self) -> LaurentSeries:
-        """Multiplicative inverse by the recursive coefficient formula.
-
-        Needs a nonzero leading coefficient; the result keeps the same
-        relative precision (absolute precision p - 2v for valuation v).
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert a series with no known terms")
-        rel = self.precision - self.valuation
-        a0 = self.coeffs[0]
-        inv = [Fraction(1) / a0]
-        for n in range(1, rel):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                ai = self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
-                if ai:
-                    acc += ai * inv[n - i]
-            inv.append(-acc / a0)
-        return LaurentSeries(-self.valuation, inv, -self.valuation + rel)
-
-    def __pow__(self, n: int) -> LaurentSeries:
-        if n < 0:
-            return self.invert() ** (-n)
-        rel = self.precision - self.valuation
-        result = LaurentSeries(0, [Fraction(1)] + [Fraction(0)] * (rel - 1), rel)
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def truncate(self, precision: int) -> LaurentSeries:
         """Forget coefficients at q^precision and beyond."""

@@ -58,6 +58,14 @@ class QuadraticDiscriminant:
         return self.value
 
 
+def as_discriminant(disc: QuadraticDiscriminant | int) -> QuadraticDiscriminant:
+    """disc as a QuadraticDiscriminant, checking it only if it is not
+    one already."""
+    if isinstance(disc, QuadraticDiscriminant):
+        return disc
+    return QuadraticDiscriminant(int(disc))
+
+
 def fundamental_discriminant(m: int) -> int:
     """Discriminant of Q(sqrt(m)) for a squarefree m > 1."""
     if m <= 1 or not _squarefree(m):
@@ -102,9 +110,7 @@ def e_sum_brute_force(m: int, j: int) -> int:
 
 def chi_weighted_sum(disc: QuadraticDiscriminant | int, l: int, k: int) -> int:
     """sum over m | l of (D|m) * m^(2k-1) * e_{2k-1}((l/m)^2 * D)."""
-    d = int(disc)
-    if not isinstance(disc, QuadraticDiscriminant):
-        QuadraticDiscriminant(d)
+    d = int(as_discriminant(disc))
     if l < 1 or k < 1:
         raise ValueError("chi_weighted_sum requires l, k >= 1")
     j = 2 * k - 1
@@ -125,9 +131,7 @@ def zeta_quadratic(disc: QuadraticDiscriminant | int, k: int) -> Fraction:
 
     where S is chi_weighted_sum.
     """
-    d = int(disc)
-    if not isinstance(disc, QuadraticDiscriminant):
-        QuadraticDiscriminant(d)
+    disc = as_discriminant(disc)
     if k < 1:
         raise ValueError("zeta_quadratic requires k >= 1")
     weights = _siegel_weights(4 * k)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import lcm, prod
 
 from .arith import factor_small, is_prime, primes_up_to, valuation
-from .siegel import QuadraticDiscriminant, is_fundamental_discriminant
+from .siegel import QuadraticDiscriminant, as_discriminant, is_fundamental_discriminant
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,7 @@ def w_from_orbits(orbits, k: int) -> WInvariant:
 
 def w_quadratic(disc: QuadraticDiscriminant | int, k: int) -> WInvariant:
     """w_2k of the real quadratic field with fundamental discriminant D."""
-    d = int(disc)
-    if not isinstance(disc, QuadraticDiscriminant):
-        QuadraticDiscriminant(d)
+    d = int(as_discriminant(disc))
     return w_from_orbits(((d, 1),), k)
 
 

@@ -12,6 +12,7 @@ from math import comb, lcm
 
 from evenk.arith import bernoulli, is_prime, primes_up_to, valuation
 from evenk.cyclodirichlet import NotRational, cyclotomic_polynomial, euler_phi
+from evenk.qseries import LaurentSeries
 
 
 # -- Bernoulli polynomials ----------------------------------------------------
@@ -216,3 +217,46 @@ def w_case_analysis(p: int, conductors, k: int) -> dict[int, int]:
         if exponent:
             parts[ell] = exponent
     return parts
+
+
+# -- Laurent series inverse and powers -----------------------------------------
+
+def series_shift(s: LaurentSeries, k: int) -> LaurentSeries:
+    """s * q^k."""
+    return LaurentSeries(s.valuation + k, list(s.coeffs), s.precision + k)
+
+
+def series_invert(s: LaurentSeries) -> LaurentSeries:
+    """1/s by the recursive coefficient formula.
+
+    Needs a nonzero leading coefficient; the result keeps the same
+    relative precision (absolute precision p - 2v for valuation v).
+    """
+    if s.is_zero():
+        raise ZeroDivisionError("cannot invert a series with no known terms")
+    rel = s.precision - s.valuation
+    a0 = s.coeffs[0]
+    inv = [Fraction(1) / a0]
+    for n in range(1, rel):
+        acc = Fraction(0)
+        for i in range(1, n + 1):
+            ai = s.coeffs[i] if i < len(s.coeffs) else Fraction(0)
+            if ai:
+                acc += ai * inv[n - i]
+        inv.append(-acc / a0)
+    return LaurentSeries(-s.valuation, inv, -s.valuation + rel)
+
+
+def series_power(s: LaurentSeries, n: int) -> LaurentSeries:
+    """s^n by repeated squaring (through 1/s for negative n)."""
+    if n < 0:
+        return series_power(series_invert(s), -n)
+    rel = s.precision - s.valuation
+    result = LaurentSeries(0, [Fraction(1)] + [Fraction(0)] * (rel - 1), rel)
+    base = s
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result

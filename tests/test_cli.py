@@ -81,6 +81,22 @@ def test_kgroup_quadratic_json(capsys):
     assert record["index"] == 2
 
 
+def test_kgroup_characters_route_on_field_below_its_conductor_group(capsys):
+    # Q(sqrt 6, sqrt 10): conductor 120 carries eight even quadratic
+    # characters, the field four
+    rows = {}
+    for method in ("characters", "combiner"):
+        code, out, _ = invoke(
+            capsys, "kgroup", "--field", "elem:2:quad:24,quad:40,quad:60",
+            "--k", "1", "--method", method, "--format", "json",
+        )
+        assert code == 0
+        rows[method] = json.loads(out)
+    assert rows["characters"]["order"] == "4032"
+    assert rows["characters"]["method"] == "characters"
+    assert rows["characters"]["zeta"] == rows["combiner"]["zeta"] != ""
+
+
 def test_kodd(capsys):
     code, out, _ = invoke(
         capsys, "kodd", "--field", "q", "--k", "1", "--format", "json"
@@ -154,7 +170,9 @@ def test_multiquad_table_factors_from_subfield_orders(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert [r["k"] for r in records] == list(range(1, 11))
     for record in records:
-        order = elementary_order_via_characters(120, 2, 3, record["k"]).order
+        order = elementary_order_via_characters(
+            parse_field_spec(record["field"]), record["k"]
+        ).order
         assert record["order"] == str(order)
         assert _factorization_value(record["factorization"]) == order
     # factoring each order whole leaves 6 of these rows incomplete

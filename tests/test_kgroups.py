@@ -200,11 +200,9 @@ def test_elementary_orders_carry_their_pieces():
     spec = multiquad_235()
     budget = FactorBudget(trial_limit=1000, rho_iterations=10**5)
     for k in (1, 2, 3, 4):
-        for result in (
-            combine_elementary(spec, k),
-            elementary_order_via_characters(120, 2, 3, k),
-        ):
-            assert kz(4 * k - 2) in result.pieces + (1,)  # |K_6(Z)| = 1
+        combined = combine_elementary(spec, k)
+        assert kz(4 * k - 2) in combined.pieces + (1,)  # |K_6(Z)| = 1
+        for result in (combined, elementary_order_via_characters(spec, k)):
             assert len(set(result.pieces)) == len(result.pieces)
             assert all(piece > 1 for piece in result.pieces)
             whole = factorize(result.order)
@@ -236,57 +234,87 @@ def test_characters_route_equivalence():
     for k in range(1, 6):
         assert (
             combine_elementary(spec24, k).order
-            == elementary_order_via_characters(24, 2, 2, k).order
+            == elementary_order_via_characters(spec24, k).order
         )
     assert (
-        elementary_order_via_characters(120, 2, 3, 1).order
+        elementary_order_via_characters(multiquad_235(), 1).order
         == combine_elementary(multiquad_235(), 1).order
     )
 
 
-def test_characters_route_equivalence_all_small_conductors():
-    from math import lcm
+def test_characters_route_sees_fields_below_their_conductor_group():
+    # Q(sqrt 6, sqrt 10) has conductor 120, whose even quadratic
+    # characters span a rank-3 group; the field's own orbits give it
+    spec = Elementary(2, tuple(RealQuadratic(d) for d in (24, 40, 60)))
+    for k in (1, 2, 3):
+        via_chars = elementary_order_via_characters(spec, k)
+        combined = combine_elementary(spec, k)
+        assert via_chars.order == combined.order, k
+        assert via_chars.zeta_value == combined.zeta_value
+    assert combine_elementary(spec, 1).order == 4032
 
+
+def test_characters_route_equivalence_all_small_conductors():
     from field_enum import two_elementary_fields
 
+    fields = two_elementary_fields(120, 2) + two_elementary_fields(120, 3)
+    assert len(fields) == 15
     checked = 0
-    for discs in two_elementary_fields(120, 2) + two_elementary_fields(120, 3):
-        n = 2 if len(discs) == 3 else 3
-        conductor = lcm(*discs)
+    for discs in fields:
         spec = Elementary(2, tuple(RealQuadratic(d) for d in discs))
         for k in range(1, 6):
-            try:
-                via_chars = elementary_order_via_characters(conductor, 2, n, k)
-            except UnsupportedField:
-                # conductor carries more even characters than the field
-                break
+            via_chars = elementary_order_via_characters(spec, k)
             assert via_chars.order == combine_elementary(spec, k).order, (discs, k)
             checked += 1
-    assert checked >= 50
+    assert checked == 75
 
 
 def test_characters_route_on_degree_nine_field():
-    spec = Elementary(3, tuple(
-        CyclicPrime(3, f, orbit) for f, orbit in ((7, 0), (9, 0), (63, 0), (63, 1))
-    ))
+    spec = degree_nine_field()
     for k in (1, 2):
         assert (
-            elementary_order_via_characters(63, 3, 2, k).order
+            elementary_order_via_characters(spec, k).order
             == combine_elementary(spec, k).order
         )
 
 
-def test_characters_route_rejects_low_rank():
-    with pytest.raises(UnsupportedField):
-        elementary_order_via_characters(5, 2, 1, 1)
+def degree_nine_field():
+    return Elementary(3, tuple(
+        CyclicPrime(3, f, orbit) for f, orbit in ((7, 0), (9, 0), (63, 0), (63, 1))
+    ))
 
 
-def test_characters_route_rejects_oversized_conductor_group():
-    # Q(sqrt 6, sqrt 10) has conductor 120 but the even quadratic
-    # characters mod 120 span a rank-3 group, so the conductor route
-    # cannot see the smaller field.
-    with pytest.raises(UnsupportedField):
-        elementary_order_via_characters(120, 2, 2, 1)
+def test_characters_route_uses_the_field_orbits(monkeypatch):
+    # k_even_order enters elementary_order_via_characters, and the route
+    # never builds the characters modulo the compositum's conductor; the
+    # parts' orbits were built (and cached) by the closure check
+    import evenk.cyclodirichlet as cyclodirichlet
+    import evenk.kgroups as kgroups
+
+    via_chars = kgroups.elementary_order_via_characters
+    entered = []
+    moduli = []
+    build = cyclodirichlet.characters_of_order_dividing
+
+    def traced_route(spec, k):
+        entered.append(spec.label())
+        return via_chars(spec, k)
+
+    def traced_build(m, p):
+        moduli.append(m)
+        return build(m, p)
+
+    for spec in (degree_nine_field(), multiquad_235()):
+        with monkeypatch.context() as patch:
+            patch.setattr(kgroups, "elementary_order_via_characters", traced_route)
+            patch.setattr(cyclodirichlet, "characters_of_order_dividing", traced_build)
+            for k in (1, 2):
+                result = k_even_order(spec, k, method="characters")
+                assert result.method == "characters"
+                assert result.order == combine_elementary(spec, k).order
+        assert entered == [spec.label()] * 2
+        assert spec.conductor() not in moduli
+        entered.clear()
 
 
 def test_k_even_order_dispatches_elementary_methods():
@@ -350,7 +378,7 @@ def test_elementary_closure_for_odd_p(data):
     for k in (1, 2):
         assert (
             combine_elementary(spec, k).order
-            == elementary_order_via_characters(f1 * f2, 3, 2, k).order
+            == elementary_order_via_characters(spec, k).order
         )
 
 
@@ -380,8 +408,9 @@ def test_zagier_and_w_routes_build_no_characters(monkeypatch):
         "primitive_orbits_of_order",
         "characters_of_order_dividing",
     ):
-        monkeypatch.setattr(cyclodirichlet, name, forbidden)
-        monkeypatch.setattr(kgroups, name, forbidden)
+        for module in (cyclodirichlet, kgroups):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(AssertionError, match="a character was built"):
         zeta_abelian(RealQuadratic(5), 1)
     for k in (1, 2, 3):

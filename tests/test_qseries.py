@@ -13,6 +13,7 @@ from evenk.qseries import (
     t_series,
     t_series_pole_order,
 )
+from oracles import series_invert, series_power, series_shift
 
 
 # -- independent eta-product oracle -------------------------------------------
@@ -37,13 +38,13 @@ def eta24_prefix(prec):
 
 def siegel_coeffs_by_fractions(h):
     """b_j(h) by the Fraction route: T_h = G_k * Delta^(-r) with the
-    inverse and the power taken in LaurentSeries arithmetic, from the
-    oracle eta product."""
+    inverse and the power taken by the Fraction series oracles, from
+    the oracle eta product."""
     r = t_series_pole_order(h)
     k = 12 * r - h + 2
     rel = r + 2
     eta = LaurentSeries(0, eta24_prefix(36)[:rel], rel)
-    t = (eta ** (-r)).shift(-r)
+    t = series_shift(series_power(eta, -r), -r)
     if k > 0:
         t = t * eisenstein(k, rel)
     t = t.truncate(1)
@@ -74,13 +75,13 @@ def test_mul_precision_tracking():
 def test_invert_requires_nonzero_leading_term():
     zero = LaurentSeries(3, [], 3)
     with pytest.raises(ZeroDivisionError):
-        zero.invert()
+        series_invert(zero)
 
 
 def test_delta_times_inverse_is_one():
     for p in range(3, 21):
         d = delta(p)
-        product = d * d.invert()
+        product = d * series_invert(d)
         assert product.valuation == 0
         assert product.coefficient(0) == 1
         for e in range(1, product.precision):
@@ -158,7 +159,7 @@ def test_t4_expansion():
 
 def test_t14_is_inverse_delta():
     t = t_series(14)
-    inv = delta(6).invert()
+    inv = series_invert(delta(6))
     for e in (-1, 0):
         assert t.coefficient(e) == inv.coefficient(e)
     assert t.coefficient(0) == 24

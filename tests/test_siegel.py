@@ -4,6 +4,7 @@ import pytest
 
 from evenk.arith import kronecker
 from evenk.kgroups import RealQuadratic, zeta_abelian
+from evenk.prank import rank3_witness, rank5_witness
 from evenk.siegel import (
     QuadraticDiscriminant,
     chi_weighted_sum,
@@ -13,6 +14,7 @@ from evenk.siegel import (
     is_fundamental_discriminant,
     zeta_quadratic,
 )
+from evenk.winv import w_quadratic
 
 
 def fundamentals(bound):
@@ -95,3 +97,38 @@ def test_zeta_quadratic_sign_pattern():
 def test_zeta_quadratic_rejects_non_fundamental():
     with pytest.raises(ValueError):
         zeta_quadratic(20, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: chi_weighted_sum(d, 1, 1),
+        lambda d: zeta_quadratic(d, 1),
+        lambda d: w_quadratic(d, 1),
+        rank3_witness,
+        rank5_witness,
+    ],
+    ids=["chi_weighted_sum", "zeta_quadratic", "w_quadratic", "rank3_witness", "rank5_witness"],
+)
+def test_discriminant_check_is_shared(call):
+    for bad in (20, 1):
+        with pytest.raises(ValueError, match="not a fundamental discriminant"):
+            call(bad)
+    assert call(QuadraticDiscriminant(5)) == call(5)
+
+
+def test_zeta_quadratic_checks_its_discriminant_once(monkeypatch):
+    import evenk.siegel as siegel
+
+    calls = []
+    check = siegel.is_fundamental_discriminant
+
+    def counted(d):
+        calls.append(d)
+        return check(d)
+
+    expected = zeta_abelian(RealQuadratic(5), 7)
+    monkeypatch.setattr(siegel, "is_fundamental_discriminant", counted)
+    # k = 7 sums three chi_weighted_sum terms
+    assert zeta_quadratic(5, 7) == expected
+    assert calls == [5]
