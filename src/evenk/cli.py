@@ -4,7 +4,10 @@ Subcommands compute single orders (`kgroup`, `kodd`), zeta values
 (`zeta`), w invariants (`w`), inspection helpers (`siegel-coeffs`,
 `esum`), table reproductions (`cubic-table`, `multiquad-table`),
 divisibility witness scans (`prank-scan`), and character-file checks
-(`char-check`).
+(`char-check`).  Each is one entry of COMMANDS.  The order commands
+(`kgroup`, `kodd` and the two tables) print a table of orders and take
+`--format {text,json,csv}` and `--factor-budget`; the others take
+`--format {text,json}`.
 
 Field specs use a small grammar: `q`, `quad:D`, `cyclic:p:f` (or
 `cyclic:p:f:orbit` when one conductor carries several fields), and
@@ -12,10 +15,10 @@ Field specs use a small grammar: `q`, `quad:D`, `cyclic:p:f` (or
 `cyclic:` spec.
 
 Exit codes: 0 success, 1 usage error (including a field spec that names
-no field, a --method that does not apply to the field and a negative
---factor-budget), 2 computation/data error (NonIntegralOrder,
-InexactDivision, NotRational, bad character files and kin), 3 witness
-inconsistency.
+no field, a negative --factor-budget, and a --method that does not
+apply to the field, which k_even_order rejects with UnsupportedField),
+2 computation/data error (NonIntegralOrder, InexactDivision,
+NotRational, bad character files and kin), 3 witness inconsistency.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 
-from .arith import FactorBudget
+from .arith import FactorBudget, is_prime
 from .cyclodirichlet import (
     CharacterFileError,
     ImprimitiveCharacter,
@@ -45,10 +49,10 @@ from .kgroups import (
     NonIntegralOrder,
     Rationals,
     RealQuadratic,
-    UnsupportedField,
     k_even_order,
     k_odd_order,
     w_invariant,
+    zeta_abelian,
 )
 from .prank import scan
 from .qseries import DegenerateConstantTerm, siegel_coeffs
@@ -62,7 +66,6 @@ COMPUTATION_ERRORS = (
     ImprimitiveCharacter,
     CharacterFileError,
     NoRepresentation,
-    UnsupportedField,
 )
 
 
@@ -162,293 +165,204 @@ def emit_table(records: list[OutputRecord], fmt: str) -> str:
     raise UsageError(f"unknown format {fmt!r}")
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text"
+class InconsistentWitnesses(Exception):
+    """Raised by prank-scan after its output; args[0] lists the details
+    of each inconsistent witness."""
+
+
+def _kgroup(args):
+    yield k_even_order(args.field, args.k, method=args.method), args.k
+
+
+def _kodd(args):
+    yield k_odd_order(args.field, args.k), args.k
+
+
+def _cubic_table(args):
+    for f in range(7, args.max_f + 1):
+        if (is_prime(f) and f % 3 == 1) or f == 9:
+            yield k_even_order(CyclicPrime(3, f), args.k), args.k
+
+
+def _multiquad_table(args):
+    if (args.m is None) == (args.parts is None):
+        raise UsageError("multiquad-table needs exactly one of --m / --parts")
+    if args.m is not None:
+        m = args.m
+        parts = [RealQuadratic(fundamental_discriminant(x))
+                 for x in (2, 3, m, 6, 2 * m, 3 * m, 6 * m)]
+    else:
+        parts = [parse_field_spec(tok) for tok in args.parts.split(",")]
+    spec = Elementary(2, tuple(parts))
+    for k in range(1, args.max_k + 1):
+        yield k_even_order(spec, k), k
+
+
+def _zeta(args):
+    label, value = args.field.label(), zeta_abelian(args.field, args.k)
+    yield (
+        {"field": label, "k": args.k, "zeta": str(value)},
+        f"zeta_{label}(1-2*{args.k}) = {value}",
     )
-    parser.add_argument(
-        "--factor-budget",
-        type=_int_at_least(0),
-        default=10**6,
-        help="trial-division limit and Pollard-rho iteration cap",
+
+
+def _w(args):
+    label, w = args.field.label(), w_invariant(args.field, args.k)
+    parts = sorted(w.parts.items())
+    text = "·".join(f"{ell}^{e}" if e > 1 else str(ell) for ell, e in parts)
+    yield (
+        {"field": label, "k": args.k, "w": str(w.value),
+         "parts": {str(ell): e for ell, e in parts}},
+        f"w_{2 * args.k}({label}) = {w.value} = {text}",
     )
+
+
+def _siegel_coeffs(args):
+    coeffs = siegel_coeffs(args.h)
+    yield (
+        {"h": args.h, "b": [str(c) for c in coeffs]},
+        "\n".join(f"b_{j}({args.h}) = {c}" for j, c in enumerate(coeffs, start=1)),
+    )
+
+
+def _esum(args):
+    value = e_sum(args.m, args.j)
+    yield {"m": args.m, "j": args.j, "e": str(value)}, f"e_{args.j}({args.m}) = {value}"
+
+
+def _prank_scan(args):
+    witnesses = scan(args.p, args.max_d)
+    for w in witnesses:
+        flags = " ".join("T" if value else "F" for _, value in w.statements)
+        yield (
+            {"D": w.d, "statements": dict(w.statements), "consistent": w.consistent},
+            f"D={w.d} [{flags}] consistent={w.consistent}",
+        )
+    bad = [w.details() for w in witnesses if not w.consistent]
+    if bad:
+        raise InconsistentWitnesses(bad)
+
+
+def _char_check(args):
+    for chi in parse_character_file(args.file):
+        matches_kronecker = False
+        if chi.order <= 2 and chi.conductor() > 1:
+            matches_kronecker = chi.primitive_part() == quadratic_character(
+                chi.conductor()
+            )
+        payload = {
+            "modulus": chi.modulus,
+            "order": chi.order,
+            "conductor": chi.conductor(),
+            "even": chi.is_even(),
+            "primitive": chi.is_primitive(),
+            "matches_kronecker": matches_kronecker,
+        }
+        yield payload, "ok " + " ".join(f"{key}={value}" for key, value in payload.items())
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: help text, arguments (flag -> add_argument
+    keywords), and a handler of the parsed arguments.  A table command's
+    handler yields (KGroupOrder, k) pairs, which run factors under one
+    budget and renders with emit_table; such a command also takes
+    `--format csv` and --factor-budget.  Any other handler yields
+    (JSON object, text) pairs, which run prints one per line."""
+
+    help: str
+    arguments: dict[str, dict]
+    handler: Callable[[argparse.Namespace], Iterator[tuple]]
+    table: bool = False
+
+
+_K = dict(type=int, required=True)
+_FIELD_K = {"--field": dict(required=True, type=parse_field_spec), "--k": _K}
+
+COMMANDS = {
+    "kgroup": Command(
+        "order of K_{4k-2}(O_F)",
+        {**_FIELD_K, "--method": dict(choices=("characters", "zagier", "combiner", "kz"))},
+        _kgroup, table=True,
+    ),
+    "kodd": Command("order of K_{4k-1}(O_F)", _FIELD_K, _kodd, table=True),
+    "zeta": Command("exact zeta_F(1-2k)", _FIELD_K, _zeta),
+    "w": Command("w invariant with per-prime breakdown", _FIELD_K, _w),
+    "siegel-coeffs": Command("the weights b_j(h)", {"--h": _K}, _siegel_coeffs),
+    "esum": Command("power sum e_j(m)", {"--m": _K, "--j": _K}, _esum),
+    "cubic-table": Command(
+        "cyclic cubic orders up to a conductor",
+        {"--max-f": _K, "--k": _K}, _cubic_table, table=True,
+    ),
+    "multiquad-table": Command(
+        "orders for Q(sqrt 2, sqrt 3, sqrt m)",
+        {"--m": dict(type=int),
+         "--parts": dict(help="explicit comma-separated quad: parts"),
+         "--max-k": dict(type=int, default=10)},
+        _multiquad_table, table=True,
+    ),
+    "prank-scan": Command(
+        "divisibility witness scan",
+        {"--p": dict(type=int, choices=(3, 5), required=True), "--max-d": _K},
+        _prank_scan,
+    ),
+    "char-check": Command(
+        "validate a character file", {"--file": dict(required=True)}, _char_check
+    ),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="evenk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("kgroup", help="order of K_{4k-2}(O_F)")
-    p.add_argument("--field", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--method", choices=("characters", "zagier", "combiner", "kz"))
-    _add_common(p)
-
-    p = sub.add_parser("kodd", help="order of K_{4k-1}(O_F)")
-    p.add_argument("--field", required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("zeta", help="exact zeta_F(1-2k)")
-    p.add_argument("--field", required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("w", help="w invariant with per-prime breakdown")
-    p.add_argument("--field", required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("siegel-coeffs", help="the weights b_j(h)")
-    p.add_argument("--h", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("esum", help="power sum e_j(m)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("cubic-table", help="cyclic cubic orders up to a conductor")
-    p.add_argument("--max-f", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser(
-        "multiquad-table", help="orders for Q(sqrt 2, sqrt 3, sqrt m)"
-    )
-    p.add_argument("--m", type=int)
-    p.add_argument("--parts", help="explicit comma-separated quad: parts")
-    p.add_argument("--max-k", type=int, default=10)
-    _add_common(p)
-
-    p = sub.add_parser("prank-scan", help="divisibility witness scan")
-    p.add_argument("--p", type=int, choices=(3, 5), required=True)
-    p.add_argument("--max-d", type=int, required=True)
-    p.add_argument("--json", action="store_true", help="shorthand for --format json")
-    _add_common(p)
-
-    p = sub.add_parser("char-check", help="validate a character file")
-    p.add_argument("--file", required=True)
-    _add_common(p)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, options in command.arguments.items():
+            p.add_argument(flag, **options)
+        formats = ("text", "json", "csv") if command.table else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
+        if command.table:
+            p.add_argument("--factor-budget", type=_nonnegative_int, default=10**6,
+                           help="trial-division limit and Pollard-rho iteration cap")
     return parser
-
-
-def _cubic_conductors(max_f: int) -> list[int]:
-    from .arith import is_prime
-
-    return [
-        f
-        for f in range(7, max_f + 1)
-        if (is_prime(f) and f % 3 == 1) or f == 9
-    ]
-
-
-def _multiquad_spec(m: int) -> Elementary:
-    members = tuple(
-        RealQuadratic(fundamental_discriminant(x))
-        for x in (2, 3, m, 6, 2 * m, 3 * m, 6 * m)
-    )
-    return Elementary(2, members)
 
 
 def run(argv: list[str]) -> int:
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        command = COMMANDS[args.command]
+        if command.table:
+            budget = FactorBudget(
+                trial_limit=min(args.factor_budget, 10**6), rho_iterations=args.factor_budget
+            )
+            records = [_record_from_order(result, k, budget)
+                       for result, k in command.handler(args)]
+            sys.stdout.write(emit_table(records, args.format))
+        else:
+            for obj, text in command.handler(args):
+                print(json.dumps(obj) if args.format == "json" else text)
+        return 0
+    except InconsistentWitnesses as exc:
+        for details in exc.args[0]:
+            print(f"inconsistent witness: {details}", file=sys.stderr)
+        return 3
     except COMPUTATION_ERRORS as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    budget = FactorBudget(
-        trial_limit=min(args.factor_budget, 10**6),
-        rho_iterations=args.factor_budget,
-    )
-    fmt = args.format
-
-    if args.command in ("kgroup", "kodd"):
-        spec = parse_field_spec(args.field)
-        if args.command == "kodd":
-            result = k_odd_order(spec, args.k)
-        elif args.method is None or args.method in spec.ORDER_METHODS:
-            result = k_even_order(spec, args.k, method=args.method)
-        else:
-            raise UsageError(
-                f"method {args.method!r} does not apply to {spec.label()}"
-            )
-        sys.stdout.write(
-            emit_table([_record_from_order(result, args.k, budget)], fmt)
-        )
-        return 0
-
-    if args.command == "zeta":
-        from .kgroups import zeta_abelian
-
-        spec = parse_field_spec(args.field)
-        value = zeta_abelian(spec, args.k)
-        if fmt == "json":
-            sys.stdout.write(
-                json.dumps(
-                    {"field": spec.label(), "k": args.k, "zeta": str(value)}
-                )
-                + "\n"
-            )
-        else:
-            print(f"zeta_{spec.label()}(1-2*{args.k}) = {value}")
-        return 0
-
-    if args.command == "w":
-        spec = parse_field_spec(args.field)
-        w = w_invariant(spec, args.k)
-        parts = "·".join(
-            f"{ell}^{e}" if e > 1 else str(ell)
-            for ell, e in sorted(w.parts.items())
-        )
-        if fmt == "json":
-            sys.stdout.write(
-                json.dumps(
-                    {
-                        "field": spec.label(),
-                        "k": args.k,
-                        "w": str(w.value),
-                        "parts": {str(l): e for l, e in sorted(w.parts.items())},
-                    }
-                )
-                + "\n"
-            )
-        else:
-            print(f"w_{2 * args.k}({spec.label()}) = {w.value} = {parts}")
-        return 0
-
-    if args.command == "siegel-coeffs":
-        coeffs = siegel_coeffs(args.h)
-        if fmt == "json":
-            sys.stdout.write(
-                json.dumps(
-                    {"h": args.h, "b": [str(c) for c in coeffs]}
-                )
-                + "\n"
-            )
-        else:
-            for j, c in enumerate(coeffs, start=1):
-                print(f"b_{j}({args.h}) = {c}")
-        return 0
-
-    if args.command == "esum":
-        value = e_sum(args.m, args.j)
-        if fmt == "json":
-            sys.stdout.write(
-                json.dumps({"m": args.m, "j": args.j, "e": str(value)}) + "\n"
-            )
-        else:
-            print(f"e_{args.j}({args.m}) = {value}")
-        return 0
-
-    if args.command == "cubic-table":
-        records = [
-            _record_from_order(
-                k_even_order(CyclicPrime(3, f), args.k), args.k, budget
-            )
-            for f in _cubic_conductors(args.max_f)
-        ]
-        sys.stdout.write(emit_table(records, fmt))
-        return 0
-
-    if args.command == "multiquad-table":
-        if (args.m is None) == (args.parts is None):
-            raise UsageError("multiquad-table needs exactly one of --m / --parts")
-        if args.m is not None:
-            spec = _multiquad_spec(args.m)
-        else:
-            members = tuple(
-                parse_field_spec(tok) for tok in args.parts.split(",")
-            )
-            spec = Elementary(2, members)
-        records = [
-            _record_from_order(k_even_order(spec, k), k, budget)
-            for k in range(1, args.max_k + 1)
-        ]
-        sys.stdout.write(emit_table(records, fmt))
-        return 0
-
-    if args.command == "prank-scan":
-        witnesses = scan(args.p, args.max_d)
-        as_json = args.json or fmt == "json"
-        bad = [w for w in witnesses if not w.consistent]
-        for w in witnesses:
-            if as_json:
-                sys.stdout.write(
-                    json.dumps(
-                        {
-                            "D": w.d,
-                            "statements": {
-                                label: value for label, value in w.statements
-                            },
-                            "consistent": w.consistent,
-                        }
-                    )
-                    + "\n"
-                )
-            else:
-                flags = " ".join(
-                    "T" if value else "F" for _, value in w.statements
-                )
-                print(f"D={w.d} [{flags}] consistent={w.consistent}")
-        if bad:
-            for w in bad:
-                print(f"inconsistent witness: {w.details()}", file=sys.stderr)
-            return 3
-        return 0
-
-    if args.command == "char-check":
-        chars = parse_character_file(args.file)
-        for chi in chars:
-            matches_kronecker = False
-            if chi.order <= 2 and chi.conductor() > 1:
-                matches_kronecker = chi.primitive_part() == quadratic_character(
-                    chi.conductor()
-                )
-            payload = {
-                "modulus": chi.modulus,
-                "order": chi.order,
-                "conductor": chi.conductor(),
-                "even": chi.is_even(),
-                "primitive": chi.is_primitive(),
-                "matches_kronecker": matches_kronecker,
-            }
-            if fmt == "json":
-                sys.stdout.write(json.dumps(payload) + "\n")
-            else:
-                print(
-                    "ok "
-                    + " ".join(f"{key}={value}" for key, value in payload.items())
-                )
-        return 0
-
-    raise UsageError(f"unknown command {args.command!r}")
 
 
 def main() -> None:

@@ -405,13 +405,17 @@ def combine_elementary(
 ) -> KGroupOrder:
     """|K_{4k-2}(O_E)| as the product over the degree-p subfields
     divided by |K_{4k-2}(Z)|^((p^n - p)/(p - 1)); the division is
-    asserted exact."""
+    asserted exact.  zeta_E(1-2k) comes from the parts' zeta values:
+    each is zeta(1-2k) times its one L-product, so zeta_E is their
+    product over zeta(1-2k)^(#parts - 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = spec.rank()
-    part_orders = [
-        k_even_order(part, k, method=part_method).order for part in spec.parts
-    ]
+    parts = [k_even_order(part, k, method=part_method) for part in spec.parts]
+    part_orders = [part.order for part in parts]
+    zeta = riemann_zeta_negative(k) ** (1 - len(parts)) * prod(
+        part.zeta_value for part in parts
+    )
     numerator = prod(part_orders)
     kz_order = kz(4 * k - 2)
     denominator = kz_order ** ((spec.p**n - spec.p) // (spec.p - 1))
@@ -424,7 +428,7 @@ def combine_elementary(
         4 * k - 2,
         numerator // denominator,
         "combiner",
-        zeta_abelian(spec, k),
+        zeta,
         pieces=_distinct(part_orders + [kz_order]),
     )
 

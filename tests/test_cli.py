@@ -311,13 +311,44 @@ def test_prank_scan_json_lines(capsys):
     # the printed 5-divisibility statements disagree already below 15,
     # so the scan reports the inconsistency through exit code 3
     code, out, err = invoke(
-        capsys, "prank-scan", "--p", "5", "--max-d", "15", "--json"
+        capsys, "prank-scan", "--p", "5", "--max-d", "15", "--format", "json"
     )
     assert code == 3
     assert "inconsistent witness" in err
     for line in out.splitlines():
         payload = json.loads(line)
         assert set(payload) == {"D", "statements", "consistent"}
+
+
+NON_TABLE_COMMANDS = [
+    ("zeta", "--field", "q", "--k", "1"),
+    ("w", "--field", "q", "--k", "1"),
+    ("esum", "--m", "8", "--j", "1"),
+    ("siegel-coeffs", "--h", "4"),
+    ("prank-scan", "--p", "3", "--max-d", "25"),
+    ("char-check", "--file", "chi.json"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_TABLE_COMMANDS, ids=lambda argv: argv[0])
+def test_csv_is_only_for_tables(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--format", "csv")
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "--format" in err
+
+
+@pytest.mark.parametrize("argv", NON_TABLE_COMMANDS, ids=lambda argv: argv[0])
+def test_factor_budget_is_only_for_tables(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--factor-budget", "3")
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "--factor-budget" in err
+
+
+def test_prank_scan_json_flag_is_gone(capsys):
+    # --format json is the one way to ask for JSON lines
+    code, out, err = invoke(capsys, "prank-scan", "--p", "3", "--max-d", "25", "--json")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unrecognized arguments") and "--json" in err
 
 
 def test_determinism(capsys):

@@ -425,6 +425,27 @@ def test_zagier_and_w_routes_build_no_characters(monkeypatch):
             k_odd_order(spec, k)
 
 
+def test_combiner_evaluates_each_part_l_product_once(monkeypatch):
+    # the combiner's zeta_E is taken from the part orders it already
+    # holds, not from a second pass over the parts' L-products
+    import evenk.kgroups as kgroups
+
+    calls = []
+    l_product = kgroups.orbit_l_product
+
+    def counted(orbit, k):
+        calls.append(orbit)
+        return l_product(orbit, k)
+
+    monkeypatch.setattr(kgroups, "orbit_l_product", counted)
+    for spec in (multiquad_235(), degree_nine_field()):
+        for k in (1, 2, 3):
+            calls.clear()
+            zeta = combine_elementary(spec, k).zeta_value
+            assert len(calls) == len(spec.parts), (spec.label(), k)
+            assert zeta == zeta_abelian(spec, k)
+
+
 # -- Hasse parameterization -------------------------------------------------------------------
 
 def test_cubic_from_conductor_examples():

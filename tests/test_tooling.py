@@ -1,6 +1,8 @@
-"""The traced benchmark (bench/tracing.py) wraps evenk functions by
-their names from outside the package; a renamed or deleted function
-would break `bench/run.py --trace 1` without any evenk test noticing."""
+"""Names that live outside the package.  The traced benchmark
+(bench/tracing.py) wraps evenk functions by their names from outside the
+package; a renamed or deleted function would break `bench/run.py
+--trace 1` without any evenk test noticing.  The README's CLI block
+shows every subcommand; a renamed command or flag would leave it stale."""
 
 import importlib
 import importlib.util
@@ -25,3 +27,23 @@ def test_every_traced_layer_resolves_in_evenk(monkeypatch):
             assert isinstance(vars(getattr(owner, cls_name)).get(method), classmethod), target
         else:
             assert callable(getattr(owner, attr, None)), target
+
+
+README = TRACING.parent.parent / "README.md"
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The `evenk ...` lines of the first code block under "## CLI"."""
+    text = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split() for line in block.splitlines() if line.startswith("evenk ")]
+
+
+def test_readme_cli_examples_parse_and_cover_every_command():
+    from evenk import cli
+
+    examples = _readme_cli_examples()
+    parser = cli._build_parser()
+    for argv in examples:
+        parser.parse_args(argv[1:])  # raises UsageError on drift
+    assert {argv[1] for argv in examples} >= set(cli.COMMANDS)
