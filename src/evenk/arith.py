@@ -2,15 +2,16 @@
 
 Everything here is pure big-integer / big-rational arithmetic: divisor
 power sums, the full Kronecker symbol, l-adic valuations, Bernoulli
-numbers (from integer tangent numbers), a prime sieve, and best-effort
-factorization (trial division + Pollard rho with Brent cycle detection,
-optionally run on the factors a number was multiplied from).
+numbers (from integer tangent numbers), a lazily grown prime sieve, and
+best-effort factorization (trial division + Pollard rho with Brent cycle
+detection, optionally run on the factors a number was multiplied from).
 `fractions.Fraction` is the rational scalar used throughout the package.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,18 +24,58 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+# Trial division walks primes up to this bound at most, whatever the budget.
+TRIAL_CAP = 10**6
+
+
+def _odd_sieve(n: int) -> bytearray:
+    """s[i] == 1 iff 2i + 1 is prime, for 0 <= i < n (n >= 1): the
+    sieve of Eratosthenes on odd numbers, one byte each."""
+    s = bytearray([1]) * n
+    s[0] = 0
+    for i in range(1, (isqrt(2 * n - 1) + 1) // 2):
+        if s[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            s[start::p] = bytes(len(range(start, n, p)))
+    return s
+
+
+# The one prime table of the package, shared by every walk.  It is
+# grown by replacement, never in place, so a walk in progress keeps its
+# view; while a larger one is sieved, the table reads as the seed.
+# Concurrent walks may sieve the same table twice, never read a wrong one.
+_SEED = _odd_sieve(64)
+_sieve = _SEED
+
+
+def _primes(hi: int) -> Iterator[int]:
+    """The primes <= hi in increasing order, sieved lazily: the cached
+    table doubles only when the walk passes its end, so a caller that
+    stops early never pays for the primes it did not reach."""
+    global _sieve
+    if hi >= 2:
+        yield 2
+    lo = 3
+    while lo <= hi:
+        s = _sieve
+        top = min(hi, 2 * len(s) - 1)
+        if lo > top:
+            # let the old table go before sieving the new one, so the
+            # two never count to the peak memory together
+            n = 2 * len(s)
+            s = _sieve = _SEED
+            _sieve = _odd_sieve(n)
+            continue
+        yield from compress(range(lo, top + 1, 2), memoryview(s)[lo // 2 : (top + 1) // 2])
+        lo = top + 2
+
+
 def primes_up_to(x: int) -> list[int]:
-    """All primes <= x in increasing order (sieve of Eratosthenes)."""
+    """All primes <= x in increasing order."""
     if x < 1:
         raise ValueError("primes_up_to requires x >= 1")
-    if x < 2:
-        return []
-    sieve = bytearray([1]) * (x + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(x) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return list(compress(range(x + 1), sieve))
+    return list(_primes(x))
 
 
 def is_prime(n: int) -> bool:
@@ -210,7 +251,13 @@ def bernoulli(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class FactorBudget:
-    """Bounds for best-effort factorization."""
+    """Bounds for best-effort factorization.
+
+    Trial division runs over the primes up to min(trial_limit,
+    TRIAL_CAP) (2 at least), sieved only as far as the number needs;
+    factorize applies the cap, so callers pass any limit.  Pollard rho
+    then gets rho_iterations per number it tries to split.
+    """
 
     trial_limit: int = 10**6
     rho_iterations: int = 10**6
@@ -222,8 +269,9 @@ class PartialFactorization:
 
     factored lists (prime, exponent) pairs in increasing prime order;
     cofactor is the remaining unfactored part (1 when complete).  The
-    listed primes always pass the primality test and the product of
-    everything reproduces the original integer.
+    product of everything reproduces the original integer.  factorize
+    proves each listed prime once, while finding it, so only the shape
+    is checked here.
     """
 
     factored: tuple[tuple[int, int], ...]
@@ -232,7 +280,7 @@ class PartialFactorization:
 
     def __post_init__(self) -> None:
         for p, e in self.factored:
-            if e < 1 or not is_prime(p):
+            if e < 1:
                 raise ValueError(f"bad factorization entry ({p}, {e})")
         if self.complete and self.cofactor != 1:
             raise ValueError("complete factorization with cofactor != 1")
@@ -251,16 +299,6 @@ class PartialFactorization:
             parts.append(str(self.cofactor))
             return "·".join(parts) + "·C"
         return "·".join(parts) if parts else "1"
-
-
-_trial_primes_cache: dict[int, list[int]] = {}
-
-
-def _trial_primes(limit: int) -> list[int]:
-    key = min(limit, 10**6)
-    if key not in _trial_primes_cache:
-        _trial_primes_cache[key] = primes_up_to(max(key, 2))
-    return _trial_primes_cache[key]
 
 
 def _pollard_rho_brent(n: int, budget: int) -> int | None:
@@ -299,6 +337,26 @@ def _pollard_rho_brent(n: int, budget: int) -> int | None:
     return None
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1: integer Newton steps down from a
+    power of 2 above the root."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple[int, int] | None:
+    """(r, k) with n = r^k for a prime k, or None; for n >= 2."""
+    for k in _primes(n.bit_length()):
+        r = _iroot(n, k)
+        if r**k == n:
+            return r, k
+    return None
+
+
 def _coprime_base(numbers: list[int]) -> list[int]:
     """Pairwise coprime integers > 1, in increasing order, such that
     every input is a product of some of them; their primes are exactly
@@ -321,22 +379,22 @@ def _coprime_base(numbers: list[int]) -> list[int]:
 def _rho_stack(
     stack: list[int], rho_iterations: int
 ) -> tuple[dict[int, int], list[int]]:
-    """Split every stack entry by primality test and Pollard rho: the
-    primes met (with how often they were met) and the composites rho
-    could not split within its budget."""
+    """Split every stack entry by primality test, Pollard rho and, for
+    what rho gives up on, an integer root: the primes met (with how
+    often they were met, each proved once) and the composites left."""
     found: dict[int, int] = {}
     stubborn: list[int] = []
     while stack:
         c = stack.pop()
-        if is_prime(c):
+        if c in found or is_prime(c):
             found[c] = found.get(c, 0) + 1
-            continue
-        g = _pollard_rho_brent(c, rho_iterations)
-        if g is None:
-            stubborn.append(c)
+        elif g := _pollard_rho_brent(c, rho_iterations):
+            stack += (g, c // g)
+        elif power := _perfect_power(c):
+            r, k = power
+            stack += [r] * k
         else:
-            stack.append(g)
-            stack.append(c // g)
+            stubborn.append(c)
     return found, stubborn
 
 
@@ -377,8 +435,9 @@ def factorize(
     """Best-effort factorization of n >= 1 under the given budget.
 
     Trial division first, then Pollard rho (Brent variant) on what is
-    left; anything still composite when the budget runs out is returned
-    as an explicit cofactor with complete=False, never mislabeled.
+    left and an integer root test on what rho cannot split; anything
+    still composite when the budget runs out is returned as an explicit
+    cofactor with complete=False, never mislabeled.
 
     pieces are optional positive integers whose primes should cover
     those of n, typically the factors n was multiplied from: rho then
@@ -393,11 +452,10 @@ def factorize(
     found: dict[int, int] = {}
     m = n
     tested_to = 1
-    for p in _trial_primes(budget.trial_limit):
-        if p * p > m:
-            tested_to = p
-            break
+    for p in _primes(max(min(budget.trial_limit, TRIAL_CAP), 2)):
         tested_to = p
+        if p * p > m:
+            break
         while m % p == 0:
             m //= p
             found[p] = found.get(p, 0) + 1

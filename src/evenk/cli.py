@@ -344,7 +344,7 @@ def run(argv: list[str]) -> int:
         command = COMMANDS[args.command]
         if command.table:
             budget = FactorBudget(
-                trial_limit=min(args.factor_budget, 10**6), rho_iterations=args.factor_budget
+                trial_limit=args.factor_budget, rho_iterations=args.factor_budget
             )
             records = [_record_from_order(result, k, budget)
                        for result, k in command.handler(args)]

@@ -1,14 +1,16 @@
 """Slow, independent reference implementations for the tests.
 
-Each is a plain transcription of a definition, or the earlier
-Fraction-based code that an integer kernel in `evenk` replaced; the
-tests require the kernels to agree with them exactly.
+Each is a plain transcription of a definition, or earlier code that a
+kernel in `evenk` replaced (Fraction arithmetic, the list-based trial
+division); the tests require the kernels to agree with them exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from functools import lru_cache
+from itertools import compress
+from math import comb, isqrt, lcm
 
 from evenk.arith import bernoulli, is_prime, primes_up_to, valuation
 from evenk.cyclodirichlet import NotRational, cyclotomic_polynomial, euler_phi
@@ -35,6 +37,53 @@ def bernoulli_poly_value(n: int, a: int, f: int) -> Fraction:
         total += comb(n, i) * bernoulli(i) * power
         power *= x
     return total
+
+
+# -- primes and trial division -----------------------------------------------
+
+@lru_cache(maxsize=None)
+def sieve_primes(x: int) -> tuple[int, ...]:
+    """All primes <= x: the sieve of Eratosthenes over every integer up
+    to x, the prime list built in full."""
+    sieve = bytearray([1]) * (x + 1)
+    sieve[: min(x + 1, 2)] = bytes(min(x + 1, 2))
+    for p in range(2, isqrt(x) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return tuple(compress(range(x + 1), sieve))
+
+
+def trial_division(n: int, trial_limit: int) -> tuple[dict[int, int], int, int]:
+    """The trial-division stage of factorize, walking a precomputed list
+    of the primes up to min(trial_limit, 10^6) (2 at least).
+
+    Returns (found, m, tested_to): the prime powers divided out of n,
+    what is left of n, and the last prime tried, which is the first
+    prime p with p^2 > m if the walk stopped there.
+    """
+    found: dict[int, int] = {}
+    m = n
+    tested_to = 1
+    for p in sieve_primes(max(min(trial_limit, 10**6), 2)):
+        if p * p > m:
+            tested_to = p
+            break
+        tested_to = p
+        while m % p == 0:
+            m //= p
+            found[p] = found.get(p, 0) + 1
+    return found, m, tested_to
+
+
+def prime_power_root(n: int) -> tuple[int, int] | None:
+    """(b, e) with n = b^e, b prime and e >= 2, or None; for n below
+    2^53, from rounded floating-point roots."""
+    for e in range(n.bit_length(), 1, -1):
+        b = round(n ** (1 / e))
+        for c in (b - 1, b, b + 1):
+            if c > 1 and c**e == n:
+                return (c, e) if is_prime(c) else None
+    return None
 
 
 # -- cyclotomic elements with Fraction coordinates ----------------------------

@@ -1,11 +1,15 @@
 import random
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evenk import arith
 from evenk.arith import (
     FactorBudget,
     PartialFactorization,
@@ -17,7 +21,12 @@ from evenk.arith import (
     primes_up_to,
     valuation,
 )
-from oracles import bernoulli_poly_value
+from oracles import (
+    bernoulli_poly_value,
+    prime_power_root,
+    sieve_primes,
+    trial_division,
+)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -234,11 +243,89 @@ def test_bernoulli_poly_bounds():
 
 # -- primes ------------------------------------------------------------------
 
-def test_primes_up_to():
+def test_primes_up_to(monkeypatch):
     assert primes_up_to(1) == []
     assert primes_up_to(10) == [2, 3, 5, 7]
     assert primes_up_to(30)[-1] == 29
     assert len(primes_up_to(1000)) == 168
+    # a fresh 64-byte table covers the odd numbers up to 127 and doubles
+    # each time a walk passes its end: 255, 511, 1023, ...
+    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    edges = [b + d for b in (127, 255, 511, 1023) for d in (-1, 0, 1)]
+    for x in [1, 2, 3, 4, *edges]:
+        naive = [n for n in range(2, x + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
+        assert primes_up_to(x) == naive
+    for x in (10**4, 10**6):
+        assert primes_up_to(x) == list(sieve_primes(x))
+
+
+def test_trial_division_sieves_only_as_far_as_the_number_needs(monkeypatch):
+    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    # the default budget allows 10^6, but the walk stops at 11^2 > 97
+    assert factorize(2).factored == ((2, 1),)
+    assert factorize(2**40 * 3**5 * 97).factored == ((2, 40), (3, 5), (97, 1))
+    assert len(arith._sieve) == 64
+    # here it stops at 10009^2 > 10009, so the table doubles just past it
+    assert factorize(10007 * 10009).factored == ((10007, 1), (10009, 1))
+    assert 10009 <= 2 * len(arith._sieve) - 1 < 2 * 10009
+
+
+def test_trial_limit_zero_still_divides_by_two():
+    budget = FactorBudget(trial_limit=0, rho_iterations=0)
+    assert factorize(2**10 * 3, budget).factored == ((2, 10), (3, 1))
+    result = factorize(2**7 * 10007 * 10009, budget)
+    assert result.factored == ((2, 7),)
+    assert result.cofactor == 10007 * 10009
+
+
+@contextmanager
+def counting_is_prime():
+    """Count arith.is_prime calls per argument while the block runs."""
+    calls = Counter()
+    real = arith.is_prime
+
+    def counted(n):
+        calls[n] += 1
+        return real(n)
+
+    with patch.object(arith, "is_prime", counted):
+        yield calls
+
+
+def factorize_without_rho(n, trial_limit):
+    """What factorize(n, FactorBudget(trial_limit, 0)) must give, from
+    the list-based trial division, and the primes it proves without a
+    primality test: those trial division met and a survivor below the
+    square of the last prime tried."""
+    found, m, tested_to = trial_division(n, trial_limit)
+    untested = set(found)
+    if 1 < m <= tested_to**2:
+        untested.add(m)
+        found[m], m = 1, 1
+    elif m > 1 and is_prime(m):
+        found[m], m = 1, 1
+    elif m > 1 and (power := prime_power_root(m)):
+        found[power[0]], m = power[1], 1
+    return PartialFactorization(tuple(sorted(found.items())), m, m == 1), untested
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(1, 10**15 - 1),
+        # a small part times a prime power above the trial limit
+        st.builds(lambda a, p, e: a * p**e, st.integers(1, 1000),
+                  st.integers(2, 10**4).filter(is_prime), st.integers(2, 3)),
+    ),
+    trial_limit=st.one_of(st.integers(0, 300), st.integers(0, 2 * 10**6)),
+)
+def test_factorize_matches_list_based_trial_division(n, trial_limit):
+    expected, untested = factorize_without_rho(n, trial_limit)
+    with counting_is_prime() as calls:
+        result = factorize(n, FactorBudget(trial_limit, rho_iterations=0))
+    assert result == expected
+    for p, _ in result.factored:
+        assert calls[p] == (0 if p in untested else 1)
 
 
 def test_is_prime():
@@ -273,13 +360,31 @@ def test_factorize_finds_large_factors_with_rho():
 
 
 def test_factorize_incomplete_is_flagged():
-    p = 2**61 - 1
-    n = 4 * p * p
+    p, q = 2**61 - 1, 2**89 - 1
+    n = 4 * p * q
     result = factorize(n, FactorBudget(trial_limit=100, rho_iterations=0))
     assert not result.complete
-    assert result.cofactor == p * p
+    assert result.cofactor == p * q
     assert result.value() == n
     assert result.format().endswith("·C")
+
+
+def test_factorize_takes_integer_roots_of_what_rho_leaves():
+    budget = FactorBudget(trial_limit=100, rho_iterations=0)
+    for pieces in ((), (10007**2,)):
+        assert factorize(10007**2, budget, pieces).format() == "10007^2"
+    p, q = 2**61 - 1, 2**31 - 1
+    assert factorize(4 * p**6, budget).factored == ((2, 2), (p, 6))
+    # a power of a composite that rho cannot split stays one cofactor
+    result = factorize(3 * (p * q) ** 2, budget)
+    assert result.factored == ((3, 1),)
+    assert result.cofactor == (p * q) ** 2
+
+
+@given(st.integers(1, 10**60), st.integers(2, 70))
+def test_iroot_is_the_floor_of_the_real_root(n, k):
+    r = arith._iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
 
 
 def test_factorization_format():
@@ -360,6 +465,22 @@ def test_factorize_with_pieces_is_a_valid_factorization(case):
     whole = factorize(n, PIECES_BUDGET)
     if with_pieces.complete and whole.complete:
         assert with_pieces == whole
+
+
+@settings(max_examples=100, deadline=None)
+@given(prime_powers_and_pieces())
+def test_factorize_proves_each_listed_prime_once(case):
+    # PIECES_BUDGET's trial division proves the primes below 100; every
+    # larger pool prime needs exactly one primality test, by rho's stack
+    # or by the refinement against the pieces
+    powers, pieces = case
+    n = _product(powers)
+    for hints in ((), pieces):
+        with counting_is_prime() as calls:
+            result = factorize(n, PIECES_BUDGET, hints)
+        assert {p: calls[p] for p, _ in result.factored} == {
+            p: int(p > 100) for p, _ in result.factored
+        }
 
 
 @settings(max_examples=100, deadline=None)
