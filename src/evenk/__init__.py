@@ -2,7 +2,6 @@
 totally real abelian number fields."""
 
 from .kgroups import (
-    AbelianByCharacters,
     CyclicPrime,
     Elementary,
     KGroupOrder,
@@ -17,7 +16,6 @@ from .kgroups import (
 )
 
 __all__ = [
-    "AbelianByCharacters",
     "CyclicPrime",
     "Elementary",
     "KGroupOrder",

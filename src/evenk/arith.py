@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 # Witnesses making Miller-Rabin deterministic below 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -406,10 +406,11 @@ def _split_along_pieces(
     Rho runs on a coprime base of m and of each piece's common part
     with m, so a prime shared by several pieces is split once, on a
     number far smaller than m.  Whatever of m no piece explains is a
-    base element of its own and goes through the same stack.  The
-    composites rho gave up on are refined by gcds against each other,
-    the primes found and the rest of m; exponents are read by dividing
-    m, and what is left of it is the cofactor.
+    base element of its own and goes through the same stack; with no
+    pieces the base is [m].  The composites rho gave up on are refined
+    by gcds against each other, the primes found and the rest of m
+    (only the new parts are tested for primality); exponents are read
+    by dividing m, and what is left of it is the cofactor.
     """
     base = _coprime_base([m, *(gcd(piece, m) for piece in pieces)])
     met, stubborn = _rho_stack(base, rho_iterations)
@@ -424,7 +425,7 @@ def _split_along_pieces(
         new = [
             c
             for c in _coprime_base([*found, *stubborn, m])
-            if c not in found and is_prime(c)
+            if c not in found and c not in stubborn and is_prime(c)
         ] if m > 1 else []
     return found, m
 
@@ -434,16 +435,19 @@ def factorize(
 ) -> PartialFactorization:
     """Best-effort factorization of n >= 1 under the given budget.
 
-    Trial division first, then Pollard rho (Brent variant) on what is
-    left and an integer root test on what rho cannot split; anything
-    still composite when the budget runs out is returned as an explicit
-    cofactor with complete=False, never mislabeled.
+    Trial division first; what is left goes through _split_along_pieces
+    in every case: Pollard rho (Brent variant) on a coprime base, an
+    integer root test on what rho cannot split, and gcd refinement of
+    the composites left.  Anything still composite when the budget runs
+    out is returned as an explicit cofactor with complete=False, never
+    mislabeled.
 
     pieces are optional positive integers whose primes should cover
     those of n, typically the factors n was multiplied from: rho then
     runs on their parts in common with n instead of on n itself.  They
     are hints only; n stays the ground truth, and primes of n that no
-    piece carries are found as without pieces.
+    piece carries are found through n's own base element.  With no
+    pieces the base is just what trial division left.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -463,13 +467,8 @@ def factorize(
         # trial division below sqrt(m) proves the survivor prime
         found[m] = found.get(m, 0) + 1
         m = 1
-    if m > 1 and pieces:
-        large, cofactor = _split_along_pieces(m, pieces, budget.rho_iterations)
-        found.update(large)
-    else:
-        large, stubborn = _rho_stack([m] if m > 1 else [], budget.rho_iterations)
-        found.update(large)
-        cofactor = prod(stubborn)
+    large, cofactor = _split_along_pieces(m, pieces, budget.rho_iterations)
+    found.update(large)
     return PartialFactorization(
         factored=tuple(sorted(found.items())),
         cofactor=cofactor,

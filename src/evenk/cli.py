@@ -45,7 +45,6 @@ from .kgroups import (
     FieldSpec,
     InexactDivision,
     KGroupOrder,
-    NoRepresentation,
     NonIntegralOrder,
     Rationals,
     RealQuadratic,
@@ -65,7 +64,6 @@ COMPUTATION_ERRORS = (
     DegenerateConstantTerm,
     ImprimitiveCharacter,
     CharacterFileError,
-    NoRepresentation,
 )
 
 
@@ -256,14 +254,17 @@ def _prank_scan(args):
 def _char_check(args):
     for chi in parse_character_file(args.file):
         matches_kronecker = False
-        if chi.order <= 2 and chi.conductor() > 1:
+        conductor = chi.conductor()
+        if chi.order <= 2 and conductor > 1:
+            # the Kronecker symbol of an odd character has a negative
+            # discriminant
             matches_kronecker = chi.primitive_part() == quadratic_character(
-                chi.conductor()
+                conductor if chi.is_even() else -conductor
             )
         payload = {
             "modulus": chi.modulus,
             "order": chi.order,
-            "conductor": chi.conductor(),
+            "conductor": conductor,
             "even": chi.is_even(),
             "primitive": chi.is_primitive(),
             "matches_kronecker": matches_kronecker,

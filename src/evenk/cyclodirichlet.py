@@ -25,7 +25,8 @@ from functools import lru_cache
 from itertools import product
 from math import comb, gcd, lcm
 
-from .arith import bernoulli, factor_small
+from .arith import bernoulli, divisors, factor_small, is_prime
+from .winv import cyclic_conductor_is_valid
 
 
 class NotRational(ArithmeticError):
@@ -382,12 +383,6 @@ class DirichletCharacter:
         """(residue, exponent) pairs in residue order; a canonical key."""
         return tuple(sorted(self._exp.items()))
 
-    def value(self, a: int) -> CyclotomicElement:
-        e = self.exponent(a)
-        if e is None:
-            return CyclotomicElement.from_rational(0, self.order)
-        return CyclotomicElement.root_of_unity(self.order, e)
-
     def is_trivial(self) -> bool:
         return self.order == 1
 
@@ -420,7 +415,7 @@ class DirichletCharacter:
     def conductor(self) -> int:
         """Smallest modulus f through which chi factors."""
         if self._conductor is None:
-            for f in _sorted_divisors(self.modulus):
+            for f in divisors(self.modulus):
                 if all(
                     e == 0 for a, e in self._exp.items() if a % f == 1 % f
                 ):
@@ -443,13 +438,6 @@ class DirichletCharacter:
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
-
-
-def _sorted_divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factor_small(n):
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
 
 
 def _primitive_root(q: int, e: int) -> int:
@@ -618,27 +606,60 @@ class CharacterOrbit:
         return cls(chi, (chi, *rest))
 
 
-def galois_orbits(chars) -> list[CharacterOrbit]:
-    """Partition a Galois-stable set of characters into its orbits, each
-    represented by its member with the smallest exponent_items()."""
-    orbits: list[CharacterOrbit] = []
-    seen: set[DirichletCharacter] = set()
-    for chi in sorted(chars, key=lambda c: c.exponent_items()):
-        if chi in seen:
-            continue
-        orbit = CharacterOrbit.of(chi)
-        seen.update(orbit.conjugates)
-        orbits.append(orbit)
-    return orbits
+@lru_cache(maxsize=None)
+def _primitive_orbit_coordinates(f: int, p: int) -> tuple[tuple, ...]:
+    """For each Galois orbit of the order-p characters of conductor
+    exactly f (p an odd prime, f such a conductor), the local_coordinates
+    of its first member, in index order: the characters sorted by their
+    exponents at the units 2, 3, ... mod f, each orbit placed where its
+    first member falls.  A character is its coordinates c_q at the local
+    generators g_q, and its exponent at a is sum_q c_q log_q(a) mod p,
+    read off a^(phi(q^e)/p) mod q^e; the units are walked only until the
+    characters all differ."""
+    logs = []
+    for q, _ in factor_small(f):
+        qe = q * q if q == p else q
+        g = _primitive_root(q, 2)
+        step = euler_phi(qe) // p
+        h = pow(g, step, qe)
+        logs.append(((q, g), qe, step, [pow(h, j, qe) for j in range(p)]))
+    chars = list(product(range(1, p), repeat=len(logs)))
+    prefixes: list[list[int]] = [[] for _ in chars]
+    a = 1
+    while len(set(map(tuple, prefixes))) < len(chars):
+        a += 1
+        if gcd(a, f) == 1:
+            ls = [powers.index(pow(a, step, qe)) for _, qe, step, powers in logs]
+            for c, prefix in zip(chars, prefixes):
+                prefix.append(sum(x * y for x, y in zip(c, ls)) % p)
+    firsts: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for _, c in sorted(zip(prefixes, chars)):
+        scale = pow(c[0], -1, p)
+        firsts.setdefault(tuple(x * scale % p for x in c), c)
+    return tuple(
+        tuple((g, x) for (g, *_), x in zip(logs, c)) for c in firsts.values()
+    )
 
 
 @lru_cache(maxsize=None)
 def primitive_orbits_of_order(f: int, p: int) -> tuple[CharacterOrbit, ...]:
     """Galois orbits of the order-p characters with conductor exactly f,
-    in a fixed construction order (orbit indices are stable but need not
-    match any external labeling)."""
-    chars = characters_of_order_dividing(f, p)
-    return tuple(galois_orbits(c for c in chars if c.order == p and c.conductor() == f))
+    for an odd prime p (empty when f is not such a conductor).  Orbit i
+    is the i-th in the order of its members' exponents at the units
+    2, 3, ... mod f, and is represented by its member that comes first
+    (see _primitive_orbit_coordinates); only that member and its
+    conjugates are built."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"primitive_orbits_of_order needs an odd prime, got {p}")
+    if not cyclic_conductor_is_valid(p, f):
+        return ()
+    gens, _ = _unit_group_data(f)  # one component per prime, as in the coordinates
+    orbits = []
+    for coords in _primitive_orbit_coordinates(f, p):
+        # chi(g_q) = zeta_p^x is the tuple entry x * order / p
+        t = tuple(x * order // p for (_, x), (_, order, _) in zip(coords, gens))
+        orbits.append(CharacterOrbit.of(_character_from_tuple(f, t)))
+    return tuple(orbits)
 
 
 def local_coordinates(chi: DirichletCharacter, n: int) -> tuple:
@@ -678,42 +699,17 @@ def orbit_key(coords, p: int) -> tuple:
 
 def primitive_orbit_index(key, p: int) -> tuple[int, int]:
     """(f, i): the conductor of the even order-p orbit with this
-    orbit_key and its index in primitive_orbits_of_order(f, p), without
-    building characters mod f.  That tuple is sorted by the exponents at
-    the units 2, 3, ...; for odd p the exponent at a is sum_q c_q log_q(a)
-    mod p, read off a^(phi(q^e)/p) mod q^e, and the units are walked
-    until the primitive characters of conductor f all differ."""
+    orbit_key and its index in primitive_orbits_of_order(f, p), found
+    among _primitive_orbit_coordinates(f, p) without building characters
+    mod f (for p = 2 there is one orbit per conductor)."""
     primes = sorted({q for (q, _), _ in key})
     f = 1
     for q in primes:  # for p = 2, a character moving 5 has 2-part 8, else 4
         f *= (8 if ((2, 5), 1) in key else 4) if q == 2 else q * q if q == p else q
-    if p == 2 or len(primes) == 1:
+    if p == 2:
         return f, 0
-    logs = []
-    for q in primes:
-        qe = q * q if q == p else q
-        step = euler_phi(qe) // p
-        h = pow(_primitive_root(q, 2), step, qe)
-        logs.append((qe, step, [pow(h, j, qe) for j in range(p)]))
-    chars = list(product(range(1, p), repeat=len(primes)))
-    prefixes: list[list[int]] = [[] for _ in chars]
-    a = 1
-    while len(set(map(tuple, prefixes))) < len(chars):
-        a += 1
-        if gcd(a, f) == 1:
-            ls = [powers.index(pow(a, step, qe)) for qe, step, powers in logs]
-            for c, prefix in zip(chars, prefixes):
-                prefix.append(sum(x * y for x, y in zip(c, ls)) % p)
-    target = tuple(x for _, x in key)
-    seen: set[tuple[int, ...]] = set()
-    for _, c in sorted(zip(prefixes, chars)):
-        scale = pow(c[0], -1, p)
-        normal = tuple(x * scale % p for x in c)
-        if normal not in seen:
-            if normal == target:
-                return f, len(seen)
-            seen.add(normal)
-    raise AssertionError(f"no primitive orbit of conductor {f} has key {key}")
+    keys = [orbit_key(coords, p) for coords in _primitive_orbit_coordinates(f, p)]
+    return f, keys.index(key)
 
 
 # ---------------------------------------------------------------------------

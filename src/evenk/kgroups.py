@@ -73,9 +73,8 @@ class _Field:
     values and w are derived from those.  The orbits themselves
     (character_orbits) are built only when an L-value needs them."""
 
-    # zeta routes k_even_order accepts, default first; a spec with none
-    # is not known to be a field and supports zeta evaluation only
-    ORDER_METHODS: tuple[str, ...] = ()
+    # zeta routes k_even_order accepts, default first
+    ORDER_METHODS: tuple[str, ...]
 
     def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
         return ()
@@ -126,9 +125,10 @@ class RealQuadratic(_Field):
 class CyclicPrime(_Field):
     """A real cyclic field of odd prime degree p and conductor f; when
     several such fields share the conductor, `orbit` picks the Galois
-    orbit of defining characters (construction order, starting at 0).
-    A conductor with s distinct prime factors carries (p - 1)^(s - 1)
-    such fields."""
+    orbit of defining characters, counted from 0 in the order of each
+    orbit's first member by its values at 2, 3, ... (see
+    primitive_orbits_of_order).  A conductor with s distinct prime
+    factors carries (p - 1)^(s - 1) such fields."""
 
     ORDER_METHODS = ("characters",)
 
@@ -221,36 +221,7 @@ class Elementary(_Field):
         return f"elem:{self.p}:{inner}"
 
 
-@dataclass(frozen=True)
-class AbelianByCharacters(_Field):
-    """An abelian field described by Galois orbits of even characters;
-    supports zeta evaluation only."""
-
-    conductor_value: int
-    orbits: tuple[CharacterOrbit, ...]
-
-    def __post_init__(self) -> None:
-        for orbit in self.orbits:
-            if orbit.representative.is_trivial():
-                raise ValueError("orbits must be nontrivial")
-            if not orbit.representative.is_even():
-                raise ValueError("odd characters do not give totally real fields")
-
-    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (o.representative.conductor(), len(o.conjugates)) for o in self.orbits
-        )
-
-    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
-        return self.orbits
-
-    def label(self) -> str:
-        return f"abelian:{self.conductor_value}"
-
-
-FieldSpec = (
-    Rationals | RealQuadratic | CyclicPrime | Elementary | AbelianByCharacters
-)
+FieldSpec = Rationals | RealQuadratic | CyclicPrime | Elementary
 
 
 @dataclass
@@ -299,10 +270,6 @@ def zeta_abelian(spec: FieldSpec, k: int) -> Fraction:
 
 
 def w_invariant(spec: FieldSpec, k: int) -> WInvariant:
-    if not spec.ORDER_METHODS:
-        raise UnsupportedField(
-            f"w invariants need a field; {spec.label()} supports zeta only"
-        )
     return winv.w_from_orbits(spec.orbit_shapes(), k)
 
 
@@ -355,15 +322,9 @@ def k_even_order(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    methods = spec.ORDER_METHODS
-    if not methods:
-        raise UnsupportedField(
-            "order computation needs w invariants beyond this field class; "
-            "only zeta evaluation is supported"
-        )
     if method is None:
-        method = methods[0]
-    elif method not in methods:
+        method = spec.ORDER_METHODS[0]
+    elif method not in spec.ORDER_METHODS:
         raise UnsupportedField(
             f"method {method!r} does not apply to {spec.label()}"
         )

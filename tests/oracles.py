@@ -2,7 +2,8 @@
 
 Each is a plain transcription of a definition, or earlier code that a
 kernel in `evenk` replaced (Fraction arithmetic, the list-based trial
-division); the tests require the kernels to agree with them exactly.
+division, orbit numbering by building and sorting every character); the
+tests require the kernels to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ from itertools import compress
 from math import comb, isqrt, lcm
 
 from evenk.arith import bernoulli, is_prime, primes_up_to, valuation
-from evenk.cyclodirichlet import NotRational, cyclotomic_polynomial, euler_phi
+from evenk.cyclodirichlet import (
+    CharacterOrbit,
+    NotRational,
+    characters_of_order_dividing,
+    cyclotomic_polynomial,
+    euler_phi,
+)
 from evenk.qseries import LaurentSeries
 
 
@@ -309,3 +316,28 @@ def series_power(s: LaurentSeries, n: int) -> LaurentSeries:
         base = base * base
         n >>= 1
     return result
+
+
+# -- Galois orbits ------------------------------------------------------------
+
+def galois_orbits(chars) -> list[CharacterOrbit]:
+    """Partition a Galois-stable set of characters into its orbits, each
+    represented by its member with the smallest exponent_items()."""
+    orbits: list[CharacterOrbit] = []
+    seen: set = set()
+    for chi in sorted(chars, key=lambda c: c.exponent_items()):
+        if chi in seen:
+            continue
+        orbit = CharacterOrbit.of(chi)
+        seen.update(orbit.conjugates)
+        orbits.append(orbit)
+    return orbits
+
+
+@lru_cache(maxsize=None)
+def primitive_orbits_by_sorting(f: int, p: int) -> tuple[CharacterOrbit, ...]:
+    """The Galois orbits of the order-p characters of conductor exactly
+    f, found by building every character mod f of order dividing p and
+    sorting them: the numbering primitive_orbits_of_order must keep."""
+    chars = characters_of_order_dividing(f, p)
+    return tuple(galois_orbits(c for c in chars if c.order == p and c.conductor() == f))

@@ -369,6 +369,18 @@ def test_factorize_incomplete_is_flagged():
     assert result.format().endswith("·C")
 
 
+def test_factorize_tests_what_rho_leaves_for_primality_once():
+    # rho (given no iterations) leaves p * q; the refinement against the
+    # prime r must not test it again
+    p, q, r = 2**61 - 1, 2**89 - 1, 1000003
+    budget = FactorBudget(trial_limit=100, rho_iterations=0)
+    for pieces, left in (((), r * p * q), ((r, p * q), p * q)):
+        with counting_is_prime() as calls:
+            result = factorize(4 * r * p * q, budget, pieces)
+        check_partial_factorization(result, 4 * r * p * q)
+        assert result.cofactor == left and calls[left] == 1
+
+
 def test_factorize_takes_integer_roots_of_what_rho_leaves():
     budget = FactorBudget(trial_limit=100, rho_iterations=0)
     for pieces in ((), (10007**2,)):

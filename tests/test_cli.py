@@ -286,6 +286,27 @@ def test_computation_error_exit_code(capsys, tmp_path):
     assert code == 2 and "computation error" in err
 
 
+@pytest.mark.parametrize("d", [-3, -4, -7, -8, -20, 5, 8])
+def test_char_check_matches_the_kronecker_character_of_either_sign(capsys, tmp_path, d):
+    from evenk.cyclodirichlet import quadratic_character
+
+    chi = quadratic_character(d)
+    path = tmp_path / "kronecker.json"
+    path.write_text(
+        json.dumps(
+            {"modulus": chi.modulus, "order": chi.order,
+             "values": [list(item) for item in chi.exponent_items()]}
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = invoke(capsys, "char-check", "--file", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["conductor"] == abs(d)
+    assert payload["even"] == (d > 0)
+    assert payload["matches_kronecker"] is True
+
+
 def test_char_check_good_file(capsys, tmp_path):
     path = tmp_path / "quad5.json"
     path.write_text(

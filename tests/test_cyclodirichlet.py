@@ -30,7 +30,7 @@ from evenk.cyclodirichlet import (
     quadratic_character,
     _unit_group_data,
 )
-from oracles import FractionCyclotomic, bernoulli_poly_value
+from oracles import FractionCyclotomic, bernoulli_poly_value, primitive_orbits_by_sorting
 from oracles import _reduce_mod_cyclotomic as reduce_fraction_poly
 
 
@@ -498,21 +498,53 @@ def test_primitive_orbit_counts():
     assert all(o.representative.conductor() == 63 for o in orbits)
 
 
-def test_primitive_orbit_index_matches_the_built_orbits():
-    from evenk.siegel import is_fundamental_discriminant
+# conductor ranges per odd prime p; p = 11 reaches 23 * 67, its first
+# conductor with several orbits (for p = 13 that is 53 * 79, too slow
+# for the oracle here)
+ORBIT_RANGES = ((3, 1500), (5, 1000), (7, 1000), (11, 1600), (13, 1000))
+
+
+def _oracle_orbits(p, bound):
+    """(f, orbits) for every conductor 3 <= f < bound of order-p
+    characters, the orbits built and sorted by the oracle."""
     from evenk.winv import cyclic_conductor_is_valid
 
+    for f in range(3, bound):
+        if cyclic_conductor_is_valid(p, f):
+            yield f, primitive_orbits_by_sorting(f, p)
+
+
+def test_primitive_orbits_match_the_build_and_sort_oracle():
+    several = 0
+    for p, bound in ORBIT_RANGES:
+        for f, expected in _oracle_orbits(p, bound):
+            orbits = primitive_orbits_of_order(f, p)
+            assert [o.representative for o in orbits] == [
+                o.representative for o in expected
+            ], (p, f)
+            assert [o.conjugates for o in orbits] == [o.conjugates for o in expected]
+            several += len(orbits) > 1
+    assert several > 50
+    # no order-3 character has conductor 10 or 49
+    assert primitive_orbits_of_order(10, 3) == primitive_orbits_of_order(49, 3) == ()
+
+
+def test_primitive_orbits_of_order_needs_an_odd_prime():
+    for p in (2, 9):
+        with pytest.raises(ValueError, match="odd prime"):
+            primitive_orbits_of_order(5, p)
+
+
+def test_primitive_orbit_index_matches_the_built_orbits():
+    from evenk.siegel import is_fundamental_discriminant
+
     checked = 0
-    for p, bound in ((2, 400), (3, 1500), (5, 1000), (7, 1000)):
-        for f in range(3, bound):
-            if p == 2:
-                if not is_fundamental_discriminant(f):
-                    continue
-                orbits = [CharacterOrbit.of(quadratic_character(f))]
-            elif cyclic_conductor_is_valid(p, f):
-                orbits = primitive_orbits_of_order(f, p)
-            else:
-                continue
+    for f in range(3, 400):
+        if is_fundamental_discriminant(f):
+            key = orbit_key(local_coordinates(quadratic_character(f), 2), 2)
+            assert primitive_orbit_index(key, 2) == (f, 0), f
+    for p, bound in ORBIT_RANGES:
+        for f, orbits in _oracle_orbits(p, bound):
             for i, orbit in enumerate(orbits):
                 for chi in orbit.conjugates:
                     key = orbit_key(local_coordinates(chi, p), p)

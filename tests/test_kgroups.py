@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evenk.kgroups import (
-    AbelianByCharacters,
     CubicParameters,
     CyclicPrime,
     Elementary,
@@ -22,6 +21,7 @@ from evenk.kgroups import (
     kz,
     quadratic_k2_closed_form,
     quadratic_k6_closed_form,
+    riemann_zeta_negative,
     zeta_abelian,
 )
 from evenk.arith import is_prime
@@ -68,21 +68,11 @@ def test_zeta_abelian_elementary_is_product_over_parts():
     assert zeta_abelian(spec, 2) == value
 
 
-def test_zeta_abelian_by_characters():
-    orbits = tuple(primitive_orbits_of_order(63, 3))
-    spec = AbelianByCharacters(63, orbits)
-    assert spec.degree() == 5
-    product = zeta_abelian(Rationals(), 1)
-    for part in (CyclicPrime(3, 63, 0), CyclicPrime(3, 63, 1)):
-        product *= zeta_abelian(part, 1) / zeta_abelian(Rationals(), 1)
-    assert zeta_abelian(spec, 1) == product
-
-
 def test_zeta_abelian_degree_21_field():
     # the degree-21 subfield of Q(zeta_43): orbits of order 3, 7 and 21
     # characters mod 43; the orbit products must all collapse to Q even
     # though the order-21 computation runs inside Q(zeta_21)
-    from evenk.cyclodirichlet import CharacterOrbit, character_group
+    from evenk.cyclodirichlet import CharacterOrbit, character_group, orbit_l_product
 
     orbits = []
     seen = set()
@@ -92,12 +82,17 @@ def test_zeta_abelian_degree_21_field():
         orbit = CharacterOrbit.of(chi)
         seen.update(orbit.conjugates)
         orbits.append(orbit)
-    spec = AbelianByCharacters(43, tuple(orbits))
-    assert spec.degree() == 21
     assert sorted(len(o.conjugates) for o in orbits) == [2, 6, 12]
+
+    def zeta(k):
+        value = riemann_zeta_negative(k)
+        for orbit in orbits:
+            value *= orbit_l_product(orbit, k)
+        return value
+
     # zeta_F(1-2k) carries the functional-equation sign (-1)^(21k)
-    assert zeta_abelian(spec, 1) < 0
-    assert zeta_abelian(spec, 2) > 0
+    assert zeta(1) < 0
+    assert zeta(2) > 0
 
 
 # -- odd-index orders ---------------------------------------------------------------
@@ -140,10 +135,13 @@ def test_route_equivalence_sample():
             assert a.zeta_value == b.zeta_value
 
 
-def test_abelian_by_characters_supports_zeta_only():
-    spec = AbelianByCharacters(63, tuple(primitive_orbits_of_order(63, 3)))
-    with pytest.raises(UnsupportedField):
-        k_even_order(spec, 1)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(fundamentals(4999)), st.integers(1, 6))
+def test_zagier_and_characters_routes_agree(d, k):
+    a = k_even_order(RealQuadratic(d), k, method="zagier")
+    b = k_even_order(RealQuadratic(d), k, method="characters")
+    assert a.order == b.order
+    assert a.zeta_value == b.zeta_value
 
 
 # -- closed forms -----------------------------------------------------------------------

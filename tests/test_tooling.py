@@ -2,7 +2,9 @@
 (bench/tracing.py) wraps evenk functions by their names from outside the
 package; a renamed or deleted function would break `bench/run.py
 --trace 1` without any evenk test noticing.  The README's CLI block
-shows every subcommand; a renamed command or flag would leave it stale."""
+shows every subcommand; a renamed command or flag would leave it stale.
+The `kgroup --method` choices are spelled out in the CLI's command
+table; they must stay the routes the field specs accept."""
 
 import importlib
 import importlib.util
@@ -47,3 +49,14 @@ def test_readme_cli_examples_parse_and_cover_every_command():
     for argv in examples:
         parser.parse_args(argv[1:])  # raises UsageError on drift
     assert {argv[1] for argv in examples} >= set(cli.COMMANDS)
+
+
+def test_kgroup_method_choices_are_the_field_specs_order_methods():
+    from typing import get_args
+
+    from evenk import cli
+    from evenk.kgroups import FieldSpec
+
+    choices = cli.COMMANDS["kgroup"].arguments["--method"]["choices"]
+    methods = {m for spec in get_args(FieldSpec) for m in spec.ORDER_METHODS}
+    assert set(choices) == methods
