@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
+
+from .values import Value
 
 # Witnesses making Miller-Rabin deterministic below 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -249,8 +250,7 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[n]
 
 
-@dataclass(frozen=True)
-class FactorBudget:
+class FactorBudget(Value):
     """Bounds for best-effort factorization.
 
     Trial division runs over the primes up to min(trial_limit,
@@ -259,12 +259,13 @@ class FactorBudget:
     then gets rho_iterations per number it tries to split.
     """
 
-    trial_limit: int = 10**6
-    rho_iterations: int = 10**6
+    __slots__ = ("trial_limit", "rho_iterations")
+    _defaults = {"trial_limit": 10**6, "rho_iterations": 10**6}
+    trial_limit: int
+    rho_iterations: int
 
 
-@dataclass(frozen=True)
-class PartialFactorization:
+class PartialFactorization(Value):
     """Factored part of an integer plus whatever resisted the budget.
 
     factored lists (prime, exponent) pairs in increasing prime order;
@@ -274,9 +275,11 @@ class PartialFactorization:
     is checked here.
     """
 
+    __slots__ = ("factored", "cofactor", "complete")
+    _defaults = {"cofactor": 1, "complete": True}
     factored: tuple[tuple[int, int], ...]
-    cofactor: int = 1
-    complete: bool = True
+    cofactor: int
+    complete: bool
 
     def __post_init__(self) -> None:
         for p, e in self.factored:

@@ -24,12 +24,9 @@ NotRational, bad character files and kin), 3 witness inconsistency.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
-from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .arith import FactorBudget, is_prime
 from .cyclodirichlet import (
@@ -76,19 +73,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class OutputRecord:
-    """One table row: a field, the twist k, the K-index, the order as a
-    decimal string, its (possibly partial) factorization, the method
-    tag, and the zeta value as a fraction string."""
-
-    field: str
-    k: int
-    index: int
-    order: str
-    factorization: str
-    method: str
-    zeta: str
+OutputRecord = namedtuple(
+    "OutputRecord", ("field", "k", "index", "order", "factorization", "method", "zeta")
+)
+OutputRecord.__doc__ = """One table row: a field, the twist k, the K-index, the order as a
+decimal string, its (possibly partial) factorization, the method tag,
+and the zeta value as a fraction string; the fields are the columns."""
 
 
 def parse_field_spec(text: str) -> FieldSpec:
@@ -137,23 +127,21 @@ def _field_sort_key(field: str):
 def emit_table(records: list[OutputRecord], fmt: str) -> str:
     """Render records deterministically (sorted by field then k)."""
     records = sorted(records, key=lambda r: (_field_sort_key(r.field), r.k))
-    columns = ["field", "k", "index", "order", "factorization", "method", "zeta"]
+    columns = OutputRecord._fields
     if fmt == "json":
-        return "".join(json.dumps(asdict(r)) + "\n" for r in records)
+        import json
+
+        return "".join(json.dumps(r._asdict()) + "\n" for r in records)
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for r in records:
-            d = asdict(r)
-            writer.writerow([d[c] for c in columns])
+        writer.writerows(records)
         return buf.getvalue()
     if fmt == "text":
-        rows = [columns] + [
-            [str(v) for v in (r.field, r.k, r.index, r.order,
-                              r.factorization, r.method, r.zeta)]
-            for r in records
-        ]
+        rows = [columns] + [[str(v) for v in r] for r in records]
         widths = [max(len(row[i]) for row in rows) for i in range(len(columns))]
         lines = [
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
@@ -272,19 +260,13 @@ def _char_check(args):
         yield payload, "ok " + " ".join(f"{key}={value}" for key, value in payload.items())
 
 
-@dataclass(frozen=True)
-class Command:
-    """A subcommand: help text, arguments (flag -> add_argument
-    keywords), and a handler of the parsed arguments.  A table command's
-    handler yields (KGroupOrder, k) pairs, which run factors under one
-    budget and renders with emit_table; such a command also takes
-    `--format csv` and --factor-budget.  Any other handler yields
-    (JSON object, text) pairs, which run prints one per line."""
-
-    help: str
-    arguments: dict[str, dict]
-    handler: Callable[[argparse.Namespace], Iterator[tuple]]
-    table: bool = False
+Command = namedtuple("Command", ("help", "arguments", "handler", "table"), defaults=(False,))
+Command.__doc__ = """A subcommand: help text, arguments (flag -> add_argument keywords),
+and a handler of the parsed arguments.  A table command's handler
+yields (KGroupOrder, k) pairs, which run factors under one budget and
+renders with emit_table; such a command also takes `--format csv` and
+--factor-budget.  Any other handler yields (JSON object, text) pairs,
+which run prints one per line."""
 
 
 _K = dict(type=int, required=True)
@@ -350,9 +332,14 @@ def run(argv: list[str]) -> int:
             records = [_record_from_order(result, k, budget)
                        for result, k in command.handler(args)]
             sys.stdout.write(emit_table(records, args.format))
+        elif args.format == "json":
+            import json
+
+            for obj, _ in command.handler(args):
+                print(json.dumps(obj))
         else:
-            for obj, text in command.handler(args):
-                print(json.dumps(obj) if args.format == "json" else text)
+            for _, text in command.handler(args):
+                print(text)
         return 0
     except InconsistentWitnesses as exc:
         for details in exc.args[0]:

@@ -18,14 +18,13 @@ exactly multiplicativity, at O(phi(m) * rank) cost.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, gcd, lcm
 
 from .arith import bernoulli, divisors, factor_small, is_prime
+from .values import Value
 from .winv import cyclic_conductor_is_valid
 
 
@@ -593,10 +592,10 @@ def quadratic_character(d: int) -> DirichletCharacter:
     return DirichletCharacter(m, order, exps)
 
 
-@dataclass(frozen=True)
-class CharacterOrbit:
+class CharacterOrbit(Value):
     """A Galois orbit {chi^i : gcd(i, order) = 1} of a character."""
 
+    __slots__ = ("representative", "conjugates")
     representative: DirichletCharacter
     conjugates: tuple[DirichletCharacter, ...]
 
@@ -803,6 +802,8 @@ def parse_character_file(path) -> list[DirichletCharacter]:
     [[a, e], ...]} where the pairs list every residue coprime to m in
     increasing order and chi(a) = zeta_n^e with 0 <= e < n.
     """
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

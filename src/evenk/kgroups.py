@@ -18,7 +18,6 @@ it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
 
@@ -34,6 +33,7 @@ from .arith import (
 )
 from .cyclodirichlet import (
     CharacterOrbit,
+    _primitive_orbit_coordinates,
     local_coordinates,
     orbit_key,
     orbit_l_product,
@@ -42,6 +42,7 @@ from .cyclodirichlet import (
     quadratic_character,
 )
 from .siegel import QuadraticDiscriminant, zeta_quadratic
+from .values import Value
 from .winv import WInvariant
 
 
@@ -66,12 +67,15 @@ class UnsupportedField(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _Field:
+class _Field(Value):
     """What every field spec shares.  A spec states the (conductor,
     size) of each nontrivial Galois orbit of the field's even Dirichlet
     characters (orbit_shapes; none for Q); degree, conductor, rank, zeta
     values and w are derived from those.  The orbits themselves
-    (character_orbits) are built only when an L-value needs them."""
+    (character_orbits) are built only when an L-value needs them.  Specs
+    are frozen values, so they can key caches."""
+
+    __slots__ = ()
 
     # zeta routes k_even_order accepts, default first
     ORDER_METHODS: tuple[str, ...]
@@ -94,16 +98,16 @@ class _Field:
         return valuation(self.degree(), shapes[0][1] + 1) if shapes else 0
 
 
-@dataclass(frozen=True)
 class Rationals(_Field):
+    __slots__ = ()
     ORDER_METHODS = ("characters", "kz")
 
     def label(self) -> str:
         return "q"
 
 
-@dataclass(frozen=True)
 class RealQuadratic(_Field):
+    __slots__ = ("d",)
     ORDER_METHODS = ("characters", "zagier")
 
     d: int
@@ -117,11 +121,14 @@ class RealQuadratic(_Field):
     def character_orbits(self) -> tuple[CharacterOrbit, ...]:
         return (CharacterOrbit.of(quadratic_character(self.d)),)
 
+    def orbit_coordinates(self) -> tuple:
+        """local_coordinates of the field's character, for orbit_key."""
+        return local_coordinates(quadratic_character(self.d), 2)
+
     def label(self) -> str:
         return f"quad:{self.d}"
 
 
-@dataclass(frozen=True)
 class CyclicPrime(_Field):
     """A real cyclic field of odd prime degree p and conductor f; when
     several such fields share the conductor, `orbit` picks the Galois
@@ -130,11 +137,13 @@ class CyclicPrime(_Field):
     primitive_orbits_of_order).  A conductor with s distinct prime
     factors carries (p - 1)^(s - 1) such fields."""
 
+    __slots__ = ("p", "f", "orbit")
+    _defaults = {"orbit": 0}
     ORDER_METHODS = ("characters",)
 
     p: int
     f: int
-    orbit: int = 0
+    orbit: int
 
     def __post_init__(self) -> None:
         if self.p == 2 or not is_prime(self.p):
@@ -157,6 +166,11 @@ class CyclicPrime(_Field):
     def character_orbits(self) -> tuple[CharacterOrbit, ...]:
         return (primitive_orbits_of_order(self.f, self.p)[self.orbit],)
 
+    def orbit_coordinates(self) -> tuple:
+        """local_coordinates of the orbit's first member, for orbit_key,
+        read off the orbit numbering without building a character."""
+        return _primitive_orbit_coordinates(self.f, self.p)[self.orbit]
+
     def label(self) -> str:
         if self.orbit:
             return f"cyclic:{self.p}:{self.f}:{self.orbit}"
@@ -168,7 +182,6 @@ def _cyclic_field(p: int, f: int, index: int = 0):
     return RealQuadratic(f) if p == 2 else CyclicPrime(p, f, index)
 
 
-@dataclass(frozen=True)
 class Elementary(_Field):
     """A totally real field with Galois group (Z/pZ)^n, n >= 2, listed
     by its (p^n - 1)/(p - 1) degree-p subfields.  Their characters must
@@ -176,6 +189,7 @@ class Elementary(_Field):
     exactly the parts: with the count right, every chi_a * chi_b^e of
     two parts must lie in a part (checked in local coordinates)."""
 
+    __slots__ = ("p", "parts")
     ORDER_METHODS = ("combiner", "characters")
 
     p: int
@@ -195,10 +209,7 @@ class Elementary(_Field):
             raise ValueError(
                 f"{len(self.parts)} parts is not (p^n - 1)/(p - 1) for any n >= 2"
             )
-        keys = [
-            orbit_key(local_coordinates(part.character_orbits()[0].representative, p), p)
-            for part in self.parts
-        ]
+        keys = [orbit_key(part.orbit_coordinates(), p) for part in self.parts]
         for i, a in enumerate(keys):
             for j in range(i + 1, len(keys)):
                 for e in range(1, p):
@@ -224,21 +235,29 @@ class Elementary(_Field):
 FieldSpec = Rationals | RealQuadratic | CyclicPrime | Elementary
 
 
-@dataclass
-class KGroupOrder:
+class KGroupOrder(Value):
     """A computed |K_index(O_F)| with method provenance; the partial
     factorization is filled in lazily because the orders can run to
-    hundreds of digits.  pieces are positive integers whose primes
-    cover those of the order (the factors a route multiplied it from);
+    hundreds of digits, so unlike the other values this one is mutable
+    and unhashable.  pieces are positive integers whose primes cover
+    those of the order (the factors a route multiplied it from);
     factorization splits them instead of the whole order."""
+
+    __slots__ = (
+        "field", "index", "order", "method", "zeta_value", "factorization", "pieces"
+    )
+    _defaults = {"zeta_value": None, "factorization": None, "pieces": ()}
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
     field: FieldSpec
     index: int
     order: int
     method: str
-    zeta_value: Fraction | None = None
-    factorization: PartialFactorization | None = None
-    pieces: tuple[int, ...] = ()
+    zeta_value: Fraction | None
+    factorization: PartialFactorization | None
+    pieces: tuple[int, ...]
 
     def ensure_factorization(
         self, budget: FactorBudget | None = None
@@ -415,49 +434,16 @@ def _distinct(pieces: list[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Fast closed forms for quadratic K_2 and K_6
-# ---------------------------------------------------------------------------
-
-
-def quadratic_k2_closed_form(d: int) -> int:
-    """|K_2| of a real quadratic field: (4/5) e_1(8) over Q(sqrt 2),
-    2 e_1(5) over Q(sqrt 5), (2/5) e_1(D) otherwise."""
-    from .siegel import e_sum
-
-    QuadraticDiscriminant(d)
-    if d == 8:
-        value = Fraction(4, 5) * e_sum(8, 1)
-    elif d == 5:
-        value = Fraction(2 * e_sum(5, 1))
-    else:
-        value = Fraction(2, 5) * e_sum(d, 1)
-    return _as_positive_int(value, f"closed-form |K_2| for D={d}")
-
-
-def quadratic_k6_closed_form(d: int) -> int:
-    """|K_6| of a real quadratic field: e_3(8) over Q(sqrt 2), else
-    e_3(D)/2."""
-    from .siegel import e_sum
-
-    QuadraticDiscriminant(d)
-    if d == 8:
-        value = Fraction(e_sum(8, 3))
-    else:
-        value = Fraction(e_sum(d, 3), 2)
-    return _as_positive_int(value, f"closed-form |K_6| for D={d}")
-
-
-# ---------------------------------------------------------------------------
 # Hasse parameterization of cyclic cubic fields
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CubicParameters:
+class CubicParameters(Value):
     """Hasse data for the cyclic cubic field of conductor f: the unique
     (a, b) with 4f = a^2 + 3b^2 under the congruence normalization, and
     the defining polynomial X^3 - 3fX - fa."""
 
+    __slots__ = ("f", "a", "b")
     f: int
     a: int
     b: int

@@ -9,8 +9,6 @@ power-sum machinery.  chi(2) below is the Kronecker symbol (D|2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import kronecker
 from .siegel import (
     QuadraticDiscriminant,
@@ -18,18 +16,20 @@ from .siegel import (
     e_sum,
     is_fundamental_discriminant,
 )
+from .values import Value
 
 
-@dataclass(frozen=True)
-class DivisibilityWitness:
+class DivisibilityWitness(Value):
     """Evaluated statements for one discriminant; consistent is True
     exactly when all the booleans coincide.  power_sums keeps the raw
     e_j values so an inconsistency can be reported in full."""
 
+    __slots__ = ("d", "statements", "consistent", "power_sums")
+    _defaults = {"power_sums": ()}
     d: int
     statements: tuple[tuple[str, bool], ...]
     consistent: bool
-    power_sums: tuple[tuple[str, int], ...] = ()
+    power_sums: tuple[tuple[str, int], ...]
 
     def details(self) -> str:
         body = ", ".join(f"{label}={value}" for label, value in self.statements)

@@ -18,17 +18,17 @@ ch. 3).  One formula then covers every field:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm, prod
 
 from .arith import factor_small, is_prime, primes_up_to, valuation
 from .siegel import QuadraticDiscriminant, as_discriminant, is_fundamental_discriminant
+from .values import Value
 
 
-@dataclass(frozen=True)
-class WInvariant:
+class WInvariant(Value):
     """w value together with its prime decomposition."""
 
+    __slots__ = ("value", "parts")
     value: int
     parts: dict[int, int]
 

@@ -21,7 +21,9 @@ from evenk.cyclodirichlet import (
     cyclotomic_polynomial,
     euler_phi,
 )
+from evenk.kgroups import _as_positive_int
 from evenk.qseries import LaurentSeries
+from evenk.siegel import QuadraticDiscriminant, e_sum
 
 
 # -- Bernoulli polynomials ----------------------------------------------------
@@ -341,3 +343,29 @@ def primitive_orbits_by_sorting(f: int, p: int) -> tuple[CharacterOrbit, ...]:
     sorting them: the numbering primitive_orbits_of_order must keep."""
     chars = characters_of_order_dividing(f, p)
     return tuple(galois_orbits(c for c in chars if c.order == p and c.conductor() == f))
+
+
+# -- closed forms for quadratic K_2 and K_6 -----------------------------------
+
+def quadratic_k2_closed_form(d: int) -> int:
+    """|K_2| of a real quadratic field: (4/5) e_1(8) over Q(sqrt 2),
+    2 e_1(5) over Q(sqrt 5), (2/5) e_1(D) otherwise."""
+    QuadraticDiscriminant(d)
+    if d == 8:
+        value = Fraction(4, 5) * e_sum(8, 1)
+    elif d == 5:
+        value = Fraction(2 * e_sum(5, 1))
+    else:
+        value = Fraction(2, 5) * e_sum(d, 1)
+    return _as_positive_int(value, f"closed-form |K_2| for D={d}")
+
+
+def quadratic_k6_closed_form(d: int) -> int:
+    """|K_6| of a real quadratic field: e_3(8) over Q(sqrt 2), else
+    e_3(D)/2."""
+    QuadraticDiscriminant(d)
+    if d == 8:
+        value = Fraction(e_sum(8, 3))
+    else:
+        value = Fraction(e_sum(d, 3), 2)
+    return _as_positive_int(value, f"closed-form |K_6| for D={d}")

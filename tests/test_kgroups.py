@@ -19,14 +19,13 @@ from evenk.kgroups import (
     k_even_order,
     k_odd_order,
     kz,
-    quadratic_k2_closed_form,
-    quadratic_k6_closed_form,
     riemann_zeta_negative,
     zeta_abelian,
 )
 from evenk.arith import is_prime
 from evenk.cyclodirichlet import primitive_orbits_of_order
 from evenk.siegel import is_fundamental_discriminant
+from oracles import quadratic_k2_closed_form, quadratic_k6_closed_form
 
 
 def fundamentals(bound):
@@ -284,8 +283,8 @@ def degree_nine_field():
 
 def test_characters_route_uses_the_field_orbits(monkeypatch):
     # k_even_order enters elementary_order_via_characters, and the route
-    # never builds the characters modulo the compositum's conductor; the
-    # parts' orbits were built (and cached) by the closure check
+    # never builds the characters modulo the compositum's conductor, only
+    # each part's own orbit
     import evenk.cyclodirichlet as cyclodirichlet
     import evenk.kgroups as kgroups
 
@@ -392,6 +391,48 @@ def test_elementary_closure_names_the_missing_subfield():
     Elementary(5, tuple(parts))
     with pytest.raises(ValueError, match="generate cyclic:5:341:3,"):
         Elementary(5, tuple(parts[:-1] + [CyclicPrime(5, 61)]))
+
+
+def test_elementary_closure_check_builds_no_characters(monkeypatch):
+    # a cyclic part's coordinates come from the orbit numbering, so w and
+    # kodd of an elem: field need no character at all
+    import evenk.cyclodirichlet as cyclodirichlet
+    from evenk.cli import run
+
+    moduli = []
+    build = cyclodirichlet._character_from_tuple
+
+    def counted(m, t):
+        moduli.append(m)
+        return build(m, t)
+
+    monkeypatch.setattr(cyclodirichlet, "_character_from_tuple", counted)
+    primitive_orbits_of_order.cache_clear()
+    field = "elem:3:cyclic:3:7,cyclic:3:13,cyclic:3:91:0,cyclic:3:91:1"
+    for command in ("w", "kodd"):
+        assert run([command, "--field", field, "--k", "1"]) == 0
+    assert moduli == []
+
+
+def test_cyclic_orbit_coordinates_are_those_of_the_built_orbit():
+    # the closure check's coordinates name the same orbit as the
+    # character character_orbits builds, for every cyclic: spec the
+    # tests use (conductors below 400, 1181, and the largest product of
+    # two cubic conductors)
+    from evenk.cyclodirichlet import local_coordinates, orbit_key
+    from evenk.winv import cyclic_conductor_is_valid
+
+    specs = [CyclicPrime(5, 1181), CyclicPrime(3, 193 * 199, 1)]
+    for p in (3, 5, 7):
+        for f in range(3, 400):
+            if cyclic_conductor_is_valid(p, f):
+                count = len(primitive_orbits_of_order(f, p))
+                specs += [CyclicPrime(p, f, i) for i in range(count)]
+    assert len(specs) == 102
+    for spec in specs:
+        (orbit,) = spec.character_orbits()
+        built = local_coordinates(orbit.representative, spec.p)
+        assert orbit_key(spec.orbit_coordinates(), spec.p) == orbit_key(built, spec.p), spec
 
 
 def test_zagier_and_w_routes_build_no_characters(monkeypatch):

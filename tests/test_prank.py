@@ -1,5 +1,4 @@
 from evenk.arith import kronecker
-from evenk.kgroups import quadratic_k2_closed_form
 from evenk.prank import (
     fundamental_discriminants_up_to,
     rank3_witness,
@@ -7,6 +6,7 @@ from evenk.prank import (
     scan,
 )
 from evenk.siegel import e_sum_brute_force
+from oracles import quadratic_k2_closed_form
 
 
 def test_rank3_statement_values_match_brute_force():

@@ -4,10 +4,14 @@ package; a renamed or deleted function would break `bench/run.py
 --trace 1` without any evenk test noticing.  The README's CLI block
 shows every subcommand; a renamed command or flag would leave it stale.
 The `kgroup --method` choices are spelled out in the CLI's command
-table; they must stay the routes the field specs accept."""
+table; they must stay the routes the field specs accept.  Every command
+is a fresh process, so importing the CLI must not load modules it only
+sometimes needs."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,3 +64,19 @@ def test_kgroup_method_choices_are_the_field_specs_order_methods():
     choices = cli.COMMANDS["kgroup"].arguments["--method"]["choices"]
     methods = {m for spec in get_args(FieldSpec) for m in spec.ORDER_METHODS}
     assert set(choices) == methods
+
+
+def test_cli_import_leaves_dataclasses_json_and_csv_unloaded():
+    # -S keeps the site hook (and whatever it imports) out, -B writes no
+    # bytecode into the checkout
+    src = TRACING.parent.parent / "src"
+    code = (
+        "import evenk.cli, sys; "
+        "print([m for m in ('dataclasses', 'inspect', 'json', 'csv') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout == "[]\n"
