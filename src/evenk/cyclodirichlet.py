@@ -2,18 +2,22 @@
 
 Elements of Q(zeta_n) are polynomials reduced modulo the n-th
 cyclotomic polynomial, held as integer numerators over one common
-denominator.  Dirichlet characters store their values as root-of-unity
-exponents, so the character check and equality stay in integer
-arithmetic; expansion into a
+denominator; they carry only what L-values need (products, Galois
+conjugates, the rational value of a norm).  Dirichlet characters store
+their values as root-of-unity exponents, so the character check and
+equality stay in integer arithmetic; expansion into a
 CyclotomicElement happens only when a generalized Bernoulli number or
 an L-value is assembled.
 
-Every character, whether read from a file or built here (powers,
-products, primitive parts, Kronecker characters, discrete-log tuples),
-passes the same check at construction: its exponents must be a linear
-form in the discrete logs of the cyclic decomposition of (Z/mZ)^*,
-whose generator values are killed by the component orders.  That is
-exactly multiplicativity, at O(phi(m) * rank) cost.
+A field's characters are built one per Galois orbit, from the orbit's
+coordinates at the local generators of (Z/mZ)^* (CharacterOrbit.of).
+Every character, whether read from a file or built here (from local
+coordinates, powers, products, primitive parts, Kronecker characters,
+discrete-log tuples), passes the same check at construction: its
+exponents must be a linear form in the discrete logs of the cyclic
+decomposition of (Z/mZ)^*, whose generator values are killed by the
+component orders.  That is exactly multiplicativity, at
+O(phi(m) * rank) cost.
 """
 
 from __future__ import annotations
@@ -130,67 +134,27 @@ class CyclotomicElement:
         """The power-basis coordinates as rationals."""
         return tuple(Fraction(c, self._den) for c in self._num)
 
-    @classmethod
-    def from_rational(cls, value, order: int = 1) -> CyclotomicElement:
-        value = Fraction(value)
-        num = [value.numerator] + [0] * (euler_phi(order) - 1)
-        return cls._make(order, num, value.denominator)
-
-    @classmethod
-    def root_of_unity(cls, order: int, exponent: int = 1) -> CyclotomicElement:
-        """zeta_order^exponent, fully reduced."""
-        return cls._make(order, _zeta_powers(order)[exponent % order], 1)
-
     def __repr__(self) -> str:
         return f"CyclotomicElement(order={self.order}, coeffs={self.coeffs})"
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and Fraction(self._num[0], self._den) == other
         if not isinstance(other, CyclotomicElement):
             return NotImplemented
-        if self.order != other.order:
-            n = lcm(self.order, other.order)
-            return self.embed(n) == other.embed(n)
-        return self._den == other._den and self._num == other._num
+        return (self.order, self._den, self._num) == (other.order, other._den, other._num)
 
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
 
-    def _check_order(self, other: CyclotomicElement) -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch ({self.order} vs {other.order}); "
-                "embed explicitly first"
-            )
-
-    def __add__(self, other) -> CyclotomicElement:
-        other = _coerce(other, self.order)
-        self._check_order(other)
-        den = lcm(self._den, other._den)
-        s1, s2 = den // self._den, den // other._den
-        num = [a * s1 + b * s2 for a, b in zip(self._num, other._num)]
-        return CyclotomicElement._make(self.order, num, den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> CyclotomicElement:
-        return CyclotomicElement._make(self.order, [-a for a in self._num], self._den)
-
-    def __sub__(self, other) -> CyclotomicElement:
-        return self + (-_coerce(other, self.order))
-
-    def __rsub__(self, other) -> CyclotomicElement:
-        return (-self) + _coerce(other, self.order)
-
     def __mul__(self, other) -> CyclotomicElement:
+        """The product with a rational scalar or an element of the same field."""
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
             p = other.numerator
             return CyclotomicElement._make(
                 self.order, [a * p for a in self._num], self._den * other.denominator
             )
-        self._check_order(other)
+        if self.order != other.order:
+            raise ValueError(f"order mismatch ({self.order} vs {other.order})")
         raw = [0] * (len(self._num) + len(other._num) - 1)
         for i, a in enumerate(self._num):
             if a:
@@ -201,39 +165,6 @@ class CyclotomicElement:
             self.order,
             _reduce_mod_cyclotomic(raw, self.order),
             self._den * other._den,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> CyclotomicElement:
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        raise TypeError("cyclotomic division only by rational scalars")
-
-    def __pow__(self, exponent: int) -> CyclotomicElement:
-        if exponent < 0:
-            raise ValueError("negative cyclotomic powers unsupported")
-        result = CyclotomicElement.from_rational(1, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def embed(self, new_order: int) -> CyclotomicElement:
-        """Image in Q(zeta_new_order); requires order | new_order."""
-        if new_order % self.order:
-            raise ValueError("can only embed into a multiple of the order")
-        if new_order == self.order:
-            return self
-        step = new_order // self.order
-        raw = [0] * ((len(self._num) - 1) * step + 1)
-        raw[::step] = self._num
-        return CyclotomicElement._make(
-            new_order, _reduce_mod_cyclotomic(raw, new_order), self._den
         )
 
     def conjugate(self, i: int) -> CyclotomicElement:
@@ -247,21 +178,10 @@ class CyclotomicElement:
             raw[i * j % n] = a
         return CyclotomicElement._make(n, _reduce_mod_cyclotomic(raw, n), self._den)
 
-    def is_rational(self) -> bool:
-        return not any(self._num[1:])
-
     def as_rational(self) -> Fraction:
-        if not self.is_rational():
+        if any(self._num[1:]):
             raise NotRational(f"element of Q(zeta_{self.order}) is irrational")
         return Fraction(self._num[0], self._den)
-
-
-def _coerce(value, order: int) -> CyclotomicElement:
-    if isinstance(value, CyclotomicElement):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return CyclotomicElement.from_rational(value, order)
-    raise TypeError(f"cannot coerce {type(value).__name__}")
 
 
 def _reduce_mod_cyclotomic(raw: list[int], order: int) -> list[int]:
@@ -286,23 +206,6 @@ def _reduce_mod_cyclotomic(raw: list[int], order: int) -> list[int]:
         return raw + [0] * (phi - len(raw))
     del raw[phi:]
     return raw
-
-
-@lru_cache(maxsize=None)
-def _zeta_powers(order: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_order^e reduced mod Phi_order, for e = 0 .. order-1."""
-    phi = euler_phi(order)
-    mod = cyclotomic_polynomial(order)
-    row = [1] + [0] * (phi - 1)
-    rows = []
-    for _ in range(order):
-        rows.append(tuple(row))
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            for j in range(phi):
-                row[j] -= top * mod[j]
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +342,8 @@ class DirichletCharacter:
         return self.conductor() == self.modulus
 
 
-def _primitive_root(q: int, e: int) -> int:
-    """Primitive root mod q^e for odd prime q."""
+def _primitive_root(q: int) -> int:
+    """A primitive root mod q^2, and so mod every q^e, for odd prime q."""
     phi = q - 1
     prime_parts = [p for p, _ in factor_small(phi)]
     g = 2
@@ -448,66 +351,55 @@ def _primitive_root(q: int, e: int) -> int:
         if all(pow(g, phi // p, q) != 1 for p in prime_parts):
             break
         g += 1
-    if e > 1 and pow(g, q - 1, q * q) == 1:
+    if pow(g, q - 1, q * q) == 1:
         g += q
     return g
+
+
+def _local_generators(m: int) -> list[tuple[tuple[int, int], int, int, int]]:
+    """The local generators of (Z/mZ)^*, as ((q, g), q^e, order, x) for
+    each q^e exactly dividing m: g generates (Z/q^e)^* (a primitive root
+    mod q^2 for odd q; -1 and 5 for q = 2), order is its order mod q^e,
+    and x is g lifted by CRT to 1 modulo m / q^e.  Generators of order 1
+    (5 when 8 does not divide m, -1 when 4 does not) are left out."""
+    out = []
+    for q, e in factor_small(m):
+        qe = q**e
+        rest = m // qe
+        if q == 2:
+            local = [(-1, 2), (5, qe // 4)][: e - 1]
+        else:
+            local = [(_primitive_root(q), euler_phi(qe))]
+        for g, order in local:
+            x = (1 + rest * ((g - 1) * pow(rest, -1, qe) % qe)) % m
+            out.append(((q, g), qe, order, x))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _unit_group_data(m: int):
     """Cyclic decomposition of (Z/mZ)^* with discrete-log tables.
 
-    Returns (gens, units) where gens is a list of (generator,
-    component_order, dlog) and dlog maps each unit residue mod m to its
-    exponent along that component.  The generator is the unit mod m
-    whose dlog vector is this component's basis vector: the local
-    generator lifted by CRT to 1 modulo the other prime powers.  Odd
-    prime powers use a primitive root; 2^e splits as <-1> x <5> for
-    e >= 3.
-    """
+    Returns (gens, units) where gens lists (x, order, dlog) for each of
+    the _local_generators(m), in their order, and dlog maps each unit
+    residue mod m to its exponent along x; x has the basis vector as its
+    dlogs.  A unit mod 2^e is -1 to the power (u mod 4) // 2 times a
+    power of 5."""
     units = _canonical_units(m)
-    if m <= 2:
-        return [], units
-    gens: list[tuple[int, int, dict[int, int]]] = []
-    for q, e in factor_small(m):
-        qe = q**e
-        local: list[tuple[int, int, dict[int, int]]] = []
-        if q == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                local.append((3, 2, {1: 0, 3: 1}))
-            else:
-                pow5 = {}
-                x = 1
-                for j in range(qe // 4):
-                    pow5[x] = j
-                    x = x * 5 % qe
-                sign_table: dict[int, int] = {}
-                five_table: dict[int, int] = {}
-                for u in range(1, qe, 2):
-                    if u in pow5:
-                        sign_table[u] = 0
-                        five_table[u] = pow5[u]
-                    else:
-                        sign_table[u] = 1
-                        five_table[u] = pow5[qe - u]
-                local.append((qe - 1, 2, sign_table))
-                local.append((5, qe // 4, five_table))
+    gens = []
+    for (q, g), qe, order, x in _local_generators(m):
+        if g == -1:
+            dlog = {u: u % 4 // 2 for u in units}
         else:
-            g = _primitive_root(q, e)
-            order = euler_phi(qe)
-            table = {}
-            x = 1
+            powers = {}
+            y = 1
             for i in range(order):
-                table[x] = i
-                x = x * g % qe
-            local.append((g, order, table))
-        rest = m // qe
-        for g, order, table in local:
-            lifted = (1 + rest * ((g - 1) * pow(rest, -1, qe) % qe)) % m
-            dlog = {u: table[u % qe] for u in units}
-            gens.append((lifted, order, dlog))
+                powers[y] = i
+                y = y * g % qe
+            if q == 2:
+                powers.update({qe - r: i for r, i in powers.items()})
+            dlog = {u: powers[u % qe] for u in units}
+        gens.append((x, order, dlog))
     return gens, units
 
 
@@ -593,33 +485,38 @@ def quadratic_character(d: int) -> DirichletCharacter:
 
 
 class CharacterOrbit(Value):
-    """A Galois orbit {chi^i : gcd(i, order) = 1} of a character."""
+    """The Galois orbit {chi^i : gcd(i, order) = 1} of a character,
+    held as its representative chi."""
 
-    __slots__ = ("representative", "conjugates")
+    __slots__ = ("representative",)
     representative: DirichletCharacter
-    conjugates: tuple[DirichletCharacter, ...]
 
     @classmethod
-    def of(cls, chi: DirichletCharacter) -> CharacterOrbit:
-        rest = (chi**i for i in range(2, chi.order) if gcd(i, chi.order) == 1)
-        return cls(chi, (chi, *rest))
+    @lru_cache(maxsize=None)
+    def of(cls, m: int, coords, n: int) -> CharacterOrbit:
+        """The orbit of the character mod m with chi(x) = zeta_n^c at the
+        lift x of each local generator (q, g) listed as ((q, g), c) in
+        coords, and chi(x) = 1 at the others (see _local_generators).
+        Memoized, so a field queried at several k builds each of its
+        orbits once."""
+        at = dict(coords)
+        t = tuple(at.get(g, 0) * order // n for g, _, order, _ in _local_generators(m))
+        return cls(_character_from_tuple(m, t))
 
 
 @lru_cache(maxsize=None)
 def _primitive_orbit_coordinates(f: int, p: int) -> tuple[tuple, ...]:
     """For each Galois orbit of the order-p characters of conductor
-    exactly f (p an odd prime, f such a conductor), the local_coordinates
-    of its first member, in index order: the characters sorted by their
-    exponents at the units 2, 3, ... mod f, each orbit placed where its
-    first member falls.  A character is its coordinates c_q at the local
-    generators g_q, and its exponent at a is sum_q c_q log_q(a) mod p,
-    read off a^(phi(q^e)/p) mod q^e; the units are walked only until the
-    characters all differ."""
+    exactly f (p an odd prime, f such a conductor), the coordinates
+    ((q, g), c) of its first member at the local generators of
+    _local_generators(f), in index order: the characters sorted by
+    their exponents at the units 2, 3, ... mod f, each orbit placed
+    where its first member falls.  The exponent at a is
+    sum_q c_q log_q(a) mod p, read off a^(phi(q^e)/p) mod q^e; the units
+    are walked only until the characters all differ."""
     logs = []
-    for q, _ in factor_small(f):
-        qe = q * q if q == p else q
-        g = _primitive_root(q, 2)
-        step = euler_phi(qe) // p
+    for (q, g), qe, order, _ in _local_generators(f):
+        step = order // p
         h = pow(g, step, qe)
         logs.append(((q, g), qe, step, [pow(h, j, qe) for j in range(p)]))
     chars = list(product(range(1, p), repeat=len(logs)))
@@ -640,45 +537,17 @@ def _primitive_orbit_coordinates(f: int, p: int) -> tuple[tuple, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def primitive_orbits_of_order(f: int, p: int) -> tuple[CharacterOrbit, ...]:
     """Galois orbits of the order-p characters with conductor exactly f,
-    for an odd prime p (empty when f is not such a conductor).  Orbit i
-    is the i-th in the order of its members' exponents at the units
-    2, 3, ... mod f, and is represented by its member that comes first
-    (see _primitive_orbit_coordinates); only that member and its
-    conjugates are built."""
+    for an odd prime p (empty when f is not such a conductor), each
+    built from its _primitive_orbit_coordinates: orbit i is the i-th in
+    the order of its members' exponents at the units 2, 3, ... mod f.
+    The field specs build only their own orbit; this builds all."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"primitive_orbits_of_order needs an odd prime, got {p}")
     if not cyclic_conductor_is_valid(p, f):
         return ()
-    gens, _ = _unit_group_data(f)  # one component per prime, as in the coordinates
-    orbits = []
-    for coords in _primitive_orbit_coordinates(f, p):
-        # chi(g_q) = zeta_p^x is the tuple entry x * order / p
-        t = tuple(x * order // p for (_, x), (_, order, _) in zip(coords, gens))
-        orbits.append(CharacterOrbit.of(_character_from_tuple(f, t)))
-    return tuple(orbits)
-
-
-def local_coordinates(chi: DirichletCharacter, n: int) -> tuple:
-    """chi at local generators, as ((q, g), e) pairs with e != 0: for
-    each q^d exactly dividing the modulus m and generator g of (Z/q^d)^*
-    (a primitive root mod q^2 for odd q; -1 and 5 for q = 2),
-    chi(x) = zeta_n^e for x = g mod q^d, x = 1 mod m/q^d (n a multiple
-    of chi.order).  The generators do not depend on m, so chi and its
-    primitive part agree and a product of characters adds coordinates."""
-    out = []
-    m = chi.modulus
-    for q, e in factor_small(m):
-        qe = q**e
-        rest = m // qe
-        for g in ((-1, 5) if q == 2 else (_primitive_root(q, 2),)):
-            x = (1 + rest * ((g - 1) * pow(rest, -1, qe) % qe)) % m
-            exponent = chi.exponent(x) * (n // chi.order) % n
-            if exponent:
-                out.append(((q, g), exponent))
-    return tuple(out)
+    return tuple(CharacterOrbit.of(f, c, p) for c in _primitive_orbit_coordinates(f, p))
 
 
 def orbit_key(coords, p: int) -> tuple:

@@ -29,17 +29,16 @@ from .arith import (
     factor_small,
     factorize,
     is_prime,
+    kronecker,
     valuation,
 )
 from .cyclodirichlet import (
     CharacterOrbit,
+    _local_generators,
     _primitive_orbit_coordinates,
-    local_coordinates,
     orbit_key,
     orbit_l_product,
     primitive_orbit_index,
-    primitive_orbits_of_order,
-    quadratic_character,
 )
 from .siegel import QuadraticDiscriminant, zeta_quadratic
 from .values import Value
@@ -68,12 +67,15 @@ class UnsupportedField(ValueError):
 
 
 class _Field(Value):
-    """What every field spec shares.  A spec states the (conductor,
-    size) of each nontrivial Galois orbit of the field's even Dirichlet
-    characters (orbit_shapes; none for Q); degree, conductor, rank, zeta
-    values and w are derived from those.  The orbits themselves
-    (character_orbits) are built only when an L-value needs them.  Specs
-    are frozen values, so they can key caches."""
+    """What every field spec shares.  A spec states each nontrivial
+    Galois orbit of the field's even Dirichlet characters once (none for
+    Q): its (conductor, size) in orbit_shapes, and in orbit_coordinates
+    the coordinates ((q, g), c) of one member at the local generators of
+    its conductor, where chi(g) = zeta_p^c and p = size + 1 is the
+    member's order.  Degree, conductor, rank and w come from the shapes
+    alone; character_orbits builds one character per orbit from the
+    coordinates, only when an L-value needs it.  Specs are frozen
+    values, so they can key caches."""
 
     __slots__ = ()
 
@@ -83,8 +85,14 @@ class _Field(Value):
     def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
         return ()
 
-    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
+    def orbit_coordinates(self) -> tuple[tuple, ...]:
         return ()
+
+    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
+        return tuple(
+            CharacterOrbit.of(f, coords, size + 1)
+            for (f, size), coords in zip(self.orbit_shapes(), self.orbit_coordinates())
+        )
 
     def degree(self) -> int:
         return 1 + sum(size for _, size in self.orbit_shapes())
@@ -118,12 +126,10 @@ class RealQuadratic(_Field):
     def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
         return ((self.d, 1),)
 
-    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
-        return (CharacterOrbit.of(quadratic_character(self.d)),)
-
-    def orbit_coordinates(self) -> tuple:
-        """local_coordinates of the field's character, for orbit_key."""
-        return local_coordinates(quadratic_character(self.d), 2)
+    def orbit_coordinates(self) -> tuple[tuple, ...]:
+        """The Kronecker symbol (d|x) at the local generators' lifts x."""
+        d = self.d
+        return (tuple((g, 1) for g, _, _, x in _local_generators(d) if kronecker(d, x) < 0),)
 
     def label(self) -> str:
         return f"quad:{self.d}"
@@ -134,7 +140,7 @@ class CyclicPrime(_Field):
     several such fields share the conductor, `orbit` picks the Galois
     orbit of defining characters, counted from 0 in the order of each
     orbit's first member by its values at 2, 3, ... (see
-    primitive_orbits_of_order).  A conductor with s distinct prime
+    _primitive_orbit_coordinates).  A conductor with s distinct prime
     factors carries (p - 1)^(s - 1) such fields."""
 
     __slots__ = ("p", "f", "orbit")
@@ -163,13 +169,9 @@ class CyclicPrime(_Field):
     def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
         return ((self.f, self.p - 1),)
 
-    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
-        return (primitive_orbits_of_order(self.f, self.p)[self.orbit],)
-
-    def orbit_coordinates(self) -> tuple:
-        """local_coordinates of the orbit's first member, for orbit_key,
-        read off the orbit numbering without building a character."""
-        return _primitive_orbit_coordinates(self.f, self.p)[self.orbit]
+    def orbit_coordinates(self) -> tuple[tuple, ...]:
+        """The orbit's first member, read off the orbit numbering."""
+        return (_primitive_orbit_coordinates(self.f, self.p)[self.orbit],)
 
     def label(self) -> str:
         if self.orbit:
@@ -209,7 +211,7 @@ class Elementary(_Field):
             raise ValueError(
                 f"{len(self.parts)} parts is not (p^n - 1)/(p - 1) for any n >= 2"
             )
-        keys = [orbit_key(part.orbit_coordinates(), p) for part in self.parts]
+        keys = [orbit_key(coords, p) for coords in self.orbit_coordinates()]
         for i, a in enumerate(keys):
             for j in range(i + 1, len(keys)):
                 for e in range(1, p):
@@ -224,8 +226,8 @@ class Elementary(_Field):
     def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
         return tuple(s for part in self.parts for s in part.orbit_shapes())
 
-    def character_orbits(self) -> tuple[CharacterOrbit, ...]:
-        return tuple(o for part in self.parts for o in part.character_orbits())
+    def orbit_coordinates(self) -> tuple[tuple, ...]:
+        return tuple(c for part in self.parts for c in part.orbit_coordinates())
 
     def label(self) -> str:
         inner = ",".join(part.label() for part in self.parts)

@@ -2,8 +2,9 @@
 
 Each is a plain transcription of a definition, or earlier code that a
 kernel in `evenk` replaced (Fraction arithmetic, the list-based trial
-division, orbit numbering by building and sorting every character); the
-tests require the kernels to agree with them exactly.
+division, orbit numbering by building and sorting every character, a
+character's coordinates read off its values); the tests require the
+kernels to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -11,12 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
-from evenk.arith import bernoulli, is_prime, primes_up_to, valuation
+from evenk.arith import bernoulli, factor_small, is_prime, primes_up_to, valuation
 from evenk.cyclodirichlet import (
     CharacterOrbit,
+    DirichletCharacter,
     NotRational,
+    _primitive_root,
     characters_of_order_dividing,
     cyclotomic_polynomial,
     euler_phi,
@@ -320,7 +323,18 @@ def series_power(s: LaurentSeries, n: int) -> LaurentSeries:
     return result
 
 
-# -- Galois orbits ------------------------------------------------------------
+# -- Galois orbits and local coordinates ----------------------------------------
+
+def conjugates(chi: DirichletCharacter) -> tuple[DirichletCharacter, ...]:
+    """The Galois conjugates chi^i, gcd(i, order) = 1, i = 1 first, by
+    scaling chi's exponents."""
+    n = chi.order
+    return tuple(
+        DirichletCharacter(chi.modulus, n, {a: e * i % n for a, e in chi.exponent_items()})
+        for i in range(1, n + 1)
+        if gcd(i, n) == 1
+    )
+
 
 def galois_orbits(chars) -> list[CharacterOrbit]:
     """Partition a Galois-stable set of characters into its orbits, each
@@ -330,9 +344,8 @@ def galois_orbits(chars) -> list[CharacterOrbit]:
     for chi in sorted(chars, key=lambda c: c.exponent_items()):
         if chi in seen:
             continue
-        orbit = CharacterOrbit.of(chi)
-        seen.update(orbit.conjugates)
-        orbits.append(orbit)
+        seen.update(conjugates(chi))
+        orbits.append(CharacterOrbit(chi))
     return orbits
 
 
@@ -343,6 +356,26 @@ def primitive_orbits_by_sorting(f: int, p: int) -> tuple[CharacterOrbit, ...]:
     sorting them: the numbering primitive_orbits_of_order must keep."""
     chars = characters_of_order_dividing(f, p)
     return tuple(galois_orbits(c for c in chars if c.order == p and c.conductor() == f))
+
+
+def local_coordinates(chi: DirichletCharacter, n: int) -> tuple:
+    """chi at local generators, as ((q, g), e) pairs with e != 0: for
+    each q^d exactly dividing the modulus m and generator g of (Z/q^d)^*
+    (a primitive root mod q^2 for odd q; -1 and 5 for q = 2),
+    chi(x) = zeta_n^e for x = g mod q^d, x = 1 mod m/q^d (n a multiple
+    of chi.order).  The generators do not depend on m, so chi and its
+    primitive part agree and a product of characters adds coordinates."""
+    out = []
+    m = chi.modulus
+    for q, e in factor_small(m):
+        qe = q**e
+        rest = m // qe
+        for g in ((-1, 5) if q == 2 else (_primitive_root(q),)):
+            x = (1 + rest * ((g - 1) * pow(rest, -1, qe) % qe)) % m
+            exponent = chi.exponent(x) * (n // chi.order) % n
+            if exponent:
+                out.append(((q, g), exponent))
+    return tuple(out)
 
 
 # -- closed forms for quadratic K_2 and K_6 -----------------------------------

@@ -20,12 +20,31 @@ from evenk.kgroups import (
     k_odd_order,
     kz,
     riemann_zeta_negative,
+    w_invariant,
     zeta_abelian,
 )
 from evenk.arith import is_prime
 from evenk.cyclodirichlet import primitive_orbits_of_order
 from evenk.siegel import is_fundamental_discriminant
 from oracles import quadratic_k2_closed_form, quadratic_k6_closed_form
+
+
+@pytest.fixture
+def built_moduli(monkeypatch):
+    """The modulus of every DirichletCharacter constructed while the
+    test runs, in construction order."""
+    from evenk.cyclodirichlet import CharacterOrbit, DirichletCharacter
+
+    CharacterOrbit.of.cache_clear()  # count what the test builds, not what it reuses
+    moduli = []
+    init = DirichletCharacter.__init__
+
+    def counted(self, modulus, order, value_exponents):
+        moduli.append(modulus)
+        init(self, modulus, order, value_exponents)
+
+    monkeypatch.setattr(DirichletCharacter, "__init__", counted)
+    return moduli
 
 
 def fundamentals(bound):
@@ -71,17 +90,13 @@ def test_zeta_abelian_degree_21_field():
     # the degree-21 subfield of Q(zeta_43): orbits of order 3, 7 and 21
     # characters mod 43; the orbit products must all collapse to Q even
     # though the order-21 computation runs inside Q(zeta_21)
-    from evenk.cyclodirichlet import CharacterOrbit, character_group, orbit_l_product
+    from evenk.cyclodirichlet import character_group, orbit_l_product
+    from oracles import conjugates, galois_orbits
 
-    orbits = []
-    seen = set()
-    for chi in character_group(43):
-        if chi.is_trivial() or 21 % chi.order or chi in seen:
-            continue
-        orbit = CharacterOrbit.of(chi)
-        seen.update(orbit.conjugates)
-        orbits.append(orbit)
-    assert sorted(len(o.conjugates) for o in orbits) == [2, 6, 12]
+    orbits = galois_orbits(
+        chi for chi in character_group(43) if not chi.is_trivial() and 21 % chi.order == 0
+    )
+    assert sorted(len(conjugates(o.representative)) for o in orbits) == [2, 6, 12]
 
     def zeta(k):
         value = riemann_zeta_negative(k)
@@ -393,75 +408,89 @@ def test_elementary_closure_names_the_missing_subfield():
         Elementary(5, tuple(parts[:-1] + [CyclicPrime(5, 61)]))
 
 
-def test_elementary_closure_check_builds_no_characters(monkeypatch):
-    # a cyclic part's coordinates come from the orbit numbering, so w and
-    # kodd of an elem: field need no character at all
-    import evenk.cyclodirichlet as cyclodirichlet
+def test_elementary_closure_check_builds_no_characters(built_moduli):
+    # a part's coordinates come from the orbit numbering (cyclic:) or the
+    # Kronecker symbol at the local generators (quad:), so w and kodd of
+    # an elem: field need no character at all
     from evenk.cli import run
 
-    moduli = []
-    build = cyclodirichlet._character_from_tuple
-
-    def counted(m, t):
-        moduli.append(m)
-        return build(m, t)
-
-    monkeypatch.setattr(cyclodirichlet, "_character_from_tuple", counted)
-    primitive_orbits_of_order.cache_clear()
-    field = "elem:3:cyclic:3:7,cyclic:3:13,cyclic:3:91:0,cyclic:3:91:1"
-    for command in ("w", "kodd"):
-        assert run([command, "--field", field, "--k", "1"]) == 0
-    assert moduli == []
+    for field in (
+        "elem:3:cyclic:3:7,cyclic:3:13,cyclic:3:91:0,cyclic:3:91:1",
+        "elem:2:quad:5,quad:8,quad:40,quad:12,quad:60,quad:24,quad:120",
+    ):
+        for command in ("w", "kodd"):
+            assert run([command, "--field", field, "--k", "1"]) == 0
+    assert built_moduli == []
 
 
 def test_cyclic_orbit_coordinates_are_those_of_the_built_orbit():
-    # the closure check's coordinates name the same orbit as the
-    # character character_orbits builds, for every cyclic: spec the
-    # tests use (conductors below 400, 1181, and the largest product of
-    # two cubic conductors)
-    from evenk.cyclodirichlet import local_coordinates, orbit_key
+    # each spec's coordinates name the orbit of the character that
+    # character_orbits builds from them, and that character is the
+    # build-and-sort oracle's representative (cyclic: conductors below
+    # 400, 1181, and the largest product of two cubic conductors) or the
+    # Kronecker character (quad:, every fundamental d < 2000)
+    from evenk.cyclodirichlet import orbit_key, quadratic_character
     from evenk.winv import cyclic_conductor_is_valid
+    from oracles import local_coordinates, primitive_orbits_by_sorting
 
     specs = [CyclicPrime(5, 1181), CyclicPrime(3, 193 * 199, 1)]
     for p in (3, 5, 7):
         for f in range(3, 400):
             if cyclic_conductor_is_valid(p, f):
-                count = len(primitive_orbits_of_order(f, p))
+                count = len(primitive_orbits_by_sorting(f, p))
                 specs += [CyclicPrime(p, f, i) for i in range(count)]
     assert len(specs) == 102
     for spec in specs:
+        (coords,) = spec.orbit_coordinates()
         (orbit,) = spec.character_orbits()
         built = local_coordinates(orbit.representative, spec.p)
-        assert orbit_key(spec.orbit_coordinates(), spec.p) == orbit_key(built, spec.p), spec
+        assert orbit_key(coords, spec.p) == orbit_key(built, spec.p), spec
+        assert orbit == primitive_orbits_by_sorting(spec.f, spec.p)[spec.orbit], spec
+    discriminants = fundamentals(1999)
+    assert len(discriminants) == 607
+    for d in discriminants:
+        (coords,) = RealQuadratic(d).orbit_coordinates()
+        (orbit,) = RealQuadratic(d).character_orbits()
+        assert orbit.representative == quadratic_character.__wrapped__(d), d  # uncached
+        assert coords == local_coordinates(orbit.representative, 2), d
 
 
-def test_zagier_and_w_routes_build_no_characters(monkeypatch):
-    import evenk.cyclodirichlet as cyclodirichlet
-    import evenk.kgroups as kgroups
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a character was built")
-
-    for name in (
-        "quadratic_character",
-        "primitive_orbits_of_order",
-        "characters_of_order_dividing",
-    ):
-        for module in (cyclodirichlet, kgroups):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
-    with pytest.raises(AssertionError, match="a character was built"):
-        zeta_abelian(RealQuadratic(5), 1)
+def test_zagier_and_w_routes_build_no_characters(built_moduli):
+    # w, kodd, the zagier route and every spec's construction (the elem:
+    # closure check included) read only orbit shapes and coordinates
+    specs = [RealQuadratic(d) for d in (5, 8, 12, 4001)]
+    specs += [CyclicPrime(p, f, i) for p, f, i in ((3, 7, 0), (3, 9, 0), (3, 63, 1), (5, 1181, 0))]
+    specs += [Elementary(2, tuple(RealQuadratic(d) for d in (5, 8, 40)))]
+    specs += [multiquad_235(), degree_nine_field()]
+    specs.append(Elementary(3, tuple(
+        CyclicPrime(3, f, i) for f, i in ((7, 0), (13, 0), (91, 0), (91, 1))
+    )))
     for k in (1, 2, 3):
-        for d in (5, 8, 12, 4001):
-            spec = RealQuadratic(d)
-            k_even_order(spec, k, method="zagier")
-            kgroups.w_invariant(spec, k)
+        for spec in specs:
+            w_invariant(spec, k)
             k_odd_order(spec, k)
-        for p, f, orbit in ((3, 7, 0), (3, 9, 0), (3, 63, 1), (5, 1181, 0)):
-            spec = CyclicPrime(p, f, orbit)
-            kgroups.w_invariant(spec, k)
-            k_odd_order(spec, k)
+            if isinstance(spec, RealQuadratic):
+                k_even_order(spec, k, method="zagier")
+    assert built_moduli == []
+    zeta_abelian(RealQuadratic(5), 1)  # the count sees the characters route
+    assert built_moduli == [5]
+
+
+def test_characters_route_builds_one_character_per_orbit(built_moduli):
+    from evenk.cli import run
+    from evenk.cyclodirichlet import CharacterOrbit
+
+    specs = [Rationals(), RealQuadratic(5), CyclicPrime(3, 63, 1), CyclicPrime(5, 1181)]
+    specs += [multiquad_235(), degree_nine_field()]
+    for spec in specs:
+        CharacterOrbit.of.cache_clear()
+        built_moduli.clear()
+        for k in (1, 2, 3):
+            k_even_order(spec, k, method="characters")
+        assert sorted(built_moduli) == sorted(f for f, _ in spec.orbit_shapes()), spec
+    built_moduli.clear()
+    assert run(["zeta", "--field", "cyclic:29:59", "--k", "20"]) == 0
+    assert built_moduli == [59]
 
 
 def test_combiner_evaluates_each_part_l_product_once(monkeypatch):
