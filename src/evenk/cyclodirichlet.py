@@ -3,21 +3,22 @@
 Elements of Q(zeta_n) are polynomials reduced modulo the n-th
 cyclotomic polynomial, held as integer numerators over one common
 denominator; they carry only what L-values need (products, Galois
-conjugates, the rational value of a norm).  Dirichlet characters store
-their values as root-of-unity exponents, so the character check and
-equality stay in integer arithmetic; expansion into a
-CyclotomicElement happens only when a generalized Bernoulli number or
-an L-value is assembled.
+conjugates, the rational value of a norm).  A Dirichlet character is
+its local coordinates: its values, as root-of-unity exponents, at the
+local generators of (Z/mZ)^*, which determine it (Washington,
+Introduction to Cyclotomic Fields, ch. 3).  Its exponent at every unit
+is tabled once, so equality and the sums of L-values stay in integer
+arithmetic; expansion into a CyclotomicElement happens only when a
+generalized Bernoulli number or an L-value is assembled.
 
 A field's characters are built one per Galois orbit, from the orbit's
-coordinates at the local generators of (Z/mZ)^* (CharacterOrbit.of).
-Every character, whether read from a file or built here (from local
-coordinates, powers, products, primitive parts, Kronecker characters,
-discrete-log tuples), passes the same check at construction: its
-exponents must be a linear form in the discrete logs of the cyclic
-decomposition of (Z/mZ)^*, whose generator values are killed by the
-component orders.  That is exactly multiplicativity, at
-O(phi(m) * rank) cost.
+coordinates (CharacterOrbit.of).  Coordinates are checked in O(rank):
+each must be killed by its generator's order, and that is the whole
+homomorphism condition.  A map of values, as a character file gives,
+is checked once, at that boundary (DirichletCharacter.from_values): it
+must be the character its values at the generators give, that is, a
+linear form in the discrete logs of the cyclic decomposition of
+(Z/mZ)^*, at O(phi(m) * rank) cost.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, gcd, lcm
 
-from .arith import bernoulli, divisors, factor_small, is_prime
+from .arith import bernoulli, factor_small, is_prime, kronecker, valuation
 from .values import Value
 from .winv import cyclic_conductor_is_valid
 
@@ -222,59 +223,98 @@ def _canonical_units(m: int) -> list[int]:
 
 
 class DirichletCharacter:
-    """A character of (Z/mZ)^* with values recorded as exponents:
-    chi(a) = zeta_order^exponent(a).
+    """A character of (Z/mZ)^*, held as its local coordinates: ((q, g), c)
+    pairs meaning chi(x) = zeta_order^c at the lift x of the local
+    generator (q, g) (see _local_generators), and chi(x) = 1 at the
+    lifts of the others.
 
-    The stored order is the exact multiplicative order of chi: a
-    stated order that is a multiple of it is normalized down.  Complete
-    multiplicativity is verified at construction against the
-    discrete-log tables of _unit_group_data(modulus), in O(phi(m) *
-    rank) (see _check_homomorphism); a map that fails raises
-    ValueError.
+    A coordinate must be killed by its generator's order o
+    (c * o = 0 mod order), which is the whole homomorphism condition,
+    so construction checks it in O(rank); a coordinate that fails, or
+    that names no local generator of m, or twice, raises ValueError.
+    The stated order is divided by gcd(order, *c), so the stored order
+    is exact, and only the nonzero coordinates are kept, in
+    _local_generators order: equal characters have equal fields.  The
+    exponent at every unit is tabled once, from the discrete logs of
+    _unit_group_data(modulus).  A map of values goes through
+    from_values.
     """
 
-    __slots__ = ("modulus", "order", "_exp", "_conductor")
+    __slots__ = ("modulus", "order", "coords", "_exp")
 
-    def __init__(self, modulus: int, order: int, value_exponents: dict[int, int]):
+    def __init__(self, modulus: int, order: int, coords=()):
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         if order < 1:
             raise ValueError("order must be >= 1")
-        if sorted(value_exponents) != _canonical_units(modulus):
-            raise ValueError("value map must cover exactly the units")
-        exps = {a: e % order for a, e in value_exponents.items()}
-        # normalize to the exact order of the character
-        g = order
-        for e in exps.values():
-            g = gcd(g, e)
-            if g == 1:
-                break
-        if g > 1:
-            order //= g
-            exps = {a: e // g for a, e in exps.items()}
-        _check_homomorphism(modulus, order, exps)
+        coords = tuple(coords)
+        at = dict(coords)
+        if len(at) != len(coords):
+            raise ValueError(f"a generator is given twice in {coords}")
+        gens = _local_generators(modulus)
+        lifts = {g: (o, x) for g, _, o, x in gens}
+        for g, c in coords:
+            if g not in lifts:
+                raise ValueError(f"{g} is not a local generator mod {modulus}")
+            o, x = lifts[g]
+            if c * o % order:
+                raise ValueError(f"chi({x})^{o} != 1, but {x} has order {o} mod {modulus}")
+        d = gcd(order, *at.values())
+        n = order // d
+        table, units = _unit_group_data(modulus)
+        kept = [
+            (g, c, dlog)
+            for (g, *_), (_, _, dlog) in zip(gens, table)
+            if (c := at.get(g, 0) // d % n)
+        ]
         self.modulus = modulus
-        self.order = order
-        self._exp = exps
-        self._conductor: int | None = None
+        self.order = n
+        self.coords = tuple((g, c) for g, c, _ in kept)
+        self._exp = {u: sum(c * dlog[u] for _, c, dlog in kept) % n for u in units}
+
+    @classmethod
+    def from_values(
+        cls, modulus: int, order: int, value_exponents: dict[int, int]
+    ) -> DirichletCharacter:
+        """The character with chi(a) = zeta_order^value_exponents[a] at
+        each unit a in [0, modulus): its values at the lifts of the
+        local generators are its coordinates, and _check_homomorphism
+        holds the map to the character they give, in O(phi(m) * rank)
+        in all.  A map that does not cover exactly the units, or is no
+        homomorphism, raises ValueError.  This is the only path that
+        takes values."""
+        if modulus < 1 or order < 1:
+            raise ValueError("modulus and order must be >= 1")
+        # phi(m) >= sqrt(m / 2), so a map too short for its modulus is
+        # rejected before m is factored or its units are tabled
+        count = len(value_exponents)
+        if (
+            2 * count * count < modulus
+            or count != euler_phi(modulus)
+            or sorted(value_exponents) != _unit_group_data(modulus)[1]
+        ):
+            raise ValueError("residues must be exactly the units mod m")
+        coords = [(g, value_exponents[x]) for g, _, _, x in _local_generators(modulus)]
+        chi = cls(modulus, order, coords)
+        _check_homomorphism(chi, order, value_exponents)
+        return chi
 
     def __repr__(self) -> str:
         return (
             f"DirichletCharacter(modulus={self.modulus}, order={self.order}, "
-            f"exponents={self._exp})"
+            f"coords={self.coords})"
         )
+
+    def _key(self) -> tuple:
+        return self.modulus, self.order, self.coords
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.order == other.order
-            and self._exp == other._exp
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.order, tuple(sorted(self._exp.items()))))
+        return hash(self._key())
 
     def exponent(self, a: int) -> int | None:
         """Exponent e with chi(a) = zeta_order^e, or None when
@@ -282,8 +322,8 @@ class DirichletCharacter:
         return self._exp.get(a % self.modulus)
 
     def exponent_items(self) -> tuple[tuple[int, int], ...]:
-        """(residue, exponent) pairs in residue order; a canonical key."""
-        return tuple(sorted(self._exp.items()))
+        """(residue, exponent) pairs in residue order."""
+        return tuple(self._exp.items())
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -293,50 +333,21 @@ class DirichletCharacter:
             return True
         return self._exp[self.modulus - 1] == 0
 
-    def __pow__(self, j: int) -> DirichletCharacter:
-        j %= self.order
-        return DirichletCharacter(
-            self.modulus,
-            self.order,
-            {a: e * j % self.order for a, e in self._exp.items()},
-        )
-
-    def __mul__(self, other: DirichletCharacter) -> DirichletCharacter:
-        if self.modulus != other.modulus:
-            raise ValueError("character product needs equal moduli")
-        n = lcm(self.order, other.order)
-        return DirichletCharacter(
-            self.modulus,
-            n,
-            {
-                a: (e * (n // self.order) + other._exp[a] * (n // other.order)) % n
-                for a, e in self._exp.items()
-            },
-        )
-
     def conductor(self) -> int:
-        """Smallest modulus f through which chi factors."""
-        if self._conductor is None:
-            for f in divisors(self.modulus):
-                if all(
-                    e == 0 for a, e in self._exp.items() if a % f == 1 % f
-                ):
-                    self._conductor = f
-                    break
-        return self._conductor
+        """Smallest modulus f through which chi factors: the lcm, over
+        the coordinates, of 4 for a value at -1, 4 o for a value of
+        order o at 5, and q^(1 + v_q(o)) at an odd q."""
+        f = 1
+        for (q, g), c in self.coords:
+            o = self.order // gcd(self.order, c)
+            f = lcm(f, 4 if g == -1 else 4 * o if q == 2 else q ** (1 + valuation(o, q)))
+        return f
 
     def primitive_part(self) -> DirichletCharacter:
-        """The primitive character mod conductor(chi) inducing chi."""
+        """The primitive character mod conductor(chi) inducing chi: the
+        same coordinates, at the local generators mod the conductor."""
         f = self.conductor()
-        if f == self.modulus:
-            return self
-        exps: dict[int, int] = {}
-        for b in _canonical_units(f):
-            a = b if b else 1
-            while gcd(a, self.modulus) != 1:
-                a += f
-            exps[b] = self._exp[a % self.modulus]
-        return DirichletCharacter(f, self.order, exps)
+        return self if f == self.modulus else DirichletCharacter(f, self.order, self.coords)
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
@@ -403,85 +414,58 @@ def _unit_group_data(m: int):
     return gens, units
 
 
-def _check_homomorphism(m: int, n: int, exps: dict[int, int]) -> None:
-    """Raise ValueError unless a -> exps[a] (mod n) is a homomorphism
-    from (Z/mZ)^* to Z/nZ.
+def _check_homomorphism(chi: DirichletCharacter, n: int, exps: dict[int, int]) -> None:
+    """Raise ValueError unless a -> exps[a] (mod n) is chi, the character
+    read off exps at the lifts of the local generators.
 
     With b_i the generator of component i, of order o_i, and
     t_i = exps[b_i], the map is a homomorphism iff o_i * t_i = 0 (mod n)
-    for every i and exps[u] = sum_i t_i * dlog_i(u) (mod n) for every
-    unit u (Washington, Introduction to Cyclotomic Fields, ch. 3).
-    Costs O(phi(m) * rank).
+    for every i, which DirichletCharacter checks, and
+    exps[u] = sum_i t_i * dlog_i(u) (mod n) for every unit u, which is
+    chi's exponent at u (Washington, Introduction to Cyclotomic Fields,
+    ch. 3).  Costs O(phi(m)) once chi is built.
     """
-    gens, units = _unit_group_data(m)
-    t = [exps[b] for b, _, _ in gens]
-    for (b, order, _), ti in zip(gens, t):
-        if order * ti % n:
+    scale = n // chi.order
+    for u, e in chi.exponent_items():
+        if (e * scale - exps[u]) % n:
             raise ValueError(
-                f"chi({b})^{order} != 1, but {b} has order {order} mod {m}"
-            )
-    for u in units:
-        e = 0
-        for (_, _, dlog), ti in zip(gens, t):
-            e += ti * dlog[u]
-        if (e - exps[u]) % n:
-            raise ValueError(
-                f"multiplicativity fails at {u} mod {m}: chi({u}) disagrees "
+                f"multiplicativity fails at {u} mod {chi.modulus}: chi({u}) disagrees "
                 "with the generators' values"
             )
 
 
-def _character_from_tuple(m: int, t: tuple[int, ...]) -> DirichletCharacter:
-    gens, units = _unit_group_data(m)
-    if not gens:
-        return DirichletCharacter(m, 1, {a: 0 for a in _canonical_units(m)})
-    n = lcm(*(order for _, order, _ in gens))
-    exps = {}
-    for u in units:
-        e = 0
-        for (_, order, dlog), ti in zip(gens, t):
-            e += ti * dlog[u] * (n // order)
-        exps[u] = e % n
-    return DirichletCharacter(m, n, exps)
+def characters_of_order_dividing(m: int, p: int) -> list[DirichletCharacter]:
+    """The subgroup of characters mod m whose order divides p, built
+    from their coordinates: chi(x) = zeta_n^c at each generator of
+    order o, where n is the lcm of the gcd(o, p) and c runs over the
+    multiples of n / gcd(o, p)."""
+    if m < 1:
+        raise ValueError("modulus must be >= 1")
+    gens = _local_generators(m)
+    n = lcm(1, *(gcd(order, p) for _, _, order, _ in gens))
+    choices = [range(0, n, n // gcd(order, p)) for _, _, order, _ in gens]
+    labels = [g for g, *_ in gens]
+    return [DirichletCharacter(m, n, zip(labels, c)) for c in product(*choices)]
 
 
 def character_group(m: int) -> list[DirichletCharacter]:
     """All phi(m) Dirichlet characters mod m."""
     if m < 1:
         raise ValueError("character_group requires m >= 1")
-    gens, _ = _unit_group_data(m)
-    if not gens:
-        return [DirichletCharacter(m, 1, {a: 0 for a in _canonical_units(m)})]
-    ranges = [range(order) for _, order, _ in gens]
-    return [_character_from_tuple(m, t) for t in product(*ranges)]
+    return characters_of_order_dividing(m, euler_phi(m))
 
 
-def characters_of_order_dividing(m: int, p: int) -> list[DirichletCharacter]:
-    """The subgroup of characters mod m whose order divides p."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    gens, _ = _unit_group_data(m)
-    if not gens:
-        return [DirichletCharacter(m, 1, {a: 0 for a in _canonical_units(m)})]
-    choices = []
-    for _, order, _ in gens:
-        step = order // gcd(order, p)
-        choices.append(range(0, order, step))
-    return [_character_from_tuple(m, t) for t in product(*choices)]
+def kronecker_coordinates(d: int) -> tuple:
+    """The Kronecker symbol (d|.) in local coordinates mod |d|: ((q, g), 1)
+    at each local generator whose lift x has (d|x) = -1."""
+    return tuple((g, 1) for g, _, _, x in _local_generators(abs(d)) if kronecker(d, x) < 0)
 
 
 @lru_cache(maxsize=None)
 def quadratic_character(d: int) -> DirichletCharacter:
-    """The Kronecker character a -> (d|a), as a character mod |d|."""
-    from .arith import kronecker
-
-    m = abs(d)
-    exps = {}
-    for a in _canonical_units(m):
-        v = kronecker(d, a if a else 1)
-        exps[a] = 0 if v == 1 else 1
-    order = 2 if any(exps.values()) else 1
-    return DirichletCharacter(m, order, exps)
+    """The Kronecker character a -> (d|a), as a character mod |d|, for a
+    fundamental discriminant d (or d = 1)."""
+    return DirichletCharacter(abs(d), 2, kronecker_coordinates(d))
 
 
 class CharacterOrbit(Value):
@@ -494,14 +478,9 @@ class CharacterOrbit(Value):
     @classmethod
     @lru_cache(maxsize=None)
     def of(cls, m: int, coords, n: int) -> CharacterOrbit:
-        """The orbit of the character mod m with chi(x) = zeta_n^c at the
-        lift x of each local generator (q, g) listed as ((q, g), c) in
-        coords, and chi(x) = 1 at the others (see _local_generators).
-        Memoized, so a field queried at several k builds each of its
-        orbits once."""
-        at = dict(coords)
-        t = tuple(at.get(g, 0) * order // n for g, _, order, _ in _local_generators(m))
-        return cls(_character_from_tuple(m, t))
+        """The orbit of DirichletCharacter(m, n, coords).  Memoized, so a
+        field queried at several k builds each of its orbits once."""
+        return cls(DirichletCharacter(m, n, coords))
 
 
 @lru_cache(maxsize=None)
@@ -669,7 +648,8 @@ def parse_character_file(path) -> list[DirichletCharacter]:
 
     One object per file: {"modulus": m, "order": n, "values":
     [[a, e], ...]} where the pairs list every residue coprime to m in
-    increasing order and chi(a) = zeta_n^e with 0 <= e < n.
+    increasing order and chi(a) = zeta_n^e with 0 <= e < n.  Every
+    number must be a JSON integer (not a float, string or boolean).
     """
     import json
 
@@ -681,23 +661,18 @@ def parse_character_file(path) -> list[DirichletCharacter]:
     if not isinstance(data, dict):
         raise CharacterFileError("top-level JSON object expected")
     try:
-        m = int(data["modulus"])
-        n = int(data["order"])
-        values = data["values"]
-    except (KeyError, TypeError, ValueError) as exc:
+        m, n, values = data["modulus"], data["order"], data["values"]
+    except KeyError as exc:
         raise CharacterFileError(f"missing or bad field: {exc}") from exc
+    if type(m) is not int or type(n) is not int:
+        raise CharacterFileError("modulus and order must be integers")
     if m < 1 or n < 1:
         raise CharacterFileError("modulus and order must be positive")
     if not isinstance(values, list):
         raise CharacterFileError("values must be a list of [residue, exponent]")
     seen: dict[int, int] = {}
-    listed = []
     for item in values:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
-        ):
+        if not isinstance(item, list) or len(item) != 2 or any(type(x) is not int for x in item):
             raise CharacterFileError(f"bad value entry {item!r}")
         a, e = item
         if not 0 <= e < n:
@@ -705,13 +680,9 @@ def parse_character_file(path) -> list[DirichletCharacter]:
         if a in seen:
             raise CharacterFileError(f"duplicate residue {a}")
         seen[a] = e
-        listed.append(a)
-    if listed != sorted(listed):
+    if list(seen) != sorted(seen):
         raise CharacterFileError("residues must be listed in increasing order")
-    if sorted(seen) != _canonical_units(m):
-        raise CharacterFileError("residues must be exactly the units mod m")
     try:
-        chi = DirichletCharacter(m, n, seen)
+        return [DirichletCharacter.from_values(m, n, seen)]
     except ValueError as exc:
         raise CharacterFileError(str(exc)) from exc
-    return [chi]

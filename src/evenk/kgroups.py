@@ -29,13 +29,12 @@ from .arith import (
     factor_small,
     factorize,
     is_prime,
-    kronecker,
     valuation,
 )
 from .cyclodirichlet import (
     CharacterOrbit,
-    _local_generators,
     _primitive_orbit_coordinates,
+    kronecker_coordinates,
     orbit_key,
     orbit_l_product,
     primitive_orbit_index,
@@ -128,8 +127,7 @@ class RealQuadratic(_Field):
 
     def orbit_coordinates(self) -> tuple[tuple, ...]:
         """The Kronecker symbol (d|x) at the local generators' lifts x."""
-        d = self.d
-        return (tuple((g, 1) for g, _, _, x in _local_generators(d) if kronecker(d, x) < 0),)
+        return (kronecker_coordinates(self.d),)
 
     def label(self) -> str:
         return f"quad:{self.d}"

@@ -3,8 +3,9 @@
 Each is a plain transcription of a definition, or earlier code that a
 kernel in `evenk` replaced (Fraction arithmetic, the list-based trial
 division, orbit numbering by building and sorting every character, a
-character's coordinates read off its values); the tests require the
-kernels to agree with them exactly.
+character's coordinates read off its values, its conductor, primitive
+part and Kronecker symbol read off its value at every unit); the tests
+require the kernels to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -14,11 +15,20 @@ from functools import lru_cache
 from itertools import compress
 from math import comb, gcd, isqrt, lcm
 
-from evenk.arith import bernoulli, factor_small, is_prime, primes_up_to, valuation
+from evenk.arith import (
+    bernoulli,
+    divisors,
+    factor_small,
+    is_prime,
+    kronecker,
+    primes_up_to,
+    valuation,
+)
 from evenk.cyclodirichlet import (
     CharacterOrbit,
     DirichletCharacter,
     NotRational,
+    _local_generators,
     _primitive_root,
     characters_of_order_dividing,
     cyclotomic_polynomial,
@@ -330,7 +340,9 @@ def conjugates(chi: DirichletCharacter) -> tuple[DirichletCharacter, ...]:
     scaling chi's exponents."""
     n = chi.order
     return tuple(
-        DirichletCharacter(chi.modulus, n, {a: e * i % n for a, e in chi.exponent_items()})
+        DirichletCharacter.from_values(
+            chi.modulus, n, {a: e * i % n for a, e in chi.exponent_items()}
+        )
         for i in range(1, n + 1)
         if gcd(i, n) == 1
     )
@@ -376,6 +388,69 @@ def local_coordinates(chi: DirichletCharacter, n: int) -> tuple:
             if exponent:
                 out.append(((q, g), exponent))
     return tuple(out)
+
+
+def character_product(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
+    """a * b (equal moduli), by adding the two characters' exponents at
+    every unit over the lcm of their orders."""
+    n = lcm(a.order, b.order)
+    return DirichletCharacter.from_values(
+        a.modulus,
+        n,
+        {u: e * (n // a.order) + b.exponent(u) * (n // b.order) for u, e in a.exponent_items()},
+    )
+
+
+# -- characters read off their values at every unit ------------------------------
+
+def walked_values(chi: DirichletCharacter) -> dict[int, int]:
+    """chi's exponent at every unit mod m, found by walking (Z/mZ)^* from
+    1 along the lifts x of the local generators, stepping the exponent
+    by chi's coordinate at x (0 at generators it does not list)."""
+    m = chi.modulus
+    at = dict(chi.coords)
+    steps = [(x, at.get(g, 0)) for g, _, _, x in _local_generators(m)]
+    values = {1 % m: 0}
+    frontier = [1 % m]
+    while frontier:
+        a = frontier.pop()
+        for x, c in steps:
+            b = a * x % m
+            if b not in values:
+                values[b] = (values[a] + c) % chi.order
+                frontier.append(b)
+    return values
+
+
+def conductor_by_divisors(chi: DirichletCharacter) -> int:
+    """The least divisor f of the modulus with chi(a) = 1 at every unit
+    a = 1 mod f."""
+    for f in divisors(chi.modulus):
+        if all(e == 0 for a, e in chi.exponent_items() if a % f == 1 % f):
+            return f
+    raise AssertionError("the modulus itself always qualifies")
+
+
+def primitive_part_by_units(chi: DirichletCharacter) -> DirichletCharacter:
+    """The character mod f = conductor_by_divisors(chi) inducing chi: at
+    each unit b mod f, chi's value at the least a = b mod f prime to
+    the modulus."""
+    f, m = conductor_by_divisors(chi), chi.modulus
+    exps = {}
+    for b in range(f):
+        if gcd(b, f) == 1:
+            a = b if b else 1
+            while gcd(a, m) != 1:
+                a += f
+            exps[b] = chi.exponent(a)
+    return DirichletCharacter.from_values(f, chi.order, exps)
+
+
+def kronecker_character_by_units(d: int) -> DirichletCharacter:
+    """a -> (d|a) as a character mod |d|, its value taken at every unit."""
+    m = abs(d)
+    exps = {a: int(kronecker(d, a if a else 1) < 0) for a in range(m) if gcd(a, m) == 1}
+    return DirichletCharacter.from_values(m, 2, exps)
 
 
 # -- closed forms for quadratic K_2 and K_6 -----------------------------------

@@ -322,6 +322,26 @@ def test_char_check_good_file(capsys, tmp_path):
     assert payload["matches_kronecker"] is True
 
 
+QUAD5_VALUES = [[1, 0], [2, 1], [3, 1], [4, 0]]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"modulus": 5.9, "order": 2, "values": QUAD5_VALUES},
+        {"modulus": "5", "order": 2, "values": QUAD5_VALUES},
+        {"modulus": 5, "order": 2, "values": [[1, False], [2, True], [3, True], [4, False]]},
+        {"modulus": 5, "order": True, "values": [[1, 0], [2, 0], [3, 0], [4, 0]]},
+        {"modulus": 5, "order": 2, "values": [[1, 0], [2.0, 1], [3, 1], [4, 0]]},
+    ],
+)
+def test_char_check_rejects_numbers_that_are_not_json_integers(capsys, tmp_path, payload):
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = invoke(capsys, "char-check", "--file", str(path))
+    assert (code, out) == (2, "") and "computation error" in err
+
+
 def test_prank_scan_exit_zero_when_consistent(capsys):
     code, out, _ = invoke(capsys, "prank-scan", "--p", "3", "--max-d", "25")
     assert code == 0

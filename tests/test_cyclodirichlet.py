@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,9 +32,14 @@ from evenk.cyclodirichlet import (
 from oracles import (
     FractionCyclotomic,
     bernoulli_poly_value,
+    character_product,
+    conductor_by_divisors,
     conjugates,
+    kronecker_character_by_units,
     local_coordinates,
     primitive_orbits_by_sorting,
+    primitive_part_by_units,
+    walked_values,
 )
 from oracles import _reduce_mod_cyclotomic as reduce_fraction_poly
 
@@ -227,7 +232,7 @@ def test_orthogonality():
 
 def test_multiplicativity_enforced():
     with pytest.raises(ValueError):
-        DirichletCharacter(35, 2, _tampered_map())
+        DirichletCharacter.from_values(35, 2, _tampered_map())
 
 
 def _tampered_map():
@@ -252,7 +257,7 @@ def pairwise_is_character(m, n, exps):
 
 def linear_check_accepts(m, n, exps):
     try:
-        DirichletCharacter(m, n, exps)
+        DirichletCharacter.from_values(m, n, exps)
     except ValueError:
         return False
     return True
@@ -291,7 +296,7 @@ def test_linear_check_accepts_every_character():
                 n = chi.order * scale
                 exps = {a: e * scale for a, e in chi.exponent_items()}
                 assert pairwise_is_character(m, n, exps)
-                assert DirichletCharacter(m, n, exps) == chi
+                assert DirichletCharacter.from_values(m, n, exps) == chi
 
 
 def test_linear_check_rejects_wrap_around():
@@ -300,7 +305,7 @@ def test_linear_check_rejects_wrap_around():
     exps = linear_map(7, 4, (1,))
     assert not pairwise_is_character(7, 4, exps)
     with pytest.raises(ValueError):
-        DirichletCharacter(7, 4, exps)
+        DirichletCharacter.from_values(7, 4, exps)
 
 
 def test_linear_check_matches_oracle_on_dlog_maps():
@@ -314,38 +319,51 @@ def test_linear_check_matches_oracle_on_dlog_maps():
                 ), (m, n, i)
 
 
-def test_every_construction_path_runs_the_check(monkeypatch, tmp_path):
-    from evenk import cyclodirichlet
-
-    checked = []
-    real_check = cyclodirichlet._check_homomorphism
-
-    def counting_check(m, n, exps):
-        checked.append(m)
-        real_check(m, n, exps)
-
-    monkeypatch.setattr(cyclodirichlet, "_check_homomorphism", counting_check)
+def test_every_construction_path_rejects_a_non_character(tmp_path):
     CharacterOrbit.of.cache_clear()  # so that CharacterOrbit.of below builds
-    chi = cyclodirichlet._character_from_tuple(15, (1, 1))
-    imprimitive = chi**2  # conductor 5
-    path = write_char(
-        tmp_path,
-        "quad5.json",
-        {"modulus": 5, "order": 2, "values": [[1, 0], [2, 1], [3, 1], [4, 0]]},
-    )
+    values = [[a, e] for a, e in sorted(_tampered_map().items())]
+    path = write_char(tmp_path, "bad35.json", {"modulus": 35, "order": 2, "values": values})
     for build in (
-        lambda: DirichletCharacter(5, 2, {1: 0, 2: 1, 3: 1, 4: 0}),
+        # 3 has order 6 mod 7, and zeta_4^6 != 1
+        lambda: DirichletCharacter(7, 4, (((7, 3), 1),)),
+        lambda: DirichletCharacter(63, 9, (((3, 2), 1),)),
+        # 7 does not divide 15; 5 is no generator mod 4, nor -1 mod 2
+        lambda: DirichletCharacter(15, 2, (((7, 3), 1),)),
+        lambda: DirichletCharacter(4, 2, (((2, 5), 1),)),
+        lambda: DirichletCharacter(2, 2, (((2, -1), 1),)),
+        lambda: DirichletCharacter(15, 2, (((3, 2), 1), ((3, 2), 1))),
+        # used to be floored silently to the trivial character mod 15
+        lambda: CharacterOrbit.of(15, (((3, 2), 1),), 4),
+        lambda: DirichletCharacter.from_values(35, 2, _tampered_map()),
         lambda: parse_character_file(path),
-        lambda: chi**3,
-        lambda: chi * chi,
-        lambda: imprimitive.primitive_part(),
-        lambda: quadratic_character.__wrapped__(13),
-        lambda: cyclodirichlet._character_from_tuple(15, (1, 2)),
-        lambda: CharacterOrbit.of(15, (((3, 2), 2), ((5, 2), 1)), 4),
     ):
-        before = len(checked)
-        build()
-        assert len(checked) == before + 1
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_an_orbit_tables_the_units_once_and_checks_no_value_map(monkeypatch):
+    from evenk import cyclodirichlet
+    from evenk.kgroups import CyclicPrime
+
+    calls = []
+
+    def counted(name):
+        real = getattr(cyclodirichlet, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_canonical_units", "_check_homomorphism"):
+        monkeypatch.setattr(cyclodirichlet, name, counted(name))
+    CharacterOrbit.of.cache_clear()
+    cyclodirichlet._unit_group_data.cache_clear()
+    (orbit,) = CyclicPrime(5, 1181, 0).character_orbits()
+    assert orbit.representative.order == 5 and orbit.representative.is_primitive()
+    assert calls.count("_canonical_units") <= 1
+    assert calls.count("_check_homomorphism") == 0
 
 
 @pytest.mark.parametrize("m", range(1, 61))
@@ -387,13 +405,44 @@ def test_conductor_examples():
     assert chi8.conductor() == 8
     # induce the quadratic character mod 5 up to modulus 15
     chi5 = quadratic_character(5)
-    induced = DirichletCharacter(
+    induced = DirichletCharacter.from_values(
         15,
         2,
         {a: chi5.exponent(a % 5) for a in range(15) if gcd(a, 15) == 1},
     )
     assert induced.conductor() == 5
     assert induced.primitive_part() == chi5
+
+
+def test_coordinates_give_the_values_conductor_and_primitive_part():
+    # every character mod m <= 200 reaches 2-parts 2 through 128
+    two_parts = set()
+    for m in range(1, 201):
+        for chi in cached_group(m):
+            walked = walked_values(chi)
+            assert chi.exponent_items() == tuple(sorted(walked.items())), (m, chi)
+            assert chi.conductor() == conductor_by_divisors(chi), (m, chi)
+            assert chi.primitive_part() == primitive_part_by_units(chi), (m, chi)
+            assert chi.is_even() == (walked[(m - 1) % m] == 0), (m, chi)
+        two_parts.add(m & -m)
+    assert {2, 4, 8, 16, 32, 64, 128} <= two_parts
+
+
+def is_fundamental(d):
+    """d a fundamental discriminant of either sign (d != 1)."""
+    def squarefree(n):
+        return all(n % (p * p) for p in range(2, isqrt(n) + 1))
+
+    if d % 4 == 1:
+        return d != 1 and squarefree(abs(d))
+    return d % 16 in (8, 12) and squarefree(abs(d) // 4)
+
+
+def test_quadratic_character_is_the_kronecker_symbol_at_every_unit():
+    discriminants = [d for d in range(-1999, 2000) if is_fundamental(d)]
+    assert min(discriminants) < -1990 and max(discriminants) > 1990
+    for d in discriminants:
+        assert quadratic_character(d) == kronecker_character_by_units(d), d
 
 
 def test_quadratic_characters_even_and_primitive():
@@ -552,7 +601,8 @@ def test_local_coordinates_are_additive_and_intrinsic():
     for a in chars:
         for b in chars:
             summed = orbit_key(local_coordinates(a, 3) + local_coordinates(b, 3), 3)
-            assert orbit_key(local_coordinates(a * b, 3), 3) == summed
+            product = character_product(a, b)
+            assert orbit_key(local_coordinates(product, 3), 3) == summed
         assert local_coordinates(a.primitive_part(), 3) == local_coordinates(a, 3)
 
 
@@ -683,6 +733,24 @@ def test_parse_rejects_bad_residue_lists(tmp_path):
                  "values": [[1, 0], [2, 1], [3, 1], [4, 1]]},
             )
         )
+
+
+def test_parse_rejects_a_map_too_short_for_its_modulus_before_tabling_units(
+    monkeypatch, tmp_path
+):
+    from evenk import cyclodirichlet
+
+    def no_tables(m):
+        raise AssertionError(f"tabled the units mod {m}")
+
+    monkeypatch.setattr(cyclodirichlet, "_unit_group_data", no_tables)
+    # 10^12 fails phi(m) >= sqrt(m / 2) for one value; 10^6 passes it
+    # for 800 values, but phi(10^6) = 400000
+    for m, count in ((10**12, 1), (10**6, 800)):
+        values = [[a, 0] for a in range(1, count + 1)]
+        path = write_char(tmp_path, "short.json", {"modulus": m, "order": 2, "values": values})
+        with pytest.raises(CharacterFileError, match="exactly the units"):
+            parse_character_file(path)
 
 
 def test_parse_rejects_malformed_json(tmp_path):

@@ -39,9 +39,9 @@ def built_moduli(monkeypatch):
     moduli = []
     init = DirichletCharacter.__init__
 
-    def counted(self, modulus, order, value_exponents):
+    def counted(self, modulus, order, coords=()):
         moduli.append(modulus)
-        init(self, modulus, order, value_exponents)
+        init(self, modulus, order, coords)
 
     monkeypatch.setattr(DirichletCharacter, "__init__", counted)
     return moduli

@@ -4,7 +4,8 @@ package; a renamed or deleted function would break `bench/run.py
 --trace 1` without any evenk test noticing.  The README's CLI block
 shows every subcommand; a renamed command or flag would leave it stale.
 The `kgroup --method` choices are spelled out in the CLI's command
-table; they must stay the routes the field specs accept.  Every command
+table; they must stay the routes the field specs accept.  The README's
+character-file example must stay a file that `char-check` accepts.  Every command
 is a fresh process, so importing the CLI must not load modules it only
 sometimes needs."""
 
@@ -53,6 +54,18 @@ def test_readme_cli_examples_parse_and_cover_every_command():
     for argv in examples:
         parser.parse_args(argv[1:])  # raises UsageError on drift
     assert {argv[1] for argv in examples} >= set(cli.COMMANDS)
+
+
+def test_readme_character_file_example_is_accepted(tmp_path, capsys):
+    from evenk import cli
+    from evenk.cyclodirichlet import parse_character_file
+
+    text = README.read_text(encoding="utf-8").split("\n## Character files\n", 1)[1]
+    path = tmp_path / "chi.json"
+    path.write_text(text.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    (chi,) = parse_character_file(path)
+    assert cli.run(["char-check", "--file", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"ok modulus={chi.modulus} ")
 
 
 def test_kgroup_method_choices_are_the_field_specs_order_methods():

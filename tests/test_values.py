@@ -54,7 +54,7 @@ FROZEN = [
         lambda: CharacterOrbit(quadratic_character(5)),
         lambda: CharacterOrbit(quadratic_character(8)),
         "CharacterOrbit(representative=DirichletCharacter(modulus=5, order=2, "
-        "exponents={1: 0, 2: 1, 3: 1, 4: 0}))",
+        "coords=(((5, 2), 1),)))",
     ),
     (
         lambda: DivisibilityWitness(5, (("a", True),), True),
