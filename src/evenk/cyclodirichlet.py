@@ -29,6 +29,7 @@ from itertools import product
 from math import comb, gcd, lcm
 
 from .arith import bernoulli, factor_small, is_prime, kronecker, valuation
+from .siegel import is_kronecker_discriminant
 from .values import Value
 from .winv import cyclic_conductor_is_valid
 
@@ -457,7 +458,11 @@ def character_group(m: int) -> list[DirichletCharacter]:
 
 def kronecker_coordinates(d: int) -> tuple:
     """The Kronecker symbol (d|.) in local coordinates mod |d|: ((q, g), 1)
-    at each local generator whose lift x has (d|x) = -1."""
+    at each local generator whose lift x has (d|x) = -1.  Only for d = 1
+    and fundamental discriminants of either sign is (d|.) a character
+    mod |d|; any other d is rejected."""
+    if not is_kronecker_discriminant(d):
+        raise ValueError(f"{d} is not 1 or a fundamental discriminant")
     return tuple((g, 1) for g, _, _, x in _local_generators(abs(d)) if kronecker(d, x) < 0)
 
 

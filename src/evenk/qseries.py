@@ -1,11 +1,14 @@
-"""Truncated Laurent q-expansions with exact rational coefficients.
+"""The weights b_j(h) of the finite zeta formula for real quadratic
+fields, read off integer power series.
 
-Provides the two generators needed downstream - the Eisenstein series
-G_k and the discriminant cusp form Delta - plus the auxiliary forms
-T_h = G_{12r-h+2} Delta^(-r) whose principal parts carry the weights
-b_j(h) of the finite zeta formula for real quadratic fields.  The
-integral factors (the eta product and Delta^(-r)) are computed on
-plain integer lists; only the Eisenstein factor is rational.
+The weights are the principal part of the auxiliary form
+T_h = G_{12r-h+2} Delta^(-r) (Siegel 1969, Zagier 1976), where
+G_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n is the Eisenstein series and
+Delta = q prod (1-q^n)^24.  So q^r T_h is a power series, and its
+r + 1 coefficients at q^0 .. q^r carry every weight.  The eta product
+and its inverse powers have integer coefficients and are computed on
+plain integer lists; the one rational number is the Eisenstein scale
+-2k/B_k.
 """
 
 from __future__ import annotations
@@ -21,147 +24,7 @@ class DegenerateConstantTerm(ArithmeticError):
     correct expansion, so it flags an implementation bug."""
 
 
-class LaurentSeries:
-    """Coefficients for exponents valuation .. precision-1; anything at
-    q^precision and beyond is unknown (O(q^precision)).
-
-    Arithmetic tracks the tightest precision consistent with its
-    inputs and never silently widens it.
-    """
-
-    __slots__ = ("valuation", "coeffs", "precision")
-
-    def __init__(self, valuation: int, coeffs, precision: int) -> None:
-        coeffs = [Fraction(c) for c in coeffs]
-        if precision - valuation != len(coeffs):
-            raise ValueError("coefficient span must equal precision - valuation")
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            valuation += 1
-        if not coeffs:
-            valuation = precision
-        self.valuation = valuation
-        self.coeffs = tuple(coeffs)
-        self.precision = precision
-
-    def __repr__(self) -> str:
-        terms = [
-            f"{c}*q^{self.valuation + i}"
-            for i, c in enumerate(self.coeffs)
-            if c != 0
-        ]
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O(q^{self.precision})>"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (
-            self.valuation == other.valuation
-            and self.coeffs == other.coeffs
-            and self.precision == other.precision
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.valuation, self.coeffs, self.precision))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, exponent: int) -> Fraction:
-        """Coefficient of q^exponent; exponents at or past the
-        precision bound are unknown and rejected."""
-        if exponent >= self.precision:
-            raise ValueError(
-                f"coefficient of q^{exponent} unknown at precision {self.precision}"
-            )
-        if exponent < self.valuation:
-            return Fraction(0)
-        return self.coeffs[exponent - self.valuation]
-
-    def __add__(self, other: LaurentSeries) -> LaurentSeries:
-        prec = min(self.precision, other.precision)
-        val = min(self.valuation, other.valuation)
-        coeffs = [Fraction(0)] * (prec - val)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                e = src.valuation + i
-                if e < prec:
-                    coeffs[e - val] += c
-        return LaurentSeries(val, coeffs, prec)
-
-    def __neg__(self) -> LaurentSeries:
-        return LaurentSeries(
-            self.valuation, [-c for c in self.coeffs], self.precision
-        )
-
-    def __sub__(self, other: LaurentSeries) -> LaurentSeries:
-        return self + (-other)
-
-    def __mul__(self, other) -> LaurentSeries:
-        if isinstance(other, (int, Fraction)):
-            return LaurentSeries(
-                self.valuation, [c * other for c in self.coeffs], self.precision
-            )
-        if self.is_zero() or other.is_zero():
-            prec = min(
-                self.precision + other.valuation, other.precision + self.valuation
-            )
-            return LaurentSeries(prec, [], prec)
-        prec = min(
-            self.precision + other.valuation, other.precision + self.valuation
-        )
-        val = self.valuation + other.valuation
-        coeffs = [Fraction(0)] * (prec - val)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                e = val + i + j
-                if e >= prec:
-                    break
-                if b:
-                    coeffs[i + j] += a * b
-        return LaurentSeries(val, coeffs, prec)
-
-    __rmul__ = __mul__
-
-    def truncate(self, precision: int) -> LaurentSeries:
-        """Forget coefficients at q^precision and beyond."""
-        if precision > self.precision:
-            raise ValueError("cannot widen precision by truncating")
-        val = min(self.valuation, precision)
-        return LaurentSeries(
-            val,
-            [self.coefficient(e) for e in range(val, precision)],
-            precision,
-        )
-
-
-def eisenstein(weight: int, prec: int) -> LaurentSeries:
-    """G_weight = 1 - (2*weight/B_weight) * sum sigma_{weight-1}(n) q^n,
-    truncated at q^prec."""
-    if weight % 2 or weight < 4:
-        raise ValueError("eisenstein requires an even weight >= 4")
-    if prec < 1:
-        raise ValueError("eisenstein requires prec >= 1")
-    scale = Fraction(-2 * weight) / bernoulli(weight)
-    coeffs = [Fraction(1)] + [
-        scale * divisor_sum(n, weight - 1) for n in range(1, prec)
-    ]
-    return LaurentSeries(0, coeffs, prec)
-
-
-def delta(prec: int) -> LaurentSeries:
-    """Delta = q * prod (1-q^n)^24, truncated at q^prec (valuation 1)."""
-    if prec < 2:
-        raise ValueError("delta requires prec >= 2")
-    return LaurentSeries(1, _eta24(prec - 1), prec)
-
-
-# Integer kernels: prod (1-q^n)^24 and its inverse powers have integer
-# coefficients and constant term 1, so they are computed on plain int
-# lists (coefficients of q^0 .. q^(prec-1)) and wrapped once.
+# Integer kernels on coefficient lists of q^0 .. q^(prec-1).
 
 
 def _int_mul(a, b, prec: int) -> list[int]:
@@ -208,34 +71,25 @@ def _int_inverse_power(a, r: int, prec: int) -> list[int]:
 def t_series_pole_order(h: int) -> int:
     """The r in T_h: floor(h/12) when h = 2 mod 12, else floor(h/12)+1."""
     if h % 2 or h < 4:
-        raise ValueError("t_series requires an even h >= 4")
+        raise ValueError("h must be an even integer >= 4")
     return h // 12 if h % 12 == 2 else h // 12 + 1
 
 
-def t_series(h: int, extra_prec: int = 0) -> LaurentSeries:
-    """T_h = G_{12r-h+2} * Delta^(-r) (just Delta^(-r) when the weight
-    comes out 0), with coefficients reported for q^(-r) .. q^0.
-
-    The working precision is r+2 terms past the pole, which always
-    covers the constant term; extra_prec widens it for cross-checks.
-    """
+def siegel_coeffs(h: int) -> list[Fraction]:
+    """The weights b_j(h) = -c_{h,j} / c_{h,0} for j = 1..r, where
+    c_{h,j} is the coefficient of q^-j in T_h, read off
+    c = q^r T_h = G_k (prod (1-q^n)^24)^(-r) at q^0 .. q^r.  The
+    weight k = 12r - h + 2 is 0 when h = 2 mod 12, and then G_k = 1."""
     r = t_series_pole_order(h)
     k = 12 * r - h + 2
-    rel = r + 2 + extra_prec
-    core = LaurentSeries(-r, _int_inverse_power(_eta24(rel), r, rel), rel - r)
+    n = r + 1
+    c = _int_inverse_power(_eta24(n), r, n)
     if k > 0:
-        core = core * eisenstein(k, rel)
-    return core.truncate(1)
-
-
-def siegel_coeffs(h: int) -> list[Fraction]:
-    """The weights b_j(h) = -c_{h,j} / c_{h,0} for j = 1..r, read off
-    the principal part of T_h."""
-    r = t_series_pole_order(h)
-    t = t_series(h)
-    if t.valuation != -r or t.coefficient(-r) != 1:
+        scale = Fraction(-2 * k) / bernoulli(k)
+        sigma = [0] + [divisor_sum(i, k - 1) for i in range(1, n)]
+        c = [a + scale * b for a, b in zip(c, _int_mul(c, sigma, n))]
+    if c[0] != 1:
         raise AssertionError(f"T_{h} does not start with q^-{r}")
-    c0 = t.coefficient(0)
-    if c0 == 0:
+    if c[r] == 0:
         raise DegenerateConstantTerm(f"constant term of T_{h} vanished")
-    return [-t.coefficient(-j) / c0 for j in range(1, r + 1)]
+    return [Fraction(-c[r - j], c[r]) for j in range(1, r + 1)]

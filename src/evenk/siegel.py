@@ -19,13 +19,18 @@ from .qseries import siegel_coeffs
 def is_fundamental_discriminant(d: int) -> bool:
     """True for discriminants of real quadratic fields: d > 1 with
     d = 1 mod 4 squarefree, or d = 4m for squarefree m = 2, 3 mod 4."""
-    if d <= 1:
-        return False
+    return d > 1 and is_kronecker_discriminant(d)
+
+
+def is_kronecker_discriminant(d: int) -> bool:
+    """True for d = 1 and the fundamental discriminants of either sign,
+    the d whose Kronecker symbol (d|.) is a primitive character mod |d|:
+    d = 1 mod 4 squarefree, or d = 4m for squarefree m = 2, 3 mod 4."""
     if d % 4 == 1:
-        return _squarefree(d)
+        return _squarefree(abs(d))
     if d % 4 == 0:
         m = d // 4
-        return m % 4 in (2, 3) and _squarefree(m)
+        return m % 4 in (2, 3) and _squarefree(abs(m))
     return False
 
 
@@ -91,21 +96,6 @@ def e_sum(m: int, j: int) -> int:
     for b in range(start, isqrt(m - 1) + 1, 2):
         side += divisor_sum((m - b * b) // 4, j)
     return total + 2 * side
-
-
-def e_sum_brute_force(m: int, j: int) -> int:
-    """Direct triple-loop enumeration of b^2 + 4ac = m; the oracle
-    against which e_sum is checked."""
-    total = 0
-    for a in range(1, m + 1):
-        for c in range(1, m + 1):
-            rem = m - 4 * a * c
-            if rem < 0:
-                break
-            b = isqrt(rem)
-            if b * b == rem:
-                total += a**j * (1 if b == 0 else 2)
-    return total
 
 
 def chi_weighted_sum(disc: QuadraticDiscriminant | int, l: int, k: int) -> int:

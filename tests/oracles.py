@@ -4,8 +4,10 @@ Each is a plain transcription of a definition, or earlier code that a
 kernel in `evenk` replaced (Fraction arithmetic, the list-based trial
 division, orbit numbering by building and sorting every character, a
 character's coordinates read off its values, its conductor, primitive
-part and Kronecker symbol read off its value at every unit); the tests
-require the kernels to agree with them exactly.
+part and Kronecker symbol read off its value at every unit, the weights
+b_j(h) read off precision-tracking Laurent series, the power sums e_j(m)
+by enumerating b^2 + 4ac = m); the tests require the kernels to agree
+with them exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from math import comb, gcd, isqrt, lcm
 
 from evenk.arith import (
     bernoulli,
+    divisor_sum,
     divisors,
     factor_small,
     is_prime,
@@ -35,7 +38,12 @@ from evenk.cyclodirichlet import (
     euler_phi,
 )
 from evenk.kgroups import _as_positive_int
-from evenk.qseries import LaurentSeries
+from evenk.qseries import (
+    DegenerateConstantTerm,
+    _eta24,
+    _int_inverse_power,
+    t_series_pole_order,
+)
 from evenk.siegel import QuadraticDiscriminant, e_sum
 
 
@@ -290,6 +298,175 @@ def w_case_analysis(p: int, conductors, k: int) -> dict[int, int]:
     return parts
 
 
+# -- truncated Laurent series, Eisenstein series, Delta and T_h ----------------
+
+class LaurentSeries:
+    """Coefficients for exponents valuation .. precision-1; anything at
+    q^precision and beyond is unknown (O(q^precision)).
+
+    Arithmetic tracks the tightest precision consistent with its
+    inputs and never silently widens it.
+    """
+
+    __slots__ = ("valuation", "coeffs", "precision")
+
+    def __init__(self, valuation: int, coeffs, precision: int) -> None:
+        coeffs = [Fraction(c) for c in coeffs]
+        if precision - valuation != len(coeffs):
+            raise ValueError("coefficient span must equal precision - valuation")
+        while coeffs and coeffs[0] == 0:
+            coeffs.pop(0)
+            valuation += 1
+        if not coeffs:
+            valuation = precision
+        self.valuation = valuation
+        self.coeffs = tuple(coeffs)
+        self.precision = precision
+
+    def __repr__(self) -> str:
+        terms = [
+            f"{c}*q^{self.valuation + i}"
+            for i, c in enumerate(self.coeffs)
+            if c != 0
+        ]
+        body = " + ".join(terms) if terms else "0"
+        return f"<{body} + O(q^{self.precision})>"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        return (
+            self.valuation == other.valuation
+            and self.coeffs == other.coeffs
+            and self.precision == other.precision
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.valuation, self.coeffs, self.precision))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient(self, exponent: int) -> Fraction:
+        """Coefficient of q^exponent; exponents at or past the
+        precision bound are unknown and rejected."""
+        if exponent >= self.precision:
+            raise ValueError(
+                f"coefficient of q^{exponent} unknown at precision {self.precision}"
+            )
+        if exponent < self.valuation:
+            return Fraction(0)
+        return self.coeffs[exponent - self.valuation]
+
+    def __add__(self, other: LaurentSeries) -> LaurentSeries:
+        prec = min(self.precision, other.precision)
+        val = min(self.valuation, other.valuation)
+        coeffs = [Fraction(0)] * (prec - val)
+        for src in (self, other):
+            for i, c in enumerate(src.coeffs):
+                e = src.valuation + i
+                if e < prec:
+                    coeffs[e - val] += c
+        return LaurentSeries(val, coeffs, prec)
+
+    def __neg__(self) -> LaurentSeries:
+        return LaurentSeries(
+            self.valuation, [-c for c in self.coeffs], self.precision
+        )
+
+    def __sub__(self, other: LaurentSeries) -> LaurentSeries:
+        return self + (-other)
+
+    def __mul__(self, other) -> LaurentSeries:
+        if isinstance(other, (int, Fraction)):
+            return LaurentSeries(
+                self.valuation, [c * other for c in self.coeffs], self.precision
+            )
+        if self.is_zero() or other.is_zero():
+            prec = min(
+                self.precision + other.valuation, other.precision + self.valuation
+            )
+            return LaurentSeries(prec, [], prec)
+        prec = min(
+            self.precision + other.valuation, other.precision + self.valuation
+        )
+        val = self.valuation + other.valuation
+        coeffs = [Fraction(0)] * (prec - val)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                e = val + i + j
+                if e >= prec:
+                    break
+                if b:
+                    coeffs[i + j] += a * b
+        return LaurentSeries(val, coeffs, prec)
+
+    __rmul__ = __mul__
+
+    def truncate(self, precision: int) -> LaurentSeries:
+        """Forget coefficients at q^precision and beyond."""
+        if precision > self.precision:
+            raise ValueError("cannot widen precision by truncating")
+        val = min(self.valuation, precision)
+        return LaurentSeries(
+            val,
+            [self.coefficient(e) for e in range(val, precision)],
+            precision,
+        )
+
+
+def eisenstein(weight: int, prec: int) -> LaurentSeries:
+    """G_weight = 1 - (2*weight/B_weight) * sum sigma_{weight-1}(n) q^n,
+    truncated at q^prec."""
+    if weight % 2 or weight < 4:
+        raise ValueError("eisenstein requires an even weight >= 4")
+    if prec < 1:
+        raise ValueError("eisenstein requires prec >= 1")
+    scale = Fraction(-2 * weight) / bernoulli(weight)
+    coeffs = [Fraction(1)] + [
+        scale * divisor_sum(n, weight - 1) for n in range(1, prec)
+    ]
+    return LaurentSeries(0, coeffs, prec)
+
+
+def delta(prec: int) -> LaurentSeries:
+    """Delta = q * prod (1-q^n)^24, truncated at q^prec (valuation 1)."""
+    if prec < 2:
+        raise ValueError("delta requires prec >= 2")
+    return LaurentSeries(1, _eta24(prec - 1), prec)
+
+
+def t_series(h: int, extra_prec: int = 0) -> LaurentSeries:
+    """T_h = G_{12r-h+2} * Delta^(-r) (just Delta^(-r) when the weight
+    comes out 0), with coefficients reported for q^(-r) .. q^0.
+
+    The working precision is r+2 terms past the pole, which always
+    covers the constant term; extra_prec widens it for cross-checks.
+    """
+    r = t_series_pole_order(h)
+    k = 12 * r - h + 2
+    rel = r + 2 + extra_prec
+    core = LaurentSeries(-r, _int_inverse_power(_eta24(rel), r, rel), rel - r)
+    if k > 0:
+        core = core * eisenstein(k, rel)
+    return core.truncate(1)
+
+
+def siegel_coeffs_by_laurent_series(h: int) -> list[Fraction]:
+    """The weights b_j(h) = -c_{h,j} / c_{h,0} for j = 1..r, read off
+    the principal part of t_series(h)."""
+    r = t_series_pole_order(h)
+    t = t_series(h)
+    if t.valuation != -r or t.coefficient(-r) != 1:
+        raise AssertionError(f"T_{h} does not start with q^-{r}")
+    c0 = t.coefficient(0)
+    if c0 == 0:
+        raise DegenerateConstantTerm(f"constant term of T_{h} vanished")
+    return [-t.coefficient(-j) / c0 for j in range(1, r + 1)]
+
+
 # -- Laurent series inverse and powers -----------------------------------------
 
 def series_shift(s: LaurentSeries, k: int) -> LaurentSeries:
@@ -451,6 +628,23 @@ def kronecker_character_by_units(d: int) -> DirichletCharacter:
     m = abs(d)
     exps = {a: int(kronecker(d, a if a else 1) < 0) for a in range(m) if gcd(a, m) == 1}
     return DirichletCharacter.from_values(m, 2, exps)
+
+
+# -- power sums by enumeration --------------------------------------------------
+
+def e_sum_brute_force(m: int, j: int) -> int:
+    """Direct triple-loop enumeration of b^2 + 4ac = m; the oracle
+    against which e_sum is checked."""
+    total = 0
+    for a in range(1, m + 1):
+        for c in range(1, m + 1):
+            rem = m - 4 * a * c
+            if rem < 0:
+                break
+            b = isqrt(rem)
+            if b * b == rem:
+                total += a**j * (1 if b == 0 else 2)
+    return total
 
 
 # -- closed forms for quadratic K_2 and K_6 -----------------------------------

@@ -28,12 +28,12 @@ from evenk.kgroups import (
 from evenk.prank import scan
 from evenk.siegel import (
     e_sum,
-    e_sum_brute_force,
     fundamental_discriminant,
     is_fundamental_discriminant,
     zeta_quadratic,
 )
 from evenk.winv import w_cyclic, w_elementary, w_quadratic, w_rational
+from oracles import e_sum_brute_force
 
 DATA = Path(__file__).parent / "data"
 

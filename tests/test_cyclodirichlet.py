@@ -20,6 +20,7 @@ from evenk.cyclodirichlet import (
     cyclotomic_polynomial,
     euler_phi,
     gen_bernoulli,
+    kronecker_coordinates,
     l_value,
     orbit_key,
     orbit_l_product,
@@ -443,6 +444,17 @@ def test_quadratic_character_is_the_kronecker_symbol_at_every_unit():
     assert min(discriminants) < -1990 and max(discriminants) > 1990
     for d in discriminants:
         assert quadratic_character(d) == kronecker_character_by_units(d), d
+    for d in set(range(-1999, 2000)) - set(discriminants) - {1}:
+        with pytest.raises(ValueError):
+            kronecker_coordinates(d)
+
+
+@pytest.mark.parametrize("d", [3, -12, 20, 9])
+def test_quadratic_character_rejects_d_that_is_no_fundamental_discriminant(d):
+    # (3|7) = -1, yet a character mod 3 is 1 at 7 = 1 mod 3
+    for build in (kronecker_coordinates, quadratic_character):
+        with pytest.raises(ValueError, match="not 1 or a fundamental discriminant"):
+            build(d)
 
 
 def test_quadratic_characters_even_and_primitive():

@@ -5,8 +5,7 @@ from evenk.prank import (
     rank5_witness,
     scan,
 )
-from evenk.siegel import e_sum_brute_force
-from oracles import quadratic_k2_closed_form
+from oracles import e_sum_brute_force, quadratic_k2_closed_form
 
 
 def test_rank3_statement_values_match_brute_force():

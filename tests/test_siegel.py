@@ -9,12 +9,12 @@ from evenk.siegel import (
     QuadraticDiscriminant,
     chi_weighted_sum,
     e_sum,
-    e_sum_brute_force,
     fundamental_discriminant,
     is_fundamental_discriminant,
     zeta_quadratic,
 )
 from evenk.winv import w_quadratic
+from oracles import e_sum_brute_force
 
 
 def fundamentals(bound):

@@ -2,7 +2,8 @@
 (bench/tracing.py) wraps evenk functions by their names from outside the
 package; a renamed or deleted function would break `bench/run.py
 --trace 1` without any evenk test noticing.  The README's CLI block
-shows every subcommand; a renamed command or flag would leave it stale.
+shows every subcommand; a renamed command or flag would leave it stale,
+and its Layout table names every module of the package.
 The `kgroup --method` choices are spelled out in the CLI's command
 table; they must stay the routes the field specs accept.  The README's
 character-file example must stay a file that `char-check` accepts.  Every command
@@ -54,6 +55,15 @@ def test_readme_cli_examples_parse_and_cover_every_command():
     for argv in examples:
         parser.parse_args(argv[1:])  # raises UsageError on drift
     assert {argv[1] for argv in examples} >= set(cli.COMMANDS)
+
+
+def test_readme_layout_names_exactly_the_package_modules():
+    text = README.read_text(encoding="utf-8").split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in text.splitlines() if line.startswith("| `evenk.")]
+    package = TRACING.parent.parent / "src" / "evenk"
+    modules = {f"`evenk.{path.stem}`" for path in package.glob("*.py")} - {"`evenk.__init__`"}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == modules
 
 
 def test_readme_character_file_example_is_accepted(tmp_path, capsys):
