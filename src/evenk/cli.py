@@ -28,7 +28,7 @@ import io
 import sys
 from collections import namedtuple
 
-from .arith import FactorBudget, is_prime
+from .arith import FactorBudget, factorize, is_prime
 from .cyclodirichlet import (
     CharacterFileError,
     ImprimitiveCharacter,
@@ -105,7 +105,7 @@ def parse_field_spec(text: str) -> FieldSpec:
 def _record_from_order(
     result: KGroupOrder, k: int, budget: FactorBudget
 ) -> OutputRecord:
-    factorization = result.ensure_factorization(budget)
+    factorization = factorize(result.order, budget, result.pieces)
     return OutputRecord(
         field=result.field.label(),
         k=k,

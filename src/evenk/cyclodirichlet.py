@@ -7,9 +7,10 @@ conjugates, the rational value of a norm).  A Dirichlet character is
 its local coordinates: its values, as root-of-unity exponents, at the
 local generators of (Z/mZ)^*, which determine it (Washington,
 Introduction to Cyclotomic Fields, ch. 3).  Its exponent at every unit
-is tabled once, so equality and the sums of L-values stay in integer
-arithmetic; expansion into a CyclotomicElement happens only when a
-generalized Bernoulli number or an L-value is assembled.
+is walked once from those values, by multiplying out the powers of the
+generators' lifts, so the sums of L-values stay in integer arithmetic;
+expansion into a CyclotomicElement happens only when a generalized
+Bernoulli number or an L-value is assembled.
 
 A field's characters are built one per Galois orbit, from the orbit's
 coordinates (CharacterOrbit.of).  Coordinates are checked in O(rank):
@@ -18,7 +19,8 @@ homomorphism condition.  A map of values, as a character file gives,
 is checked once, at that boundary (DirichletCharacter.from_values): it
 must be the character its values at the generators give, that is, a
 linear form in the discrete logs of the cyclic decomposition of
-(Z/mZ)^*, at O(phi(m) * rank) cost.
+(Z/mZ)^*; comparing it with that character's walked exponents costs
+O(phi(m)).
 """
 
 from __future__ import annotations
@@ -215,14 +217,6 @@ def _reduce_mod_cyclotomic(raw: list[int], order: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_units(m: int) -> list[int]:
-    """Unit residues of Z/mZ as the integers a in [1, m] with
-    gcd(a, m) = 1, reduced mod m (so m = 1 yields [0])."""
-    if m == 1:
-        return [0]
-    return [a for a in range(1, m) if gcd(a, m) == 1]
-
-
 class DirichletCharacter:
     """A character of (Z/mZ)^*, held as its local coordinates: ((q, g), c)
     pairs meaning chi(x) = zeta_order^c at the lift x of the local
@@ -236,9 +230,10 @@ class DirichletCharacter:
     The stated order is divided by gcd(order, *c), so the stored order
     is exact, and only the nonzero coordinates are kept, in
     _local_generators order: equal characters have equal fields.  The
-    exponent at every unit is tabled once, from the discrete logs of
-    _unit_group_data(modulus).  A map of values goes through
-    from_values.
+    exponent at every unit is walked once: from {1: 0}, each generator's
+    lift x of order o multiplies every unit reached so far by x^j,
+    j < o, and adds j * c to its exponent.  The table is kept in residue
+    order.  A map of values goes through from_values.
     """
 
     __slots__ = ("modulus", "order", "coords", "_exp")
@@ -262,16 +257,22 @@ class DirichletCharacter:
                 raise ValueError(f"chi({x})^{o} != 1, but {x} has order {o} mod {modulus}")
         d = gcd(order, *at.values())
         n = order // d
-        table, units = _unit_group_data(modulus)
-        kept = [
-            (g, c, dlog)
-            for (g, *_), (_, _, dlog) in zip(gens, table)
-            if (c := at.get(g, 0) // d % n)
-        ]
+        kept = []
+        exp = {1 % modulus: 0}
+        for g, _, o, x in gens:
+            c = at.get(g, 0) // d % n
+            if c:
+                kept.append((g, c))
+            for u in list(exp):
+                e = exp[u]
+                for _ in range(o - 1):
+                    u = u * x % modulus
+                    e = (e + c) % n
+                    exp[u] = e
         self.modulus = modulus
         self.order = n
-        self.coords = tuple((g, c) for g, c, _ in kept)
-        self._exp = {u: sum(c * dlog[u] for _, c, dlog in kept) % n for u in units}
+        self.coords = tuple(kept)
+        self._exp = {u: exp[u] for u in sorted(exp)}
 
     @classmethod
     def from_values(
@@ -280,19 +281,20 @@ class DirichletCharacter:
         """The character with chi(a) = zeta_order^value_exponents[a] at
         each unit a in [0, modulus): its values at the lifts of the
         local generators are its coordinates, and _check_homomorphism
-        holds the map to the character they give, in O(phi(m) * rank)
-        in all.  A map that does not cover exactly the units, or is no
+        holds the map to the character they give, in O(phi(m)) once
+        the units are walked.  A map that does not cover exactly the
+        units (those the trivial character mod m walks), or is no
         homomorphism, raises ValueError.  This is the only path that
         takes values."""
         if modulus < 1 or order < 1:
             raise ValueError("modulus and order must be >= 1")
         # phi(m) >= sqrt(m / 2), so a map too short for its modulus is
-        # rejected before m is factored or its units are tabled
+        # rejected before m is factored or its units are walked
         count = len(value_exponents)
         if (
             2 * count * count < modulus
             or count != euler_phi(modulus)
-            or sorted(value_exponents) != _unit_group_data(modulus)[1]
+            or value_exponents.keys() != cls(modulus, 1)._exp.keys()
         ):
             raise ValueError("residues must be exactly the units mod m")
         coords = [(g, value_exponents[x]) for g, _, _, x in _local_generators(modulus)]
@@ -388,33 +390,6 @@ def _local_generators(m: int) -> list[tuple[tuple[int, int], int, int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _unit_group_data(m: int):
-    """Cyclic decomposition of (Z/mZ)^* with discrete-log tables.
-
-    Returns (gens, units) where gens lists (x, order, dlog) for each of
-    the _local_generators(m), in their order, and dlog maps each unit
-    residue mod m to its exponent along x; x has the basis vector as its
-    dlogs.  A unit mod 2^e is -1 to the power (u mod 4) // 2 times a
-    power of 5."""
-    units = _canonical_units(m)
-    gens = []
-    for (q, g), qe, order, x in _local_generators(m):
-        if g == -1:
-            dlog = {u: u % 4 // 2 for u in units}
-        else:
-            powers = {}
-            y = 1
-            for i in range(order):
-                powers[y] = i
-                y = y * g % qe
-            if q == 2:
-                powers.update({qe - r: i for r, i in powers.items()})
-            dlog = {u: powers[u % qe] for u in units}
-        gens.append((x, order, dlog))
-    return gens, units
-
-
 def _check_homomorphism(chi: DirichletCharacter, n: int, exps: dict[int, int]) -> None:
     """Raise ValueError unless a -> exps[a] (mod n) is chi, the character
     read off exps at the lifts of the local generators.
@@ -423,8 +398,9 @@ def _check_homomorphism(chi: DirichletCharacter, n: int, exps: dict[int, int]) -
     t_i = exps[b_i], the map is a homomorphism iff o_i * t_i = 0 (mod n)
     for every i, which DirichletCharacter checks, and
     exps[u] = sum_i t_i * dlog_i(u) (mod n) for every unit u, which is
-    chi's exponent at u (Washington, Introduction to Cyclotomic Fields,
-    ch. 3).  Costs O(phi(m)) once chi is built.
+    chi's walked exponent at u (Washington, Introduction to Cyclotomic
+    Fields, ch. 3).  Costs O(phi(m)) once chi is built; the first
+    failing unit in residue order is reported.
     """
     scale = n // chi.order
     for u, e in chi.exponent_items():
@@ -590,8 +566,9 @@ def gen_bernoulli(chi: DirichletCharacter, n: int) -> CyclotomicElement:
 
     Exact, as an element of Q(zeta_order).  Imprimitive input is
     rejected: the same sum over a non-minimal modulus is a different
-    (Euler-factor-deflated) quantity.  The summands are added in
-    integers, one bucket per root of unity, and reduced once.
+    (Euler-factor-deflated) quantity.  The summands, one per unit a in
+    1..f, are added in integers, one bucket per root of unity, and
+    reduced once.
     """
     if n < 1:
         raise ValueError("gen_bernoulli requires n >= 1")
@@ -602,10 +579,8 @@ def gen_bernoulli(chi: DirichletCharacter, n: int) -> CyclotomicElement:
     f = chi.modulus
     coeffs, d = _bernoulli_poly_int_coeffs(n, f)
     buckets = [0] * chi.order
-    for a in range(1, f + 1):
-        e = chi.exponent(a)
-        if e is None:
-            continue
+    for a, e in chi.exponent_items():
+        a = a or f  # residue 0 is a unit only for f = 1, where a runs to f
         acc = 0
         for c in coeffs:
             acc = acc * a + c

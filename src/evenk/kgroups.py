@@ -22,15 +22,7 @@ from fractions import Fraction
 from math import isqrt, lcm, prod
 
 from . import winv
-from .arith import (
-    FactorBudget,
-    PartialFactorization,
-    bernoulli,
-    factor_small,
-    factorize,
-    is_prime,
-    valuation,
-)
+from .arith import bernoulli, factor_small, is_prime, valuation
 from .cyclodirichlet import (
     CharacterOrbit,
     _primitive_orbit_coordinates,
@@ -236,35 +228,21 @@ FieldSpec = Rationals | RealQuadratic | CyclicPrime | Elementary
 
 
 class KGroupOrder(Value):
-    """A computed |K_index(O_F)| with method provenance; the partial
-    factorization is filled in lazily because the orders can run to
-    hundreds of digits, so unlike the other values this one is mutable
-    and unhashable.  pieces are positive integers whose primes cover
-    those of the order (the factors a route multiplied it from);
-    factorization splits them instead of the whole order."""
+    """A computed |K_index(O_F)| with method provenance.  pieces are
+    positive integers whose primes cover those of the order (the
+    factors a route multiplied it from), so that a factorization can
+    split them instead of the whole order, which can run to hundreds of
+    digits."""
 
-    __slots__ = (
-        "field", "index", "order", "method", "zeta_value", "factorization", "pieces"
-    )
-    _defaults = {"zeta_value": None, "factorization": None, "pieces": ()}
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
+    __slots__ = ("field", "index", "order", "method", "zeta_value", "pieces")
+    _defaults = {"zeta_value": None, "pieces": ()}
 
     field: FieldSpec
     index: int
     order: int
     method: str
     zeta_value: Fraction | None
-    factorization: PartialFactorization | None
     pieces: tuple[int, ...]
-
-    def ensure_factorization(
-        self, budget: FactorBudget | None = None
-    ) -> PartialFactorization:
-        if self.factorization is None:
-            self.factorization = factorize(self.order, budget, self.pieces)
-        return self.factorization
 
 
 # ---------------------------------------------------------------------------

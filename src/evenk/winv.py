@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from math import lcm, prod
 
-from .arith import factor_small, is_prime, primes_up_to, valuation
-from .siegel import QuadraticDiscriminant, as_discriminant, is_fundamental_discriminant
+from .arith import factor_small, primes_up_to, valuation
 from .values import Value
 
 
@@ -86,10 +85,14 @@ def w_from_orbits(orbits, k: int) -> WInvariant:
     return _w_from_valuations(parts)
 
 
-def w_quadratic(disc: QuadraticDiscriminant | int, k: int) -> WInvariant:
-    """w_2k of the real quadratic field with fundamental discriminant D."""
-    d = int(as_discriminant(disc))
-    return w_from_orbits(((d, 1),), k)
+# bench/tracing.py wraps w_quadratic, w_cyclic and w_elementary by their
+# winv names, so they stay here.
+def w_quadratic(disc, k: int) -> WInvariant:
+    """w_2k of the real quadratic field with fundamental discriminant
+    disc (an int or a QuadraticDiscriminant)."""
+    from .kgroups import RealQuadratic
+
+    return w_from_orbits(RealQuadratic(int(disc)).orbit_shapes(), k)
 
 
 def cyclic_conductor_is_valid(p: int, f: int) -> bool:
@@ -109,30 +112,14 @@ def cyclic_conductor_is_valid(p: int, f: int) -> bool:
 
 def w_cyclic(p: int, f: int, k: int) -> WInvariant:
     """w_2k of a real cyclic degree-p field of conductor f (p odd)."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("w_cyclic expects an odd prime degree")
-    if not cyclic_conductor_is_valid(p, f):
-        raise ValueError(f"{f} is not a real cyclic degree-{p} conductor")
-    return w_from_orbits(((f, p - 1),), k)
+    from .kgroups import CyclicPrime
+
+    return w_from_orbits(CyclicPrime(p, f).orbit_shapes(), k)
 
 
-def w_elementary(p: int, conductors: list[int], k: int) -> WInvariant:
-    """w_2k of a totally real p-elementary field, given the conductors
-    of all its (p^n - 1)/(p - 1) degree-p subfields.
+def w_elementary(p: int, parts, k: int) -> WInvariant:
+    """w_2k of the totally real p-elementary field whose degree-p
+    subfields are the field specs `parts` (all of them; see Elementary)."""
+    from .kgroups import Elementary
 
-    For p = 2 the conductors are the fundamental discriminants of the
-    quadratic subfields.
-    """
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    degree = 1 + (p - 1) * len(conductors)
-    if degree < p * p or p ** valuation(degree, p) != degree:
-        raise ValueError(
-            f"{len(conductors)} subfields is not (p^n - 1)/(p - 1) for any n >= 2"
-        )
-    for f in conductors:
-        if p == 2 and not is_fundamental_discriminant(f):
-            raise ValueError(f"{f} is not a fundamental discriminant")
-        if p != 2 and not cyclic_conductor_is_valid(p, f):
-            raise ValueError(f"{f} is not a degree-{p} conductor")
-    return w_from_orbits(((f, p - 1) for f in conductors), k)
+    return w_from_orbits(Elementary(p, tuple(parts)).orbit_shapes(), k)

@@ -3,10 +3,11 @@
 Each is a plain transcription of a definition, or earlier code that a
 kernel in `evenk` replaced (Fraction arithmetic, the list-based trial
 division, orbit numbering by building and sorting every character, a
-character's coordinates read off its values, its conductor, primitive
-part and Kronecker symbol read off its value at every unit, the weights
-b_j(h) read off precision-tracking Laurent series, the power sums e_j(m)
-by enumerating b^2 + 4ac = m); the tests require the kernels to agree
+character's coordinates read off its values, its values read off
+discrete-log tables, its conductor, primitive part and Kronecker
+symbol read off its value at every unit, the weights b_j(h) read off
+precision-tracking Laurent series, the power sums e_j(m) by
+enumerating b^2 + 4ac = m); the tests require the kernels to agree
 with them exactly.
 """
 
@@ -597,6 +598,46 @@ def walked_values(chi: DirichletCharacter) -> dict[int, int]:
                 values[b] = (values[a] + c) % chi.order
                 frontier.append(b)
     return values
+
+
+@lru_cache(maxsize=None)
+def unit_group_dlogs(m: int):
+    """Cyclic decomposition of (Z/mZ)^* with discrete-log tables, the
+    way the package once tabled it for every modulus.
+
+    Returns (gens, units): units are the residues in [0, m) prime to m,
+    in increasing order ([0] for m = 1), and gens lists (x, order, dlog)
+    for each of the _local_generators(m), in their order, where dlog
+    maps each unit to its exponent along x.  A unit mod 2^e is -1 to the
+    power (u mod 4) // 2 times a power of 5."""
+    units = [0] if m == 1 else [a for a in range(1, m) if gcd(a, m) == 1]
+    gens = []
+    for (q, g), qe, order, x in _local_generators(m):
+        if g == -1:
+            dlog = {u: u % 4 // 2 for u in units}
+        else:
+            powers = {}
+            y = 1
+            for i in range(order):
+                powers[y] = i
+                y = y * g % qe
+            if q == 2:
+                powers.update({qe - r: i for r, i in powers.items()})
+            dlog = {u: powers[u % qe] for u in units}
+        gens.append((x, order, dlog))
+    return gens, units
+
+
+def dlog_values(chi: DirichletCharacter) -> dict[int, int]:
+    """chi's exponent at every unit, in increasing order, as the sum of
+    its coordinates times the unit's discrete logs (unit_group_dlogs)."""
+    gens, units = unit_group_dlogs(chi.modulus)
+    at = dict(chi.coords)
+    terms = [
+        (at.get(g, 0), dlog)
+        for (g, *_), (_, _, dlog) in zip(_local_generators(chi.modulus), gens)
+    ]
+    return {u: sum(c * dlog[u] for c, dlog in terms) % chi.order for u in units}
 
 
 def conductor_by_divisors(chi: DirichletCharacter) -> int:

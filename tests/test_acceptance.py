@@ -180,20 +180,22 @@ def test_criterion_7_w_sanity():
         n = 2 if len(discs) == 3 else 3
         exponent = 2**n - 2
         for k in range(1, 11):
-            lhs = w_rational(k).value ** exponent * w_elementary(2, list(discs), k).value
+            parts = [RealQuadratic(d) for d in discs]
+            lhs = w_rational(k).value ** exponent * w_elementary(2, parts, k).value
             rhs = 1
             for d in discs:
                 rhs *= w_quadratic(d, k).value
             if lhs != rhs:
                 failures.append(f"w identity fails for {discs}, k={k}")
-    cubic_conductors = [7, 9, 63, 63]
+    # the four cubic subfields of the compositum of conductors 7 and 9
+    cubic_parts = [CyclicPrime(3, 7), CyclicPrime(3, 9), CyclicPrime(3, 63), CyclicPrime(3, 63, 1)]
     for k in range(1, 11):
-        lhs = w_rational(k).value ** 3 * w_elementary(3, cubic_conductors, k).value
+        lhs = w_rational(k).value ** 3 * w_elementary(3, cubic_parts, k).value
         rhs = 1
-        for f in cubic_conductors:
-            rhs *= w_cyclic(3, f, k).value
+        for part in cubic_parts:
+            rhs *= w_cyclic(3, part.f, k).value
         if lhs != rhs:
-            failures.append(f"w identity fails for conductors {cubic_conductors}, k={k}")
+            failures.append(f"w identity fails for conductors 7, 9, 63, 63, k={k}")
     report(7, "w sanity and multiplicativity identity", start, failures)
     assert not failures, "\n".join(failures)
 

@@ -28,7 +28,7 @@ from evenk.cyclodirichlet import (
     primitive_orbit_index,
     primitive_orbits_of_order,
     quadratic_character,
-    _unit_group_data,
+    _local_generators,
 )
 from oracles import (
     FractionCyclotomic,
@@ -36,10 +36,12 @@ from oracles import (
     character_product,
     conductor_by_divisors,
     conjugates,
+    dlog_values,
     kronecker_character_by_units,
     local_coordinates,
     primitive_orbits_by_sorting,
     primitive_part_by_units,
+    unit_group_dlogs,
     walked_values,
 )
 from oracles import _reduce_mod_cyclotomic as reduce_fraction_poly
@@ -267,7 +269,7 @@ def linear_check_accepts(m, n, exps):
 def linear_map(m, n, t):
     """u -> sum_i t_i dlog_i(u) mod n: linear in the stored discrete
     logs, but a character only when o_i t_i = 0 (mod n) for every i."""
-    gens, units = _unit_group_data(m)
+    gens, units = unit_group_dlogs(m)
     return {
         u: sum(ti * dlog[u] for (_, _, dlog), ti in zip(gens, t)) % n
         for u in units
@@ -281,7 +283,7 @@ def cached_group(m):
 
 def test_lifted_generators_have_basis_dlogs():
     for m in range(1, 201):
-        gens, units = _unit_group_data(m)
+        gens, units = unit_group_dlogs(m)
         for i, (b, order, _) in enumerate(gens):
             assert b in units
             assert pow(b, order, m) == 1 % m
@@ -311,7 +313,7 @@ def test_linear_check_rejects_wrap_around():
 
 def test_linear_check_matches_oracle_on_dlog_maps():
     for m in range(1, 61):
-        rank = len(_unit_group_data(m)[0])
+        rank = len(_local_generators(m))
         for n in range(1, 13):
             for i in range(rank):
                 exps = linear_map(m, n, tuple(int(i == j) for j in range(rank)))
@@ -342,29 +344,34 @@ def test_every_construction_path_rejects_a_non_character(tmp_path):
             build()
 
 
-def test_an_orbit_tables_the_units_once_and_checks_no_value_map(monkeypatch):
+def test_an_orbit_walks_the_units_once_and_checks_no_value_map(monkeypatch):
     from evenk import cyclodirichlet
     from evenk.kgroups import CyclicPrime
 
     calls = []
 
-    def counted(name):
-        real = getattr(cyclodirichlet, name)
+    def checked(*args):
+        calls.append(args)
 
-        def wrapper(*args):
-            calls.append(name)
-            return real(*args)
-
-        return wrapper
-
-    for name in ("_canonical_units", "_check_homomorphism"):
-        monkeypatch.setattr(cyclodirichlet, name, counted(name))
-    CharacterOrbit.of.cache_clear()
-    cyclodirichlet._unit_group_data.cache_clear()
+    monkeypatch.setattr(cyclodirichlet, "_check_homomorphism", checked)
+    caches = {
+        name: getattr(obj, "__func__", obj)
+        for name, obj in [*vars(cyclodirichlet).items(), ("of", vars(CharacterOrbit)["of"])]
+        if hasattr(getattr(obj, "__func__", obj), "cache_info")
+        and getattr(obj, "__module__", None) == cyclodirichlet.__name__
+    }
+    for cache in caches.values():
+        cache.cache_clear()
     (orbit,) = CyclicPrime(5, 1181, 0).character_orbits()
-    assert orbit.representative.order == 5 and orbit.representative.is_primitive()
-    assert calls.count("_canonical_units") <= 1
-    assert calls.count("_check_homomorphism") == 0
+    chi = orbit.representative
+    assert chi.order == 5 and chi.is_primitive()
+    assert calls == []
+    # the unit table is the character's own: no cache keyed by the
+    # modulus holds units or discrete logs
+    assert len(chi.exponent_items()) == euler_phi(1181)
+    filled = {name for name, cache in caches.items() if cache.cache_info().currsize}
+    assert filled <= {"euler_phi", "_primitive_orbit_coordinates", "of"}
+    assert not hasattr(cyclodirichlet, "_unit_group_data")
 
 
 @pytest.mark.parametrize("m", range(1, 61))
@@ -386,7 +393,7 @@ def test_linear_check_matches_oracle_on_tampered_characters(m, data):
 @given(data=st.data())
 def test_linear_check_matches_oracle_on_random_dlog_maps(m, data):
     n = data.draw(st.integers(1, 24))
-    rank = len(_unit_group_data(m)[0])
+    rank = len(_local_generators(m))
     t = tuple(data.draw(st.integers(0, n - 1)) for _ in range(rank))
     exps = linear_map(m, n, t)
     assert linear_check_accepts(m, n, exps) == pairwise_is_character(m, n, exps)
@@ -422,6 +429,7 @@ def test_coordinates_give_the_values_conductor_and_primitive_part():
         for chi in cached_group(m):
             walked = walked_values(chi)
             assert chi.exponent_items() == tuple(sorted(walked.items())), (m, chi)
+            assert chi.exponent_items() == tuple(dlog_values(chi).items()), (m, chi)
             assert chi.conductor() == conductor_by_divisors(chi), (m, chi)
             assert chi.primitive_part() == primitive_part_by_units(chi), (m, chi)
             assert chi.is_even() == (walked[(m - 1) % m] == 0), (m, chi)
@@ -747,15 +755,16 @@ def test_parse_rejects_bad_residue_lists(tmp_path):
         )
 
 
-def test_parse_rejects_a_map_too_short_for_its_modulus_before_tabling_units(
+def test_parse_rejects_a_map_too_short_for_its_modulus_before_walking_units(
     monkeypatch, tmp_path
 ):
     from evenk import cyclodirichlet
 
-    def no_tables(m):
-        raise AssertionError(f"tabled the units mod {m}")
+    def no_walk(m):
+        raise AssertionError(f"walked the units mod {m}")
 
-    monkeypatch.setattr(cyclodirichlet, "_unit_group_data", no_tables)
+    # every walk starts from the local generators' lifts
+    monkeypatch.setattr(cyclodirichlet, "_local_generators", no_walk)
     # 10^12 fails phi(m) >= sqrt(m / 2) for one value; 10^6 passes it
     # for 800 values, but phi(10^6) = 400000
     for m, count in ((10**12, 1), (10**6, 800)):

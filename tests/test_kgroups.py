@@ -221,7 +221,7 @@ def test_elementary_orders_carry_their_pieces():
             assert whole.complete
             for prime, _ in whole.factored:
                 assert any(piece % prime == 0 for piece in result.pieces)
-            assert result.ensure_factorization(budget) == whole
+            assert factorize(result.order, budget, result.pieces) == whole
     part_orders = {k_even_order(part, 3).order for part in spec.parts}
     assert set(combine_elementary(spec, 3).pieces) == part_orders | {kz(10)}
     # routes over a single L-norm factor the order whole

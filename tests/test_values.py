@@ -9,7 +9,7 @@ from typing import get_args
 
 import pytest
 
-from evenk.arith import FactorBudget, PartialFactorization
+from evenk.arith import FactorBudget, PartialFactorization, factorize
 from evenk.cli import COMMANDS, OutputRecord, run
 from evenk.cyclodirichlet import CharacterOrbit, quadratic_character
 from evenk.kgroups import (
@@ -63,6 +63,12 @@ FROZEN = [
     ),
     (lambda: CubicParameters(7, -1, 3), lambda: CubicParameters(9, -3, 3),
      "CubicParameters(f=7, a=-1, b=3)"),
+    (
+        lambda: KGroupOrder(Rationals(), 2, 48, "kz", Fraction(-1, 12), pieces=(48,)),
+        lambda: KGroupOrder(Rationals(), 2, 48, "kz", Fraction(-1, 12)),
+        "KGroupOrder(field=Rationals(), index=2, order=48, method='kz', "
+        "zeta_value=Fraction(-1, 12), pieces=(48,))",
+    ),
 ]
 
 
@@ -121,18 +127,13 @@ def test_checks_still_run_on_construction():
         FactorBudget(trial_limt=5)
 
 
-def test_k_group_order_is_mutable_and_unhashable():
+def test_k_group_order_is_a_frozen_value():
+    # the frozen-value checks are in FROZEN; the order holds no
+    # factorization, and its reader factors it from its pieces
     order = KGroupOrder(Rationals(), 2, 48, "kz", Fraction(-1, 12), pieces=(48,))
-    assert repr(order) == (
-        "KGroupOrder(field=Rationals(), index=2, order=48, method='kz', "
-        "zeta_value=Fraction(-1, 12), factorization=None, pieces=(48,))"
-    )
-    assert order == KGroupOrder(Rationals(), 2, 48, "kz", Fraction(-1, 12), pieces=(48,))
-    assert order.ensure_factorization() == PartialFactorization(((2, 4), (3, 1)))
-    assert order.factorization is not None
-    assert order != KGroupOrder(Rationals(), 2, 48, "kz", Fraction(-1, 12), pieces=(48,))
-    with pytest.raises(TypeError):
-        hash(order)
+    assert not hasattr(order, "factorization")
+    assert not hasattr(order, "ensure_factorization")
+    assert factorize(order.order, None, order.pieces) == PartialFactorization(((2, 4), (3, 1)))
 
 
 def test_field_spec_lists_the_four_spec_classes():

@@ -2,6 +2,7 @@ import pytest
 
 from field_enum import two_elementary_fields
 from oracles import w_case_analysis
+from evenk.kgroups import CyclicPrime, RealQuadratic
 from evenk.siegel import fundamental_discriminant, is_fundamental_discriminant
 from evenk.winv import (
     WInvariant,
@@ -12,6 +13,13 @@ from evenk.winv import (
     w_quadratic,
     w_rational,
 )
+
+# the four cubic subfields of the compositum of conductors 7 and 9
+DEGREE9_PARTS = (CyclicPrime(3, 7), CyclicPrime(3, 9), CyclicPrime(3, 63), CyclicPrime(3, 63, 1))
+
+
+def quads(discs):
+    return [RealQuadratic(d) for d in discs]
 
 
 def test_w_rational_examples():
@@ -44,16 +52,25 @@ def test_w_cyclic_validation():
 
 
 def test_w_elementary_examples():
-    assert w_elementary(2, [8, 12, 24], 1).value == 48
-    assert w_elementary(2, [12, 5, 60], 1).value == 120
-    assert w_elementary(2, [8, 12, 5, 24, 40, 60, 120], 1).value == 240
+    assert w_elementary(2, quads([8, 12, 24]), 1).value == 48
+    assert w_elementary(2, quads([12, 5, 60]), 1).value == 120
+    assert w_elementary(2, quads([8, 12, 5, 24, 40, 60, 120]), 1).value == 240
 
 
 def test_w_elementary_rejects_bad_counts():
     with pytest.raises(ValueError):
-        w_elementary(2, [8, 12], 1)
-    with pytest.raises(ValueError):
-        w_elementary(2, [20, 12, 15], 1)
+        w_elementary(2, quads([8, 12]), 1)
+    with pytest.raises(ValueError, match="cyclic degree-2"):
+        w_elementary(2, [CyclicPrime(3, 7), RealQuadratic(12), RealQuadratic(5)], 1)
+
+
+def test_w_elementary_rejects_parts_that_are_no_fields_subfields():
+    # the counts are right, but the parts are not closed under products
+    with pytest.raises(ValueError, match="generate quad:65, which is not a part"):
+        w_elementary(2, quads([5, 13, 8]), 1)
+    parts = [CyclicPrime(3, f) for f in (7, 13, 19, 31)]
+    with pytest.raises(ValueError, match="generate cyclic:3:91, which is not a part"):
+        w_elementary(3, parts, 1)
 
 
 def test_multiplicativity_identity_two_elementary():
@@ -63,7 +80,7 @@ def test_multiplicativity_identity_two_elementary():
         n = 2 if len(discs) == 3 else 3
         exponent = (2**n - 2) // (2 - 1)
         for k in range(1, 11):
-            lhs = w_rational(k).value ** exponent * w_elementary(2, list(discs), k).value
+            lhs = w_rational(k).value ** exponent * w_elementary(2, quads(discs), k).value
             rhs = 1
             for d in discs:
                 rhs *= w_quadratic(d, k).value
@@ -71,12 +88,11 @@ def test_multiplicativity_identity_two_elementary():
 
 
 def test_multiplicativity_identity_three_elementary():
-    conductors = [7, 9, 63, 63]
     for k in range(1, 11):
-        lhs = w_rational(k).value ** 3 * w_elementary(3, conductors, k).value
+        lhs = w_rational(k).value ** 3 * w_elementary(3, DEGREE9_PARTS, k).value
         rhs = 1
-        for f in conductors:
-            rhs *= w_cyclic(3, f, k).value
+        for part in DEGREE9_PARTS:
+            rhs *= w_cyclic(3, part.f, k).value
         assert lhs == rhs, k
 
 
@@ -121,16 +137,17 @@ def test_w_formula_matches_case_analysis():
                 for k in ks:
                     got = w_cyclic(p, f, k).parts
                     assert got == w_case_analysis(p, (f,), k), (p, f, k)
-    fields = [(3, (7, 9, 63, 63))]
+    fields = [(3, DEGREE9_PARTS)]
     fields += [
-        (2, tuple(fundamental_discriminant(x) for x in (2, 3, m, 6, 2 * m, 3 * m, 6 * m)))
+        (2, quads(fundamental_discriminant(x) for x in (2, 3, m, 6, 2 * m, 3 * m, 6 * m)))
         for m in (5, 7, 11, 13, 17, 19)
     ]
-    fields += [(2, discs) for discs in two_elementary_fields(120, 2)]
-    fields += [(2, discs) for discs in two_elementary_fields(120, 3)]
-    for p, conductors in fields:
+    fields += [(2, quads(discs)) for discs in two_elementary_fields(120, 2)]
+    fields += [(2, quads(discs)) for discs in two_elementary_fields(120, 3)]
+    for p, parts in fields:
+        conductors = [part.conductor() for part in parts]
         for k in ks:
-            got = w_elementary(p, list(conductors), k).parts
+            got = w_elementary(p, parts, k).parts
             assert got == w_case_analysis(p, conductors, k), (conductors, k)
 
 
