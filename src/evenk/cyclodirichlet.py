@@ -1,16 +1,16 @@
-"""Exact cyclotomic arithmetic and Dirichlet characters.
+"""Dirichlet characters and the L-products of their Galois orbits.
 
-Elements of Q(zeta_n) are polynomials reduced modulo the n-th
-cyclotomic polynomial, held as integer numerators over one common
-denominator; they carry only what L-values need (products, Galois
-conjugates, the rational value of a norm).  A Dirichlet character is
-its local coordinates: its values, as root-of-unity exponents, at the
-local generators of (Z/mZ)^*, which determine it (Washington,
-Introduction to Cyclotomic Fields, ch. 3).  Its exponent at every unit
-is walked once from those values, by multiplying out the powers of the
-generators' lifts, so the sums of L-values stay in integer arithmetic;
-expansion into a CyclotomicElement happens only when a generalized
-Bernoulli number or an L-value is assembled.
+A Dirichlet character is its local coordinates: its values, as
+root-of-unity exponents, at the local generators of (Z/mZ)^*, which
+determine it (Washington, Introduction to Cyclotomic Fields, ch. 3).
+Its exponent at every unit is walked once from those values, by
+multiplying out the powers of the generators' lifts, so the sums of
+L-values stay in integer arithmetic.  A generalized Bernoulli number
+B_{n,chi} is held as a lift to the group ring Z[x]/(x^order - 1): one
+integer per power of zeta_order, over one denominator.  An orbit's
+L-product, the norm of L(chi, 1-2k) from Q(zeta_order) to Q, is taken
+in that ring, where each Galois conjugate permutes the coordinates;
+nothing is reduced modulo a cyclotomic polynomial.
 
 A field's characters are built one per Galois orbit, from the orbit's
 coordinates (CharacterOrbit.of).  Coordinates are checked in O(rank):
@@ -37,7 +37,7 @@ from .winv import cyclic_conductor_is_valid
 
 
 class NotRational(ArithmeticError):
-    """A cyclotomic element expected to be rational is not."""
+    """An orbit's L-product, which must be rational, is not."""
 
 
 class ImprimitiveCharacter(ValueError):
@@ -54,162 +54,6 @@ def euler_phi(n: int) -> int:
     for p, e in factor_small(n):
         phi *= p ** (e - 1) * (p - 1)
     return phi
-
-
-def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of exact integer polynomial division (monic divisor)."""
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q[i - dd] = c
-        for j, dj in enumerate(den):
-            num[i - dd + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-_cyclotomic_cache: dict[int, tuple[int, ...]] = {}
-
-
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n(x), constant term first.
-
-    Built by exact division of x^n - 1 by the Phi_d for proper
-    divisors d; memoized.
-    """
-    if n < 1:
-        raise ValueError("cyclotomic_polynomial requires n >= 1")
-    if n in _cyclotomic_cache:
-        return _cyclotomic_cache[n]
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_divmod_exact(num, list(cyclotomic_polynomial(d)))
-    result = tuple(num)
-    if len(result) - 1 != euler_phi(n):
-        raise ArithmeticError(f"Phi_{n} has wrong degree")
-    _cyclotomic_cache[n] = result
-    return result
-
-
-class CyclotomicElement:
-    """An element of Q(zeta_n): phi(n) rational coordinates in the
-    power basis 1, zeta, ..., zeta^(phi(n)-1).
-
-    The coordinates are stored as integer numerators `_num` over one
-    positive common denominator `_den`, in lowest terms (the gcd of
-    `_den` and every numerator is 1), so equal elements of one field
-    have equal fields and arithmetic never builds a Fraction.
-    """
-
-    __slots__ = ("order", "_num", "_den")
-
-    def __init__(self, order: int, coeffs) -> None:
-        phi = euler_phi(order)
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != phi:
-            raise ValueError(f"need {phi} coefficients for order {order}")
-        den = lcm(*(c.denominator for c in coeffs))
-        self.order = order
-        self._num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self._den = den
-
-    @classmethod
-    def _make(cls, order: int, num, den: int) -> CyclotomicElement:
-        """The element with coordinates num[i] / den (den != 0), brought
-        to lowest terms."""
-        g = gcd(den, *num)
-        if den < 0:
-            g = -g
-        self = object.__new__(cls)
-        self.order = order
-        self._num = tuple(num) if g == 1 else tuple(c // g for c in num)
-        self._den = den // g
-        return self
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The power-basis coordinates as rationals."""
-        return tuple(Fraction(c, self._den) for c in self._num)
-
-    def __repr__(self) -> str:
-        return f"CyclotomicElement(order={self.order}, coeffs={self.coeffs})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        return (self.order, self._den, self._num) == (other.order, other._den, other._num)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __mul__(self, other) -> CyclotomicElement:
-        """The product with a rational scalar or an element of the same field."""
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            p = other.numerator
-            return CyclotomicElement._make(
-                self.order, [a * p for a in self._num], self._den * other.denominator
-            )
-        if self.order != other.order:
-            raise ValueError(f"order mismatch ({self.order} vs {other.order})")
-        raw = [0] * (len(self._num) + len(other._num) - 1)
-        for i, a in enumerate(self._num):
-            if a:
-                for j, b in enumerate(other._num, i):
-                    if b:
-                        raw[j] += a * b
-        return CyclotomicElement._make(
-            self.order,
-            _reduce_mod_cyclotomic(raw, self.order),
-            self._den * other._den,
-        )
-
-    def conjugate(self, i: int) -> CyclotomicElement:
-        """sigma_i(self), where sigma_i is the automorphism of
-        Q(zeta_order) with zeta -> zeta^i; needs gcd(i, order) = 1."""
-        n = self.order
-        if gcd(i, n) != 1:
-            raise ValueError(f"{i} is not a unit mod {n}")
-        raw = [0] * n
-        for j, a in enumerate(self._num):
-            raw[i * j % n] = a
-        return CyclotomicElement._make(n, _reduce_mod_cyclotomic(raw, n), self._den)
-
-    def as_rational(self) -> Fraction:
-        if any(self._num[1:]):
-            raise NotRational(f"element of Q(zeta_{self.order}) is irrational")
-        return Fraction(self._num[0], self._den)
-
-
-def _reduce_mod_cyclotomic(raw: list[int], order: int) -> list[int]:
-    """Remainder of the integer polynomial `raw` (constant term first)
-    modulo the monic Phi_order, after folding exponents with
-    zeta^order = 1; `raw` may be overwritten."""
-    phi = euler_phi(order)
-    if len(raw) > order:
-        folded = raw[:order]
-        for k in range(order, len(raw)):
-            folded[k % order] += raw[k]
-        raw = folded
-    mod = cyclotomic_polynomial(order)
-    for i in range(len(raw) - 1, phi - 1, -1):
-        c = raw[i]
-        if c:
-            base = i - phi
-            for j in range(phi):
-                if mod[j]:
-                    raw[base + j] -= c * mod[j]
-    if len(raw) < phi:
-        return raw + [0] * (phi - len(raw))
-    del raw[phi:]
-    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +127,9 @@ class DirichletCharacter:
         local generators are its coordinates, and _check_homomorphism
         holds the map to the character they give, in O(phi(m)) once
         the units are walked.  A map that does not cover exactly the
-        units (those the trivial character mod m walks), or is no
-        homomorphism, raises ValueError.  This is the only path that
-        takes values."""
+        units (phi(m) distinct residues in [0, m), each prime to m), or
+        is no homomorphism, raises ValueError.  This is the only path
+        that takes values."""
         if modulus < 1 or order < 1:
             raise ValueError("modulus and order must be >= 1")
         # phi(m) >= sqrt(m / 2), so a map too short for its modulus is
@@ -294,7 +138,7 @@ class DirichletCharacter:
         if (
             2 * count * count < modulus
             or count != euler_phi(modulus)
-            or value_exponents.keys() != cls(modulus, 1)._exp.keys()
+            or not all(0 <= a < modulus and gcd(a, modulus) == 1 for a in value_exponents)
         ):
             raise ValueError("residues must be exactly the units mod m")
         coords = [(g, value_exponents[x]) for g, _, _, x in _local_generators(modulus)]
@@ -559,16 +403,17 @@ def _bernoulli_poly_int_coeffs(n: int, f: int) -> tuple[tuple[int, ...], int]:
     return coeffs, d
 
 
-def gen_bernoulli(chi: DirichletCharacter, n: int) -> CyclotomicElement:
+def gen_bernoulli(chi: DirichletCharacter, n: int) -> tuple[list[int], int]:
     """Generalized Bernoulli number B_{n,chi} for primitive chi:
 
         B_{n,chi} = f^(n-1) * sum_{a=1..f} chi(a) B_n(a/f).
 
-    Exact, as an element of Q(zeta_order).  Imprimitive input is
-    rejected: the same sum over a non-minimal modulus is a different
-    (Euler-factor-deflated) quantity.  The summands, one per unit a in
-    1..f, are added in integers, one bucket per root of unity, and
-    reduced once.
+    Exact, as (lift, den): B_{n,chi} = sum_e lift[e] zeta_order^e / den,
+    the summands added in integers, one bucket per root of unity.  A
+    lift to Z[x]/(x^order - 1) is not unique, so compare images in
+    Q(zeta_order), not lifts.  Imprimitive input is rejected: the same
+    sum over a non-minimal modulus is a different
+    (Euler-factor-deflated) quantity.
     """
     if n < 1:
         raise ValueError("gen_bernoulli requires n >= 1")
@@ -585,37 +430,67 @@ def gen_bernoulli(chi: DirichletCharacter, n: int) -> CyclotomicElement:
         for c in coeffs:
             acc = acc * a + c
         buckets[e] += acc
-    return CyclotomicElement._make(
-        chi.order, _reduce_mod_cyclotomic(buckets, chi.order), d * f
-    )
+    return buckets, d * f
 
 
-def l_value(chi: DirichletCharacter, k: int) -> CyclotomicElement:
-    """L(chi, 1-2k) = -B_{2k,chi} / (2k) for a primitive even chi."""
-    if k < 1:
-        raise ValueError("l_value requires k >= 1")
-    if not chi.is_even():
-        raise ValueError("odd characters do not belong to totally real fields")
-    return gen_bernoulli(chi, 2 * k) * Fraction(-1, 2 * k)
+def _cyclic_product(a: list[int], b: list[int]) -> list[int]:
+    """a * b in Z[x]/(x^n - 1), n = len(a) = len(b)."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[(i + j) % n] += x * y
+    return out
+
+
+def _conjugate(lift: list[int], i: int) -> list[int]:
+    """sigma_i(lift), x^j -> x^(i j), for i prime to n = len(lift)."""
+    n = len(lift)
+    inverse = pow(i, -1, n)
+    return [lift[j * inverse % n] for j in range(n)]
+
+
+def _fixed_value(t: list[int]) -> int:
+    """sum_j t[j] zeta_n^j (n = len(t)) for t fixed by every sigma_i,
+    that is, t[j] depends only on gcd(j, n): the primitive m-th roots
+    of unity sum to mu(m), so this is sum_{d | n} t[d mod n] mu(n/d).
+    Raises NotRational when t is not fixed."""
+    n = len(t)
+    if any(t[j] != t[gcd(j, n) % n] for j in range(n)):
+        raise NotRational(f"an orbit product in Z[x]/(x^{n} - 1) is not Galois-fixed")
+    terms = [(n, 1)]  # (n/s, mu(s)) for the squarefree divisors s of n
+    for q, _ in factor_small(n):
+        terms += [(d // q, -sign) for d, sign in terms]
+    return sum(sign * t[d % n] for d, sign in terms)
 
 
 def orbit_l_product(orbit: CharacterOrbit, k: int) -> Fraction:
-    """Product of L(chi^i, 1-2k) over the orbit; Galois-stable, so the
-    result must be rational (NotRational signals an arithmetic bug).
+    """Product of L(chi^i, 1-2k) over the orbit of an even chi of order
+    n: the norm from Q(zeta_n) to Q of L(chi, 1-2k) = -B_{2k,chi}/(2k)
+    (Washington, Introduction to Cyclotomic Fields, ch. 4).
 
-    L(chi^i, 1-2k) is sigma_i(L(chi, 1-2k)) for the automorphism
-    zeta -> zeta^i, so one generalized Bernoulli number per orbit
-    suffices; each conjugate only permutes the powers of zeta.
+    L(chi^i, 1-2k) is sigma_i(L(chi, 1-2k)) for zeta -> zeta^i, so one
+    generalized Bernoulli number per orbit suffices: its lift, in lowest
+    terms, times its conjugates in Z[x]/(x^n - 1).  Every sigma_i fixes
+    that product; NotRational if it is not fixed (an arithmetic bug).
     """
     chi = orbit.representative
     if chi.is_trivial():
         raise ValueError("orbit_l_product requires a nontrivial orbit")
-    value = l_value(chi.primitive_part(), k)
-    total = value
-    for i in range(2, chi.order):
-        if gcd(i, chi.order) == 1:
-            total = total * value.conjugate(i)
-    return total.as_rational()
+    if k < 1:
+        raise ValueError("orbit_l_product requires k >= 1")
+    if not chi.is_even():
+        raise ValueError("odd characters do not belong to totally real fields")
+    lift, den = gen_bernoulli(chi.primitive_part(), 2 * k)
+    g = -gcd(2 * k * den, *lift)  # so that den = -2k den / g > 0
+    lift = [c // g for c in lift]
+    n = len(lift)
+    total = lift
+    for i in range(2, n):
+        if gcd(i, n) == 1:
+            total = _cyclic_product(total, _conjugate(lift, i))
+    return Fraction(_fixed_value(total), (-2 * k * den // g) ** euler_phi(n))
 
 
 # ---------------------------------------------------------------------------

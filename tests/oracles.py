@@ -1,9 +1,10 @@
 """Slow, independent reference implementations for the tests.
 
 Each is a plain transcription of a definition, or earlier code that a
-kernel in `evenk` replaced (Fraction arithmetic, the list-based trial
-division, orbit numbering by building and sorting every character, a
-character's coordinates read off its values, its values read off
+kernel in `evenk` replaced (Fraction arithmetic in Q(zeta_n) reduced
+modulo Phi_n, the list-based trial division, orbit numbering by
+building and sorting every character, a character's coordinates read
+off its values, its values read off
 discrete-log tables, its conductor, primitive part and Kronecker
 symbol read off its value at every unit, the weights b_j(h) read off
 precision-tracking Laurent series, the power sums e_j(m) by
@@ -35,7 +36,6 @@ from evenk.cyclodirichlet import (
     _local_generators,
     _primitive_root,
     characters_of_order_dividing,
-    cyclotomic_polynomial,
     euler_phi,
 )
 from evenk.kgroups import _as_positive_int
@@ -117,12 +117,57 @@ def prime_power_root(n: int) -> tuple[int, int] | None:
     return None
 
 
+# -- cyclotomic polynomials ----------------------------------------------------
+
+def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
+    """Quotient of exact integer polynomial division (monic divisor)."""
+    num = list(num)
+    dd = len(den) - 1
+    q = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c == 0:
+            continue
+        q[i - dd] = c
+        for j, dj in enumerate(den):
+            num[i - dd + j] -= c * dj
+    if any(num):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+_cyclotomic_cache: dict[int, tuple[int, ...]] = {}
+
+
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n(x), constant term first.
+
+    Built by exact division of x^n - 1 by the Phi_d for proper
+    divisors d; memoized.
+    """
+    if n < 1:
+        raise ValueError("cyclotomic_polynomial requires n >= 1")
+    if n in _cyclotomic_cache:
+        return _cyclotomic_cache[n]
+    num = [0] * (n + 1)
+    num[0], num[n] = -1, 1
+    for d in range(1, n):
+        if n % d == 0:
+            num = _poly_divmod_exact(num, list(cyclotomic_polynomial(d)))
+    result = tuple(num)
+    if len(result) - 1 != euler_phi(n):
+        raise ArithmeticError(f"Phi_{n} has wrong degree")
+    _cyclotomic_cache[n] = result
+    return result
+
+
 # -- cyclotomic elements with Fraction coordinates ----------------------------
 
 class FractionCyclotomic:
     """An element of Q(zeta_n): phi(n) rational coordinates in the
-    power basis 1, zeta, ..., zeta^(phi(n)-1), each a Fraction; the
-    element type evenk used before its integer coordinates."""
+    power basis 1, zeta, ..., zeta^(phi(n)-1), each a Fraction,
+    reduced modulo Phi_n; the element type evenk used before it held
+    cyclotomic numbers as lifts to Z[x]/(x^n - 1)."""
 
     __slots__ = ("order", "coeffs")
 
@@ -138,6 +183,13 @@ class FractionCyclotomic:
     def from_rational(cls, value, order: int = 1) -> FractionCyclotomic:
         coeffs = [Fraction(value)] + [Fraction(0)] * (euler_phi(order) - 1)
         return cls(order, coeffs)
+
+    @classmethod
+    def from_lift(cls, lift, den: int = 1) -> FractionCyclotomic:
+        """The image sum_e lift[e] zeta^e / den of a lift to
+        Z[x]/(x^n - 1), n = len(lift)."""
+        raw = [Fraction(c, den) for c in lift]
+        return cls(len(lift), _reduce_mod_cyclotomic(raw, len(lift)))
 
     @classmethod
     def root_of_unity(cls, order: int, exponent: int = 1) -> FractionCyclotomic:

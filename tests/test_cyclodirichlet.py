@@ -11,23 +11,23 @@ from evenk.arith import bernoulli
 from evenk.cyclodirichlet import (
     CharacterFileError,
     CharacterOrbit,
-    CyclotomicElement,
     DirichletCharacter,
     ImprimitiveCharacter,
     NotRational,
     character_group,
     characters_of_order_dividing,
-    cyclotomic_polynomial,
     euler_phi,
     gen_bernoulli,
     kronecker_coordinates,
-    l_value,
     orbit_key,
     orbit_l_product,
     parse_character_file,
     primitive_orbit_index,
     primitive_orbits_of_order,
     quadratic_character,
+    _conjugate,
+    _cyclic_product,
+    _fixed_value,
     _local_generators,
 )
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     character_product,
     conductor_by_divisors,
     conjugates,
+    cyclotomic_polynomial,
     dlog_values,
     kronecker_character_by_units,
     local_coordinates,
@@ -83,112 +84,98 @@ def test_cyclotomic_degrees_and_prime_case():
         assert cyclotomic_polynomial(p) == tuple([1] * p)
 
 
-# -- cyclotomic elements ------------------------------------------------------
+# -- products in Z[x]/(x^n - 1) -------------------------------------------------
 
-def zeta(n, k=1):
-    """zeta_n^k, its coordinates taken from the Fraction oracle."""
-    return CyclotomicElement(n, FractionCyclotomic.root_of_unity(n, k).coeffs)
+def unit(n, e):
+    """The lift x^e of zeta_n^e."""
+    lift = [0] * n
+    lift[e % n] = 1
+    return lift
+
+
+def image(lift, den=1):
+    """The image of a lift in Q(zeta_n), reduced by the Fraction oracle."""
+    return FractionCyclotomic.from_lift(lift, den)
 
 
 def test_root_of_unity_relations():
-    assert (zeta(3) * zeta(3, 2)).as_rational() == 1
+    assert image(_cyclic_product(unit(3, 1), unit(3, 2))) == 1
     # (1 + zeta_4)(1 - zeta_4) = 2
-    assert (CyclotomicElement(4, [1, 1]) * CyclotomicElement(4, [1, -1])).as_rational() == 2
+    assert image(_cyclic_product([1, 1, 0, 0], [1, -1, 0, 0])) == 2
 
 
 def test_as_rational():
-    assert CyclotomicElement(1, [Fraction(7, 2)]).as_rational() == Fraction(7, 2)
-    sum_3 = FractionCyclotomic.root_of_unity(3, 1) + FractionCyclotomic.root_of_unity(3, 2)
-    assert CyclotomicElement(3, sum_3.coeffs).as_rational() == -1
+    # the value of a Galois-fixed lift, and NotRational for any other
+    assert _fixed_value([7]) == 7
+    assert _fixed_value([0, 1, 1]) == -1  # zeta_3 + zeta_3^2
+    assert _fixed_value([5, 2, 3, 2]) == 2  # 5 - 3 + 2 (zeta_4 + zeta_4^3)
     with pytest.raises(NotRational):
-        zeta(5).as_rational()
+        _fixed_value(unit(5, 1))
+    with pytest.raises(NotRational):
+        _fixed_value([0, 1, 0, 2])  # zeta_4 + 2 zeta_4^3
 
 
-def test_order_mismatch_requires_embedding():
-    with pytest.raises(ValueError):
-        zeta(3) * zeta(4)
+def test_fixed_value_is_the_oracle_image_of_every_fixed_lift():
+    # a lift fixed by every sigma_i is constant on {j : gcd(j, n) = d};
+    # moving one coordinate off a class of two or more breaks that
+    for order in range(1, 61):
+        divisors = [d for d in range(1, order + 1) if order % d == 0]
+        for t_d in ([d * d - 3 for d in divisors], [(-2) ** d for d in divisors]):
+            by_gcd = dict(zip(divisors, t_d))
+            lift = [by_gcd[gcd(j, order)] for j in range(order)]
+            assert _fixed_value(lift) == image(lift).as_rational(), (order, t_d)
+            for j in range(order):
+                if euler_phi(order // gcd(j, order)) > 1:
+                    with pytest.raises(NotRational):
+                        _fixed_value(lift[:j] + [lift[j] + 1] + lift[j + 1:])
 
 
 def test_power_and_high_exponents():
-    power = zeta(8, 0)
+    power = unit(8, 0)
     for k in range(12):
-        assert power == zeta(8, k)
-        power = power * zeta(8)
-    assert zeta(7, 6) * zeta(7, 5) == zeta(7, 11 % 7)
-
-
-# -- integer coordinates against the Fraction oracle ----------------------------
-
-def agrees(elem, oracle):
-    """Same field, same rational coordinates, same hash."""
-    return (
-        isinstance(elem, CyclotomicElement)
-        and elem.order == oracle.order
-        and elem.coeffs == oracle.coeffs
-        and hash(elem) == hash(oracle)
-    )
+        assert power == unit(8, k)
+        power = _cyclic_product(power, unit(8, 1))
+    assert _cyclic_product(unit(7, 6), unit(7, 5)) == unit(7, 11)
 
 
 def test_roots_of_unity_match_oracle():
     # zeta_n^e as a product of e copies of zeta_n, and as the conjugate
-    # sigma_e(zeta_n) for a unit e, reduced like every product
+    # sigma_e(zeta_n) for a unit e
     for n in range(1, 61):
-        power = zeta(n, 0)
+        power = unit(n, 0)
         for e in range(n + 2):
-            assert agrees(power, FractionCyclotomic.root_of_unity(n, e)), (n, e)
+            assert image(power) == FractionCyclotomic.root_of_unity(n, e), (n, e)
             if gcd(e, n) == 1:
-                assert agrees(zeta(n).conjugate(e), FractionCyclotomic.root_of_unity(n, e))
-            power = power * zeta(n)
+                assert image(_conjugate(unit(n, 1), e)) == FractionCyclotomic.root_of_unity(n, e)
+            power = _cyclic_product(power, unit(n, 1))
 
 
-def test_coordinates_are_in_lowest_terms():
-    x = CyclotomicElement(6, [Fraction(2, 4), Fraction(-6, 8)])
-    assert x._den == 4 and x._num == (2, -3)
-    assert x.coeffs == (Fraction(1, 2), Fraction(-3, 4))
-    y = x * 4
-    assert y._den == 1 and y._num == (2, -3)
-    zero = x * 0
-    assert zero._den == 1 and zero._num == (0, 0) and zero.as_rational() == 0
-
-
-RATIONALS = st.one_of(
-    st.just(0),
-    st.just(0),
-    st.integers(-9, 9),
-    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
-)
-
-
-@lru_cache(maxsize=None)
-def coordinates(order):
-    """phi(order) rationals, about half of them 0 (the Fraction oracle
-    is slow on dense elements of large degree)."""
-    n = euler_phi(order)
-    return st.lists(RATIONALS, min_size=n, max_size=n)
+LIFT_COORDINATES = st.one_of(st.just(0), st.just(0), st.integers(-9, 9), st.integers(-10**20, 10**20))
 
 
 @pytest.mark.parametrize("order", range(1, 61))
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_arithmetic_matches_fraction_oracle(order, data):
-    ca = data.draw(coordinates(order))
-    cb = data.draw(coordinates(order))
-    a, b = CyclotomicElement(order, ca), CyclotomicElement(order, cb)
-    oa, ob = FractionCyclotomic(order, ca), FractionCyclotomic(order, cb)
-    assert agrees(a, oa) and agrees(b, ob)
-    assert agrees(a * b, oa * ob)
-    scalar = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
-    assert agrees(a * scalar, oa * scalar)
-    assert (a == b) == (oa == ob)
+    # the images of the cyclic product and of the permutation sigma_i
+    # are the oracle's product and conjugate of the images
+    lifts = st.lists(LIFT_COORDINATES, min_size=order, max_size=order)
+    a, b = data.draw(lifts), data.draw(lifts)
+    den_a, den_b = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    oa, ob = image(a, den_a), image(b, den_b)
+    assert image(_cyclic_product(a, b), den_a * den_b) == oa * ob
+    assert _cyclic_product(a, b) == _cyclic_product(b, a)
     i = data.draw(st.sampled_from([i for i in range(1, order + 1) if gcd(i, order) == 1]))
     raw = [Fraction(0)] * order
     for j, c in enumerate(oa.coeffs):
         raw[i * j % order] = c
     sigma = FractionCyclotomic(order, reduce_fraction_poly(raw, order))
-    assert agrees(a.conjugate(i), sigma)
-    # equal values built different ways are equal and hash equal
-    for x, y in ((a * b, b * a), (a.conjugate(i).conjugate(pow(i, -1, order)), a)):
-        assert x == y and hash(x) == hash(y)
+    assert image(_conjugate(a, i), den_a) == sigma
+    # sigma_i is a ring automorphism of Z[x]/(x^n - 1), and sigma_i^-1 undoes it
+    assert _conjugate(_cyclic_product(a, b), i) == _cyclic_product(
+        _conjugate(a, i), _conjugate(b, i)
+    )
+    assert _conjugate(_conjugate(a, i), pow(i, -1, order)) == a
 
 
 # -- character groups ---------------------------------------------------------
@@ -236,6 +223,23 @@ def test_orthogonality():
 def test_multiplicativity_enforced():
     with pytest.raises(ValueError):
         DirichletCharacter.from_values(35, 2, _tampered_map())
+
+
+def test_from_values_key_check_agrees_with_the_walked_units():
+    # phi(m) distinct keys in [0, m), each prime to m, are the units the
+    # trivial character walks; a map with one key replaced by a non-unit,
+    # by itself plus or minus m, by m or by -1 is rejected
+    for m in range(1, 121):
+        units = walked_values(DirichletCharacter(m, 1)).keys()
+        exps = dict.fromkeys(units, 0)
+        assert DirichletCharacter.from_values(m, 1, exps).is_trivial()
+        non_units = [a for a in range(m) if gcd(a, m) > 1][:3]
+        for u in units:
+            for r in (*non_units, u + m, m, u - m, -1):
+                bad = {**{a: 0 for a in units if a != u}, r: 0}
+                assert len(bad) == len(units) and bad.keys() != units, (m, u, r)
+                with pytest.raises(ValueError, match="exactly the units"):
+                    DirichletCharacter.from_values(m, 1, bad)
 
 
 def _tampered_map():
@@ -494,18 +498,30 @@ def trivial_character():
     return character_group(1)[0]
 
 
+def b_image(chi, n):
+    """B_{n,chi} in Q(zeta_order): the image of gen_bernoulli's lift."""
+    lift, den = gen_bernoulli(chi, n)
+    assert len(lift) == chi.order
+    return image(lift, den)
+
+
+def l_value(chi, k):
+    """L(chi, 1-2k) = -B_{2k,chi} / (2k) in Q(zeta_order)."""
+    return b_image(chi, 2 * k) * Fraction(-1, 2 * k)
+
+
 def test_gen_bernoulli_examples():
-    assert gen_bernoulli(trivial_character(), 2).as_rational() == Fraction(1, 6)
-    assert gen_bernoulli(quadratic_character(5), 2).as_rational() == Fraction(4, 5)
-    assert gen_bernoulli(quadratic_character(8), 2).as_rational() == Fraction(2)
+    assert b_image(trivial_character(), 2).as_rational() == Fraction(1, 6)
+    assert b_image(quadratic_character(5), 2).as_rational() == Fraction(4, 5)
+    assert b_image(quadratic_character(8), 2).as_rational() == Fraction(2)
 
 
 def test_gen_bernoulli_matches_bernoulli_for_trivial_character():
     chi = trivial_character()
     for n in range(2, 31):
-        assert gen_bernoulli(chi, n).as_rational() == bernoulli(n)
+        assert b_image(chi, n).as_rational() == bernoulli(n)
     # n = 1 is the classical exception: the defining sum gives +1/2
-    assert gen_bernoulli(chi, 1).as_rational() == Fraction(1, 2)
+    assert b_image(chi, 1).as_rational() == Fraction(1, 2)
 
 
 def test_gen_bernoulli_matches_naive_sum():
@@ -514,7 +530,7 @@ def test_gen_bernoulli_matches_naive_sum():
             if not chi.is_primitive():
                 continue
             for n in range(1, 7):
-                assert agrees(gen_bernoulli(chi, n), gen_bernoulli_naive(chi, n)), (m, n)
+                assert b_image(chi, n) == gen_bernoulli_naive(chi, n), (m, n)
 
 
 def test_gen_bernoulli_odd_vanishing_for_even_characters():
@@ -523,9 +539,9 @@ def test_gen_bernoulli_odd_vanishing_for_even_characters():
             if not (chi.is_primitive() and chi.is_even()):
                 continue
             for n in (3, 5, 7, 9):
-                assert gen_bernoulli(chi, n).as_rational() == 0, (m, n)
+                assert b_image(chi, n).as_rational() == 0, (m, n)
             if not chi.is_trivial():
-                assert gen_bernoulli(chi, 1).as_rational() == 0
+                assert b_image(chi, 1).as_rational() == 0
 
 
 def test_gen_bernoulli_rejects_imprimitive():
@@ -677,6 +693,31 @@ def test_orbit_l_product_of_imprimitive_orbits():
 def test_orbit_l_product_rejects_trivial():
     with pytest.raises(ValueError):
         orbit_l_product(CharacterOrbit(trivial_character()), 1)
+
+
+def test_orbit_l_product_rejects_odd_characters_and_k_below_1():
+    for chi in (quadratic_character(-4), quadratic_character(-3), character_group(7)[1]):
+        assert not chi.is_even()
+        with pytest.raises(ValueError, match="odd characters do not belong to totally real fields"):
+            orbit_l_product(CharacterOrbit(chi), 1)
+    with pytest.raises(ValueError, match="requires k >= 1"):
+        orbit_l_product(CharacterOrbit(quadratic_character(5)), 0)
+
+
+def test_orbit_l_product_raises_not_rational_on_a_product_that_is_not_galois_fixed(monkeypatch):
+    from evenk import cyclodirichlet
+
+    cubic7 = primitive_orbits_of_order(7, 3)[0]
+    product = cyclodirichlet._cyclic_product
+
+    def perturbed(a, b):
+        out = product(a, b)
+        out[1] += 1
+        return out
+
+    monkeypatch.setattr(cyclodirichlet, "_cyclic_product", perturbed)
+    with pytest.raises(NotRational):
+        orbit_l_product(cubic7, 1)
 
 
 # -- character files -----------------------------------------------------------

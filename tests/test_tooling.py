@@ -13,6 +13,7 @@ sometimes needs."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +37,28 @@ def test_every_traced_layer_resolves_in_evenk(monkeypatch):
             assert isinstance(vars(getattr(owner, cls_name)).get(method), classmethod), target
         else:
             assert callable(getattr(owner, attr, None)), target
+
+
+def test_a_traced_characters_route_command_records_every_l_value_layer(tmp_path):
+    # a refactor that inlines or renames a layer would zero its
+    # per-layer metrics without failing the traced run; -B writes no
+    # bytecode into the checkout
+    spans_path = tmp_path / "spans.json"
+    src = TRACING.parent.parent / "src"
+    argv = ["zeta", "--field", "cyclic:5:11", "--k", "2"]
+    result = subprocess.run(
+        [sys.executable, "-B", str(TRACING), str(spans_path), "0", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout
+    names = {span[0] for span in json.loads(spans_path.read_text(encoding="utf-8"))["spans"]}
+    assert names >= {
+        "cyclodirichlet.characters",
+        "cyclodirichlet.gen_bernoulli",
+        "cyclodirichlet.orbit_l_product",
+        "arith.bernoulli",
+    }
 
 
 README = TRACING.parent.parent / "README.md"
