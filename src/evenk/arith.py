@@ -3,9 +3,15 @@
 Everything here is pure big-integer / big-rational arithmetic: divisor
 power sums, the full Kronecker symbol, l-adic valuations, Bernoulli
 numbers (from integer tangent numbers), a lazily grown prime sieve, and
-best-effort factorization (trial division + Pollard rho with Brent cycle
-detection, optionally run on the factors a number was multiplied from).
+best-effort factorization (trial division, Pollard rho with Brent cycle
+detection for up to RHO_CAP iterations, then the elliptic curve method
+with the rest of the budget counted in modular multiplications,
+optionally run on the factors a number was multiplied from).
 `fractions.Fraction` is the rational scalar used throughout the package.
+
+The elliptic curve method is Lenstra's (Ann. of Math. 126, 1987) on
+Montgomery's x-only curves (Math. Comp. 48, 1987), as in Cohen, "A
+Course in Computational Algebraic Number Theory", section 10.3.
 """
 
 from __future__ import annotations
@@ -27,6 +33,16 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # Trial division walks primes up to this bound at most, whatever the budget.
 TRIAL_CAP = 10**6
+# Pollard rho runs at most this many iterations per number, whatever the
+# budget; the rest of a number's budget goes to ECM curves.
+RHO_CAP = 10**5
+# ECM stage 1 multiplies by every prime power up to ECM_B1, stage 2
+# catches one more prime up to ECM_B2, in giant steps of _ECM_D.
+ECM_B1 = 2000
+ECM_B2 = 2 * 10**5
+_ECM_D = 210
+# the baby steps j of stage 2: 0 < j < D/2 and gcd(j, D) = 1
+_ECM_BABY_STEPS = tuple(j for j in range(1, _ECM_D // 2, 2) if gcd(j, _ECM_D) == 1)
 
 
 def _odd_sieve(n: int) -> bytearray:
@@ -255,8 +271,11 @@ class FactorBudget(Value):
 
     Trial division runs over the primes up to min(trial_limit,
     TRIAL_CAP) (2 at least), sieved only as far as the number needs;
-    factorize applies the cap, so callers pass any limit.  Pollard rho
-    then gets rho_iterations per number it tries to split.
+    factorize applies the cap, so callers pass any limit.  Each number
+    left to split then gets min(rho_iterations, RHO_CAP) Pollard-rho
+    iterations; beyond RHO_CAP, rho_iterations - RHO_CAP is spent on
+    ECM curves, counted in modular multiplications, so a budget of
+    RHO_CAP or less never runs ECM.
     """
 
     __slots__ = ("trial_limit", "rho_iterations")
@@ -360,6 +379,165 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
+# ECM on the Montgomery curves B y^2 = x^3 + A x^2 + x, in projective
+# x-only coordinates (X : Z); a24 = (A + 2) / 4 mod n.  The two formulas
+# cost 5 and 6 modular multiplications.
+
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """2P for P = (x : z)."""
+    s = (x + z) ** 2 % n
+    t = (x - z) ** 2 % n
+    d = s - t
+    return s * t % n, d * (t + a24 * d) % n
+
+
+def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int],
+          n: int) -> tuple[int, int]:
+    """P + Q from P, Q and P - Q."""
+    s = (p[0] - p[1]) * (q[0] + q[1]) % n
+    t = (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (s + t) ** 2 % n, diff[0] * (s - t) ** 2 % n
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
+    """kP and (k + 1)P for P = (x : z) and k >= 1, by Montgomery's
+    ladder: one doubling and one addition, 11 multiplications, per bit
+    of k after the first.  The hot loop of ECM, so _xdbl and _xadd are
+    written out."""
+    x0, z0 = x, z
+    x1, z1 = _xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        # (R0, R1) becomes (2 R0, R0 + R1) on a 0 bit and (R0 + R1, 2 R1)
+        # on a 1 bit; R1 - R0 = P throughout
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+        sp, sm = x0 + z0, x0 - z0
+        s = sm * (x1 + z1) % n
+        t = sp * (x1 - z1) % n
+        x1, z1 = z * (s + t) ** 2 % n, x * (s - t) ** 2 % n
+        s, t = sp * sp % n, sm * sm % n
+        d = s - t
+        x0, z0 = s * t % n, d * (t + a24 * d) % n
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+    return x0, z0, x1, z1
+
+
+@lru_cache(maxsize=None)
+def _ecm_stage1_scalar() -> int:
+    """lcm(1, ..., ECM_B1): the largest power up to ECM_B1 of each prime."""
+    k = 1
+    for p in _primes(ECM_B1):
+        q = p
+        while q * p <= ECM_B1:
+            q *= p
+        k *= q
+    return k
+
+
+@lru_cache(maxsize=None)
+def _ecm_stage2_plan() -> bytes:
+    """Stage 2's schedule for D = _ECM_D, one byte per step: 0 is a
+    giant step from mDQ to (m + 1)DQ, starting at m = 2, and j > 0 pairs
+    mDQ with the baby step jQ, for a prime p = mD +- j in (ECM_B1,
+    ECM_B2]; a pair that covers two primes comes once.  About 15k
+    bytes, walked once from the shared sieve: no list of the primes up
+    to ECM_B2 is built."""
+    half = _ECM_D // 2
+    plan = bytearray()
+    at = 2
+    seen: set[int] = set()
+    for p in _primes(ECM_B2):
+        if p <= ECM_B1:
+            continue
+        m = (p + half) // _ECM_D
+        if m > at:
+            plan += bytes(m - at)
+            at, seen = m, set()
+        j = abs(p - m * _ECM_D)
+        if j not in seen:
+            seen.add(j)
+            plan.append(j)
+    return bytes(plan)
+
+
+@lru_cache(maxsize=None)
+def _ecm_curve_cost() -> int:
+    """The modular multiplications of one _ecm_curve that finds nothing,
+    leaving out the few of its set-up: the stage-1 ladder; in stage 2,
+    the odd multiples of Q up to D/2, XZ of each baby step, DQ and 2DQ,
+    then 7 per giant step (the step and XZ) and 2 per pair."""
+    stage1 = 5 + 11 * (_ecm_stage1_scalar().bit_length() - 1)
+    baby = 5 + 6 * (_ECM_D // 4) + len(_ECM_BABY_STEPS) + 2 * 5
+    plan = _ecm_stage2_plan()
+    giant = plan.count(0)
+    return stage1 + baby + 7 * giant + 2 * (len(plan) - giant)
+
+
+def _ecm_stage2(x: int, z: int, a24: int, n: int) -> int:
+    """The product over the pairs (m, j) of _ecm_stage2_plan of
+    X(mDQ) Z(jQ) - X(jQ) Z(mDQ) mod n, for Q = (x : z): a prime of n
+    divides it when the order of Q modulo that prime is a prime in
+    (ECM_B1, ECM_B2].  Each term costs 2 multiplications, as
+    (X_m - X_j)(Z_m + Z_j) - X_m Z_m + X_j Z_j."""
+    q = (x, z)
+    q2 = _xdbl(x, z, a24, n)
+    odd = [q, _xadd(q2, q, q, n)]  # odd[i] = (2i + 1) Q, up to (D/2) Q
+    while len(odd) <= _ECM_D // 4:
+        odd.append(_xadd(odd[-1], q2, odd[-2], n))
+    baby: list[tuple[int, int, int]] = [(0, 0, 0)] * (_ECM_D // 2)
+    for j in _ECM_BABY_STEPS:
+        xj, zj = odd[j // 2]
+        baby[j] = xj, zj, xj * zj % n
+    r = _xdbl(*odd[-1], a24, n)
+    prev, cur = r, _xdbl(*r, a24, n)
+    xm, zm = cur
+    xzm = xm * zm % n
+    acc = 1
+    for j in _ecm_stage2_plan():
+        if j:
+            xj, zj, xzj = baby[j]
+            acc = acc * (((xm - xj) * (zm + zj) - xzm + xzj) % n) % n
+        else:
+            prev, cur = cur, _xadd(cur, r, prev, n)
+            xm, zm = cur
+            xzm = xm * zm % n
+    return acc
+
+
+def _ecm_curve(n: int, sigma: int) -> int | None:
+    """A divisor 1 < g < n found on the curve of Suyama's
+    parametrization at sigma (whose order modulo any prime p of n is
+    divisible by 12), or None."""
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    x, z = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * x * v % n
+    g = gcd(den, n)
+    if g == 1:
+        a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+        x, z, _, _ = _ladder(_ecm_stage1_scalar(), x, z, a24, n)
+        g = gcd(z, n)
+        if g == 1:
+            g = gcd(_ecm_stage2(x, z, a24, n), n)
+    return g if 1 < g < n else None
+
+
+def _ecm(n: int, budget: int) -> int | None:
+    """A nontrivial factor of odd composite n, or None: one ECM curve
+    after another while the whole cost of the next still fits in the
+    budget of modular multiplications.  The curves are drawn from
+    random.Random(n), so the outcome depends on n and budget alone."""
+    cost = _ecm_curve_cost()
+    rng = random.Random(n)
+    while budget >= cost:
+        budget -= cost
+        if g := _ecm_curve(n, rng.randrange(6, n - 1)):
+            return g
+    return None
+
+
 def _coprime_base(numbers: list[int]) -> list[int]:
     """Pairwise coprime integers > 1, in increasing order, such that
     every input is a product of some of them; their primes are exactly
@@ -382,20 +560,30 @@ def _coprime_base(numbers: list[int]) -> list[int]:
 def _rho_stack(
     stack: list[int], rho_iterations: int
 ) -> tuple[dict[int, int], list[int]]:
-    """Split every stack entry by primality test, Pollard rho and, for
-    what rho gives up on, an integer root: the primes met (with how
-    often they were met, each proved once) and the composites left."""
+    """Split every stack entry by primality test, Pollard rho (at most
+    RHO_CAP iterations), then, for what rho gives up on, an integer root
+    and ECM with the rest of the budget: the primes met (with how often
+    they were met, each proved once) and the composites left.  A repeat
+    of a composite already given up on is not searched again: the
+    search depends on the number alone, so it would fail again."""
     found: dict[int, int] = {}
     stubborn: list[int] = []
+    ecm_budget = rho_iterations - RHO_CAP
     while stack:
         c = stack.pop()
-        if c in found or is_prime(c):
-            found[c] = found.get(c, 0) + 1
-        elif g := _pollard_rho_brent(c, rho_iterations):
+        if c in found:
+            found[c] += 1
+        elif c in stubborn:
+            stubborn.append(c)
+        elif is_prime(c):
+            found[c] = 1
+        elif g := _pollard_rho_brent(c, min(rho_iterations, RHO_CAP)):
             stack += (g, c // g)
         elif power := _perfect_power(c):
             r, k = power
             stack += [r] * k
+        elif ecm_budget > 0 and (g := _ecm(c, ecm_budget)):
+            stack += (g, c // g)
         else:
             stubborn.append(c)
     return found, stubborn
@@ -406,14 +594,14 @@ def _split_along_pieces(
 ) -> tuple[dict[int, int], int]:
     """Prime powers of m found through the pieces, and the cofactor.
 
-    Rho runs on a coprime base of m and of each piece's common part
-    with m, so a prime shared by several pieces is split once, on a
+    Rho and ECM run on a coprime base of m and of each piece's common
+    part with m, so a prime shared by several pieces is split once, on a
     number far smaller than m.  Whatever of m no piece explains is a
     base element of its own and goes through the same stack; with no
-    pieces the base is [m].  The composites rho gave up on are refined
-    by gcds against each other, the primes found and the rest of m
-    (only the new parts are tested for primality); exponents are read
-    by dividing m, and what is left of it is the cofactor.
+    pieces the base is [m].  The composites rho and ECM gave up on are
+    refined by gcds against each other, the primes found and the rest
+    of m (only the new parts are tested for primality); exponents are
+    read by dividing m, and what is left of it is the cofactor.
     """
     base = _coprime_base([m, *(gcd(piece, m) for piece in pieces)])
     met, stubborn = _rho_stack(base, rho_iterations)
@@ -440,10 +628,11 @@ def factorize(
 
     Trial division first; what is left goes through _split_along_pieces
     in every case: Pollard rho (Brent variant) on a coprime base, an
-    integer root test on what rho cannot split, and gcd refinement of
-    the composites left.  Anything still composite when the budget runs
-    out is returned as an explicit cofactor with complete=False, never
-    mislabeled.
+    integer root test on what rho cannot split, ECM on what is still
+    composite when the budget goes beyond RHO_CAP (see FactorBudget),
+    and gcd refinement of the composites left.  Anything still composite
+    when the budget runs out is returned as an explicit cofactor with
+    complete=False, never mislabeled.
 
     pieces are optional positive integers whose primes should cover
     those of n, typically the factors n was multiplied from: rho then

@@ -316,7 +316,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=formats, default="text")
         if command.table:
             p.add_argument("--factor-budget", type=_nonnegative_int, default=10**6,
-                           help="trial-division limit and Pollard-rho iteration cap")
+                           help="trial-division limit, and the search budget of each "
+                                "number left: Pollard-rho iterations up to 10^5, ECM "
+                                "modular multiplications beyond")
     return parser
 
 

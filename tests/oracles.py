@@ -8,8 +8,9 @@ off its values, its values read off
 discrete-log tables, its conductor, primitive part and Kronecker
 symbol read off its value at every unit, the weights b_j(h) read off
 precision-tracking Laurent series, the power sums e_j(m) by
-enumerating b^2 + 4ac = m); the tests require the kernels to agree
-with them exactly.
+enumerating b^2 + 4ac = m, multiples of a point on a Montgomery curve by
+affine double-and-add); the tests require the kernels to agree with
+them exactly.
 """
 
 from __future__ import annotations
@@ -115,6 +116,37 @@ def prime_power_root(n: int) -> tuple[int, int] | None:
             if c > 1 and c**e == n:
                 return (c, e) if is_prime(c) else None
     return None
+
+
+# -- Montgomery curves ---------------------------------------------------------
+
+def montgomery_add(P, Q, a: int, b: int, p: int):
+    """P + Q on b y^2 = x^3 + a x^2 + x over F_p, p an odd prime, by the
+    affine chord-and-tangent formulas; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if P == Q:
+        lam = (3 * x1 * x1 + 2 * a * x1 + 1) * pow(2 * b * y1, -1, p)
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p)
+    x3 = (b * lam * lam - a - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def montgomery_multiple(k: int, P, a: int, b: int, p: int):
+    """kP for k >= 0 by double-and-add over montgomery_add."""
+    out, addend = None, P
+    while k:
+        if k & 1:
+            out = montgomery_add(out, addend, a, b, p)
+        addend = montgomery_add(addend, addend, a, b, p)
+        k >>= 1
+    return out
 
 
 # -- cyclotomic polynomials ----------------------------------------------------

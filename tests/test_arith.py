@@ -23,6 +23,7 @@ from evenk.arith import (
 )
 from oracles import (
     bernoulli_poly_value,
+    montgomery_multiple,
     prime_power_root,
     sieve_primes,
     trial_division,
@@ -539,6 +540,118 @@ def test_factorize_with_pieces_keeps_trial_division():
         assert factorize(n, pieces=pieces).factored == (
             (2, 5), (3, 1), (7393, 1), (1000003, 1)
         )
+
+
+def test_factorize_searches_a_repeated_composite_once():
+    # the root r of r^3 comes back three times; rho gave up on the first
+    # copy, and the search depends on r alone, so the others are not
+    # searched again
+    r = (2**61 - 1) * (2**89 - 1)
+    calls = Counter()
+    real = arith._pollard_rho_brent
+
+    def counted(c, budget):
+        calls[c] += 1
+        return real(c, budget)
+
+    with patch.object(arith, "_pollard_rho_brent", counted):
+        result = factorize(3 * r**3, FactorBudget(trial_limit=100, rho_iterations=2000))
+    assert result.factored == ((3, 1),)
+    assert result.cofactor == r**3
+    assert calls == Counter({r**3: 1, r: 1})
+
+
+# -- the elliptic curve method -----------------------------------------------
+
+@st.composite
+def montgomery_points(draw):
+    """(p, a, b, (x, y)): a point with x, y != 0 on b y^2 = x^3 + a x^2 + x
+    over F_p, a^2 != 4; b is whatever puts (x, y) on the curve."""
+    p = draw(st.sampled_from(primes_up_to(600)[2:]))
+    a = draw(st.integers(0, p - 1).filter(lambda a: (a * a - 4) % p))
+    x = draw(st.integers(1, p - 1).filter(lambda x: (x * x + a * x + 1) % p))
+    y = draw(st.integers(1, p - 1))
+    b = (x**3 + a * x * x + x) * pow(y * y, -1, p) % p
+    return p, a, b, (x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(montgomery_points(), st.integers(1, 2000))
+def test_ladder_matches_affine_montgomery_arithmetic(curve, k):
+    p, a, b, point = curve
+    a24 = (a + 2) * pow(4, -1, p) % p
+    for z in (1, 2):  # (x : 1) and the same point as (2x : 2)
+        x0, z0, x1, z1 = arith._ladder(k, point[0] * z % p, z, a24, p)
+        for (x, z_), multiple in ((x0, z0), k), ((x1, z1), k + 1):
+            expected = montgomery_multiple(multiple, point, a, b, p)
+            if expected is None:
+                assert z_ % p == 0 and x % p != 0
+            else:
+                assert z_ % p != 0 and x % p == expected[0] * z_ % p
+
+
+# two primes rho cannot separate within RHO_CAP iterations
+_RHO_RESISTANT = (10**15 + 37) * (10**15 + 91)
+
+
+def test_a_budget_at_or_below_rho_cap_never_enters_ecm(monkeypatch):
+    def ecm(n, budget):
+        raise AssertionError(f"ECM ran with budget {budget}")
+
+    monkeypatch.setattr(arith, "_ecm", ecm)
+    for rho_iterations in (0, 1000, arith.RHO_CAP):
+        result = factorize(_RHO_RESISTANT, FactorBudget(100, rho_iterations))
+        assert result.cofactor == _RHO_RESISTANT
+    with pytest.raises(AssertionError, match="budget 1$"):
+        factorize(_RHO_RESISTANT, FactorBudget(100, arith.RHO_CAP + 1))
+
+
+def test_ecm_starts_a_curve_only_if_its_whole_cost_fits(monkeypatch):
+    curves = []
+    monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma: curves.append(sigma))
+    cost = arith._ecm_curve_cost()
+    result = factorize(_RHO_RESISTANT, FactorBudget(100, arith.RHO_CAP + cost - 1))
+    assert result.cofactor == _RHO_RESISTANT and curves == []
+    assert arith._ecm(_RHO_RESISTANT, 3 * cost - 1) is None
+    assert len(curves) == 2
+
+
+def _semiprimes_of_12_digit_primes():
+    """Eight products of two 12-digit primes, fixed by the seed.  Whether
+    ECM splits a given n is fixed too, so a fixed list, not a drawn one,
+    keeps the test stable."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2025)
+    out = []
+    for _ in range(8):
+        p, q = (sympy.nextprime(rng.randrange(10**11, 10**12 - 100)) for _ in "pq")
+        out.append((min(p, q), max(p, q)))
+    return out
+
+
+def test_the_default_budget_splits_products_of_two_12_digit_primes():
+    for p, q in _semiprimes_of_12_digit_primes():
+        result = factorize(p * q)
+        assert result.factored == ((p, 1), (q, 1))
+        assert factorize(p * q) == result
+
+
+def test_the_ecm_plan_covers_every_stage_2_prime_once():
+    # each prime in (B1, B2] is m D +- j for exactly one step of the
+    # plan, and the plan holds no pair that covers no prime
+    plan = arith._ecm_stage2_plan()
+    d = arith._ECM_D
+    covered, m = [], 2
+    for j in plan:
+        if j:
+            assert j in arith._ECM_BABY_STEPS
+            pair = [p for p in (m * d - j, m * d + j)
+                    if arith.ECM_B1 < p <= arith.ECM_B2 and is_prime(p)]
+            assert pair
+            covered += pair
+        else:
+            m += 1
+    assert sorted(covered) == [p for p in sieve_primes(arith.ECM_B2) if p > arith.ECM_B1]
 
 
 def test_bernoulli_memo_is_thread_safe():

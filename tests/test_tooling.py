@@ -6,8 +6,9 @@ shows every subcommand; a renamed command or flag would leave it stale,
 and its Layout table names every module of the package.
 The `kgroup --method` choices are spelled out in the CLI's command
 table; they must stay the routes the field specs accept.  The README's
-character-file example must stay a file that `char-check` accepts, and
-its count of green tests the suite's size.  Every command
+character-file example must stay a file that `char-check` accepts, its
+count of green tests the suite's size, and the factorization caps it
+states the constants of `evenk.arith`.  Every command
 is a fresh process, so importing the CLI must not load modules it only
 sometimes needs."""
 
@@ -15,9 +16,12 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -145,3 +149,35 @@ def test_readme_green_test_count_is_the_suite_size():
     text = README.read_text(encoding="utf-8")
     green = int(text.split("Everything else is green: ", 1)[1].split(" tests.", 1)[0])
     assert green == collected - FAILING_BY_DESIGN
+
+
+def _readme_number(text: str) -> float:
+    """2000, 10^5, 2·10^5 or 6.7·10^4 as a number."""
+    match = re.fullmatch(r"([\d.]+?)?·?(?:10\^(\d+))?", text)
+    return float(match[1] or 1) * 10 ** int(match[2] or 0)
+
+
+def test_readme_factorization_caps_are_the_arith_constants(capsys):
+    from evenk import arith, cli
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+
+    def stated(pattern: str, text: str = text) -> float:
+        return _readme_number(re.search(pattern, text)[1])
+
+    cost = arith._ecm_curve_cost()
+    default = arith.FactorBudget().rho_iterations
+    assert stated(r"up to `min\(N, ([^)]+)\)`, in one shared table") == arith.TRIAL_CAP
+    assert stated(r"runs at most `min\(N, ([^)]+)\)` iterations") == arith.RHO_CAP
+    assert stated(r"the rest of its budget, `N - ([^`]+)`") == arith.RHO_CAP
+    assert stated(r"`N <= ([^`]+)` runs none") == arith.RHO_CAP
+    assert stated(r"`B1 = ([^`]+)`") == arith.ECM_B1
+    assert stated(r"`B2 = ([^`]+)`") == arith.ECM_B2
+    assert stated(r"A curve costs about (\S+) multiplications") == round(cost, -3)
+    assert stated(r"default `N = ([^`]+)`") == default
+    assert stated(r"runs up to (\d+) curves") == (default - arith.RHO_CAP) // cost
+    # the --factor-budget help states the rho cap too
+    with pytest.raises(SystemExit):
+        cli.run(["kgroup", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert stated(r"iterations up to (\S+),", help_text) == arith.RHO_CAP
