@@ -557,26 +557,22 @@ def _coprime_base(numbers: list[int]) -> list[int]:
     return sorted(base)
 
 
-def _rho_stack(
-    stack: list[int], rho_iterations: int
-) -> tuple[dict[int, int], list[int]]:
+def _rho_stack(stack: list[int], rho_iterations: int) -> tuple[set[int], list[int]]:
     """Split every stack entry by primality test, Pollard rho (at most
     RHO_CAP iterations), then, for what rho gives up on, an integer root
-    and ECM with the rest of the budget: the primes met (with how often
-    they were met, each proved once) and the composites left.  A repeat
-    of a composite already given up on is not searched again: the
-    search depends on the number alone, so it would fail again."""
-    found: dict[int, int] = {}
+    and ECM with the rest of the budget: the primes met (each proved
+    once) and the composites left, each once.  A repeat of a composite
+    already given up on is not searched again: the search depends on
+    the number alone, so it would fail again."""
+    found: set[int] = set()
     stubborn: list[int] = []
     ecm_budget = rho_iterations - RHO_CAP
     while stack:
         c = stack.pop()
-        if c in found:
-            found[c] += 1
-        elif c in stubborn:
-            stubborn.append(c)
-        elif is_prime(c):
-            found[c] = 1
+        if c in found or c in stubborn:
+            continue
+        if is_prime(c):
+            found.add(c)
         elif g := _pollard_rho_brent(c, min(rho_iterations, RHO_CAP)):
             stack += (g, c // g)
         elif power := _perfect_power(c):

@@ -28,12 +28,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .arith import bernoulli, factor_small, is_prime, kronecker, valuation
 from .siegel import is_kronecker_discriminant
 from .values import Value
-from .winv import cyclic_conductor_is_valid
 
 
 class NotRational(ArithmeticError):
@@ -181,14 +180,8 @@ class DirichletCharacter:
         return self._exp[self.modulus - 1] == 0
 
     def conductor(self) -> int:
-        """Smallest modulus f through which chi factors: the lcm, over
-        the coordinates, of 4 for a value at -1, 4 o for a value of
-        order o at 5, and q^(1 + v_q(o)) at an odd q."""
-        f = 1
-        for (q, g), c in self.coords:
-            o = self.order // gcd(self.order, c)
-            f = lcm(f, 4 if g == -1 else 4 * o if q == 2 else q ** (1 + valuation(o, q)))
-        return f
+        """Smallest modulus f through which chi factors."""
+        return _conductor_of(self.coords, self.order)
 
     def primitive_part(self) -> DirichletCharacter:
         """The primitive character mod conductor(chi) inducing chi: the
@@ -198,6 +191,18 @@ class DirichletCharacter:
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
+
+
+def _conductor_of(coords, order: int) -> int:
+    """The conductor of the character with these ((q, g), c) coordinates
+    and values zeta_order^c: the lcm, over the coordinates, of 4 for a
+    value at -1, 4 o for a value of order o at 5, and q^(1 + v_q(o)) at
+    an odd q."""
+    f = 1
+    for (q, g), c in coords:
+        o = order // gcd(order, c)
+        f = lcm(f, 4 if g == -1 else 4 * o if q == 2 else q ** (1 + valuation(o, q)))
+    return f
 
 
 def _primitive_root(q: int) -> int:
@@ -276,6 +281,7 @@ def character_group(m: int) -> list[DirichletCharacter]:
     return characters_of_order_dividing(m, euler_phi(m))
 
 
+@lru_cache(maxsize=None)
 def kronecker_coordinates(d: int) -> tuple:
     """The Kronecker symbol (d|.) in local coordinates mod |d|: ((q, g), 1)
     at each local generator whose lift x has (d|x) = -1.  Only for d = 1
@@ -308,36 +314,78 @@ class CharacterOrbit(Value):
         return cls(DirichletCharacter(m, n, coords))
 
 
+def cyclic_conductor_is_valid(p: int, f: int) -> bool:
+    """Whether f is the conductor of some real cyclic degree-p field:
+    v_p(f) is 0 or 2 attained by p^2, every other prime factor is
+    simple and = 1 mod p."""
+    if f < 3:
+        return False
+    for q, e in factor_small(f):
+        if q == p:
+            if e != 2:
+                return False
+        elif e != 1 or (q - 1) % p != 0 or q == 2:
+            return False
+    return True
+
+
+def _subgroup_log(h: int, p: int, modulus: int):
+    """x -> the j in [0, p) with h^j = x mod modulus, for h of prime
+    order p: baby-step giant-step, in O(sqrt(p)) steps and memory, so a
+    large p costs no table of p powers."""
+    m = isqrt(p) + 1
+    baby = {pow(h, j, modulus): j for j in range(m)}
+    giant = pow(h, -m, modulus)
+
+    def log(x: int) -> int:
+        for i in range(m):
+            if x in baby:
+                return i * m + baby[x]
+            x = x * giant % modulus
+        raise ArithmeticError(f"{x} is not a power of {h} mod {modulus}")
+
+    return log
+
+
 @lru_cache(maxsize=None)
 def _primitive_orbit_coordinates(f: int, p: int) -> tuple[tuple, ...]:
     """For each Galois orbit of the order-p characters of conductor
-    exactly f (p an odd prime, f such a conductor), the coordinates
-    ((q, g), c) of its first member at the local generators of
-    _local_generators(f), in index order: the characters sorted by
-    their exponents at the units 2, 3, ... mod f, each orbit placed
-    where its first member falls.  The exponent at a is
-    sum_q c_q log_q(a) mod p, read off a^(phi(q^e)/p) mod q^e; the units
-    are walked only until the characters all differ."""
+    exactly f (p an odd prime), the coordinates ((q, g), c) of its first
+    member at the local generators of _local_generators(f), in index
+    order: the characters sorted by their exponents at the units
+    2, 3, ... mod f, each orbit placed where its first member falls.
+    Empty when f is not such a conductor: the length of the numbering
+    is the number of fields of conductor f.
+
+    The exponent at a is sum_q c_q log_q(a) mod p, with log_q(a) the
+    discrete log of a^(phi(q^e)/p) mod q^e.  Only one member r of each
+    orbit is walked, the one with c = 1 at the first generator: the
+    member t r has t times its exponents, so the first member is the t r
+    whose first nonzero exponent is 1.  The units are walked only until
+    every orbit has a nonzero exponent and the first members' exponents
+    all differ."""
+    if not cyclic_conductor_is_valid(p, f):
+        return ()
     logs = []
     for (q, g), qe, order, _ in _local_generators(f):
         step = order // p
-        h = pow(g, step, qe)
-        logs.append(((q, g), qe, step, [pow(h, j, qe) for j in range(p)]))
-    chars = list(product(range(1, p), repeat=len(logs)))
-    prefixes: list[list[int]] = [[] for _ in chars]
+        logs.append(((q, g), qe, step, _subgroup_log(pow(g, step, qe), p, qe)))
+    reps = [(1, *c) for c in product(range(1, p), repeat=len(logs) - 1)]
+    scales = [0] * len(reps)  # the t of each orbit's first member t r, once known
+    keys: list[list[int]] = [[] for _ in reps]  # the first members' exponents
     a = 1
-    while len(set(map(tuple, prefixes))) < len(chars):
+    while not all(scales) or len(set(map(tuple, keys))) < len(reps):
         a += 1
         if gcd(a, f) == 1:
-            ls = [powers.index(pow(a, step, qe)) for _, qe, step, powers in logs]
-            for c, prefix in zip(chars, prefixes):
-                prefix.append(sum(x * y for x, y in zip(c, ls)) % p)
-    firsts: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for _, c in sorted(zip(prefixes, chars)):
-        scale = pow(c[0], -1, p)
-        firsts.setdefault(tuple(x * scale % p for x in c), c)
+            ls = [log(pow(a, step, qe)) for _, qe, step, log in logs]
+            for i, r in enumerate(reps):
+                e = sum(x * y for x, y in zip(r, ls)) % p
+                if e and not scales[i]:
+                    scales[i] = pow(e, -1, p)
+                keys[i].append(e * scales[i] % p)
     return tuple(
-        tuple((g, x) for (g, *_), x in zip(logs, c)) for c in firsts.values()
+        tuple((g, x * t % p) for (g, *_), x in zip(logs, r))
+        for _, t, r in sorted(zip(keys, scales, reps))
     )
 
 
@@ -349,8 +397,6 @@ def primitive_orbits_of_order(f: int, p: int) -> tuple[CharacterOrbit, ...]:
     The field specs build only their own orbit; this builds all."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"primitive_orbits_of_order needs an odd prime, got {p}")
-    if not cyclic_conductor_is_valid(p, f):
-        return ()
     return tuple(CharacterOrbit.of(f, c, p) for c in _primitive_orbit_coordinates(f, p))
 
 
@@ -374,10 +420,7 @@ def primitive_orbit_index(key, p: int) -> tuple[int, int]:
     orbit_key and its index in primitive_orbits_of_order(f, p), found
     among _primitive_orbit_coordinates(f, p) without building characters
     mod f (for p = 2 there is one orbit per conductor)."""
-    primes = sorted({q for (q, _), _ in key})
-    f = 1
-    for q in primes:  # for p = 2, a character moving 5 has 2-part 8, else 4
-        f *= (8 if ((2, 5), 1) in key else 4) if q == 2 else q * q if q == p else q
+    f = _conductor_of(key, p)
     if p == 2:
         return f, 0
     keys = [orbit_key(coords, p) for coords in _primitive_orbit_coordinates(f, p)]

@@ -22,10 +22,11 @@ from fractions import Fraction
 from math import isqrt, lcm, prod
 
 from . import winv
-from .arith import bernoulli, factor_small, is_prime, valuation
+from .arith import bernoulli, is_prime, valuation
 from .cyclodirichlet import (
     CharacterOrbit,
     _primitive_orbit_coordinates,
+    euler_phi,
     kronecker_coordinates,
     orbit_key,
     orbit_l_product,
@@ -59,42 +60,34 @@ class UnsupportedField(ValueError):
 
 class _Field(Value):
     """What every field spec shares.  A spec states each nontrivial
-    Galois orbit of the field's even Dirichlet characters once (none for
-    Q): its (conductor, size) in orbit_shapes, and in orbit_coordinates
-    the coordinates ((q, g), c) of one member at the local generators of
-    its conductor, where chi(g) = zeta_p^c and p = size + 1 is the
-    member's order.  Degree, conductor, rank and w come from the shapes
-    alone; character_orbits builds one character per orbit from the
-    coordinates, only when an L-value needs it.  Specs are frozen
-    values, so they can key caches."""
+    Galois orbit of the field's even Dirichlet characters once, in
+    orbits() (none for Q): as (f, n, coords), its conductor f, the order
+    n of its members, and the coordinates ((q, g), c) of one member at
+    the local generators of f, where chi(g) = zeta_n^c.  The rest is
+    derived: orbit_shapes gives each orbit's (conductor, size), of size
+    phi(n), and degree, conductor and w come from those; character_orbits
+    builds one character per orbit, only when an L-value needs it.
+    Specs are frozen values, so they can key caches."""
 
     __slots__ = ()
 
     # zeta routes k_even_order accepts, default first
     ORDER_METHODS: tuple[str, ...]
 
-    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
+    def orbits(self) -> tuple[tuple[int, int, tuple], ...]:
         return ()
 
-    def orbit_coordinates(self) -> tuple[tuple, ...]:
-        return ()
+    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
+        return tuple((f, euler_phi(n)) for f, n, _ in self.orbits())
 
     def character_orbits(self) -> tuple[CharacterOrbit, ...]:
-        return tuple(
-            CharacterOrbit.of(f, coords, size + 1)
-            for (f, size), coords in zip(self.orbit_shapes(), self.orbit_coordinates())
-        )
+        return tuple(CharacterOrbit.of(f, coords, n) for f, n, coords in self.orbits())
 
     def degree(self) -> int:
         return 1 + sum(size for _, size in self.orbit_shapes())
 
     def conductor(self) -> int:
-        return lcm(1, *(f for f, _ in self.orbit_shapes()))
-
-    def rank(self) -> int:
-        """n with degree p^n, where p - 1 is the size of every orbit."""
-        shapes = self.orbit_shapes()
-        return valuation(self.degree(), shapes[0][1] + 1) if shapes else 0
+        return lcm(1, *(f for f, _, _ in self.orbits()))
 
 
 class Rationals(_Field):
@@ -114,12 +107,9 @@ class RealQuadratic(_Field):
     def __post_init__(self) -> None:
         QuadraticDiscriminant(self.d)
 
-    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
-        return ((self.d, 1),)
-
-    def orbit_coordinates(self) -> tuple[tuple, ...]:
+    def orbits(self) -> tuple[tuple[int, int, tuple], ...]:
         """The Kronecker symbol (d|x) at the local generators' lifts x."""
-        return (kronecker_coordinates(self.d),)
+        return ((self.d, 2, kronecker_coordinates(self.d)),)
 
     def label(self) -> str:
         return f"quad:{self.d}"
@@ -129,9 +119,9 @@ class CyclicPrime(_Field):
     """A real cyclic field of odd prime degree p and conductor f; when
     several such fields share the conductor, `orbit` picks the Galois
     orbit of defining characters, counted from 0 in the order of each
-    orbit's first member by its values at 2, 3, ... (see
-    _primitive_orbit_coordinates).  A conductor with s distinct prime
-    factors carries (p - 1)^(s - 1) such fields."""
+    orbit's first member by its values at 2, 3, ...: the index into
+    _primitive_orbit_coordinates(f, p), whose length is the number of
+    such fields."""
 
     __slots__ = ("p", "f", "orbit")
     _defaults = {"orbit": 0}
@@ -144,24 +134,21 @@ class CyclicPrime(_Field):
     def __post_init__(self) -> None:
         if self.p == 2 or not is_prime(self.p):
             raise ValueError("CyclicPrime needs an odd prime degree")
-        if not winv.cyclic_conductor_is_valid(self.p, self.f):
+        fields = len(_primitive_orbit_coordinates(self.f, self.p))
+        if not fields:
             raise ValueError(
                 f"{self.f} is not a conductor of a real cyclic "
                 f"degree-{self.p} field"
             )
-        fields = (self.p - 1) ** (len(factor_small(self.f)) - 1)
         if not 0 <= self.orbit < fields:
             raise ValueError(
                 f"orbit index {self.orbit} does not exist; the indices for "
                 f"conductor {self.f} run from 0 to {fields - 1}"
             )
 
-    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
-        return ((self.f, self.p - 1),)
-
-    def orbit_coordinates(self) -> tuple[tuple, ...]:
+    def orbits(self) -> tuple[tuple[int, int, tuple], ...]:
         """The orbit's first member, read off the orbit numbering."""
-        return (_primitive_orbit_coordinates(self.f, self.p)[self.orbit],)
+        return ((self.f, self.p, _primitive_orbit_coordinates(self.f, self.p)[self.orbit]),)
 
     def label(self) -> str:
         if self.orbit:
@@ -192,7 +179,7 @@ class Elementary(_Field):
         if not is_prime(p):
             raise ValueError("p must be prime")
         for part in self.parts:
-            if part.degree() != p or len(part.orbit_shapes()) != 1:
+            if part.degree() != p or len(part.orbits()) != 1:
                 raise ValueError(f"{part.label()} is not a cyclic degree-{p} field")
         if len(set(self.parts)) != len(self.parts):
             raise ValueError("parts must be pairwise distinct")
@@ -201,7 +188,7 @@ class Elementary(_Field):
             raise ValueError(
                 f"{len(self.parts)} parts is not (p^n - 1)/(p - 1) for any n >= 2"
             )
-        keys = [orbit_key(coords, p) for coords in self.orbit_coordinates()]
+        keys = [orbit_key(coords, p) for _, _, coords in self.orbits()]
         for i, a in enumerate(keys):
             for j in range(i + 1, len(keys)):
                 for e in range(1, p):
@@ -213,11 +200,8 @@ class Elementary(_Field):
                             f"generate {missing.label()}, which is not a part"
                         )
 
-    def orbit_shapes(self) -> tuple[tuple[int, int], ...]:
-        return tuple(s for part in self.parts for s in part.orbit_shapes())
-
-    def orbit_coordinates(self) -> tuple[tuple, ...]:
-        return tuple(c for part in self.parts for c in part.orbit_coordinates())
+    def orbits(self) -> tuple[tuple[int, int, tuple], ...]:
+        return tuple(orbit for part in self.parts for orbit in part.orbits())
 
     def label(self) -> str:
         inner = ",".join(part.label() for part in self.parts)
@@ -331,7 +315,7 @@ def k_even_order(
         return KGroupOrder(
             spec, 4 * k - 2, kz(4 * k - 2), "kz", riemann_zeta_negative(k)
         )
-    if spec.rank() >= 2:
+    if isinstance(spec, Elementary):
         return elementary_order_via_characters(spec, k)
     if method == "zagier":
         zeta = zeta_quadratic(spec.d, k)
@@ -358,25 +342,23 @@ def _order_from_zeta(
     return KGroupOrder(spec, 4 * k - 2, order, method, zeta, pieces=pieces)
 
 
-def combine_elementary(
-    spec: Elementary, k: int, part_method: str = "characters"
-) -> KGroupOrder:
-    """|K_{4k-2}(O_E)| as the product over the degree-p subfields
-    divided by |K_{4k-2}(Z)|^((p^n - p)/(p - 1)); the division is
-    asserted exact.  zeta_E(1-2k) comes from the parts' zeta values:
-    each is zeta(1-2k) times its one L-product, so zeta_E is their
-    product over zeta(1-2k)^(#parts - 1)."""
+def combine_elementary(spec: Elementary, k: int) -> KGroupOrder:
+    """|K_{4k-2}(O_E)| as the product over the degree-p subfields, each
+    by its characters route, divided by |K_{4k-2}(Z)|^((p^n - p)/(p - 1)),
+    where (p^n - p)/(p - 1) is #parts - 1; the division is asserted
+    exact.  zeta_E(1-2k) comes from the parts' zeta values: each is
+    zeta(1-2k) times its one L-product, so zeta_E is their product over
+    zeta(1-2k)^(#parts - 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = spec.rank()
-    parts = [k_even_order(part, k, method=part_method) for part in spec.parts]
+    parts = [k_even_order(part, k) for part in spec.parts]
     part_orders = [part.order for part in parts]
     zeta = riemann_zeta_negative(k) ** (1 - len(parts)) * prod(
         part.zeta_value for part in parts
     )
     numerator = prod(part_orders)
     kz_order = kz(4 * k - 2)
-    denominator = kz_order ** ((spec.p**n - spec.p) // (spec.p - 1))
+    denominator = kz_order ** (len(parts) - 1)
     if numerator % denominator:
         raise InexactDivision(
             f"{numerator} not divisible by {denominator} for {spec.label()}"

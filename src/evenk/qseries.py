@@ -14,7 +14,6 @@ plain integer lists; the one rational number is the Eisenstein scale
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .arith import bernoulli, divisor_sum
 
@@ -38,7 +37,6 @@ def _int_mul(a, b, prec: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _eta24(prec: int) -> tuple[int, ...]:
     """prod_{n>=1} (1-q^n)^24 truncated at q^prec: Jacobi's identity
     prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), squared three

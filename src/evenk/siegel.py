@@ -9,7 +9,6 @@ they give exact values of zeta_K(1-2k).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .arith import divisor_sum, divisors, factor_small, kronecker
@@ -109,11 +108,6 @@ def chi_weighted_sum(disc: QuadraticDiscriminant | int, l: int, k: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _siegel_weights(h: int) -> tuple[Fraction, ...]:
-    return tuple(siegel_coeffs(h))
-
-
 def zeta_quadratic(disc: QuadraticDiscriminant | int, k: int) -> Fraction:
     """Exact zeta_K(1-2k) for the real quadratic field of discriminant D:
 
@@ -124,7 +118,7 @@ def zeta_quadratic(disc: QuadraticDiscriminant | int, k: int) -> Fraction:
     disc = as_discriminant(disc)
     if k < 1:
         raise ValueError("zeta_quadratic requires k >= 1")
-    weights = _siegel_weights(4 * k)
+    weights = siegel_coeffs(4 * k)
     terms = k // 3 + 1
     if len(weights) != terms:
         raise AssertionError(f"expected {terms} weights for h={4 * k}")

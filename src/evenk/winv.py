@@ -95,21 +95,6 @@ def w_quadratic(disc, k: int) -> WInvariant:
     return w_from_orbits(RealQuadratic(int(disc)).orbit_shapes(), k)
 
 
-def cyclic_conductor_is_valid(p: int, f: int) -> bool:
-    """Whether f is the conductor of some real cyclic degree-p field:
-    v_p(f) is 0 or 2 attained by p^2, every other prime factor is
-    simple and = 1 mod p."""
-    if f < 3:
-        return False
-    for q, e in factor_small(f):
-        if q == p:
-            if e != 2:
-                return False
-        elif e != 1 or (q - 1) % p != 0 or q == 2:
-            return False
-    return True
-
-
 def w_cyclic(p: int, f: int, k: int) -> WInvariant:
     """w_2k of a real cyclic degree-p field of conductor f (p odd)."""
     from .kgroups import CyclicPrime

@@ -559,6 +559,8 @@ def test_factorize_searches_a_repeated_composite_once():
     assert result.factored == ((3, 1),)
     assert result.cofactor == r**3
     assert calls == Counter({r**3: 1, r: 1})
+    # and the composite left is listed once
+    assert arith._rho_stack([r**3], 2000) == (set(), [r])
 
 
 # -- the elliptic curve method -----------------------------------------------

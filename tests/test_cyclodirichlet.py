@@ -589,7 +589,7 @@ ORBIT_RANGES = ((3, 1500), (5, 1000), (7, 1000), (11, 1600), (13, 1000))
 def _oracle_orbits(p, bound):
     """(f, orbits) for every conductor 3 <= f < bound of order-p
     characters, the orbits built and sorted by the oracle."""
-    from evenk.winv import cyclic_conductor_is_valid
+    from evenk.cyclodirichlet import cyclic_conductor_is_valid
 
     for f in range(3, bound):
         if cyclic_conductor_is_valid(p, f):
@@ -612,6 +612,36 @@ def test_primitive_orbits_of_order_needs_an_odd_prime():
     for p in (2, 9):
         with pytest.raises(ValueError, match="odd prime"):
             primitive_orbits_of_order(5, p)
+
+
+def test_subgroup_log_inverts_powers_without_a_table_of_p_powers():
+    from evenk.cyclodirichlet import _subgroup_log
+
+    # q = 44 p + 1 is prime for p = 10^9 + 7: a table of p powers would
+    # not fit in memory
+    for p, q in ((3, 7), (5, 11), (7, 29), (100003, 4200127), (1000000007, 44000000309)):
+        h = pow(2, (q - 1) // p, q)
+        assert h != 1
+        log = _subgroup_log(h, p, q)
+        for j in {0, 1, 2, p // 2, p - 2, p - 1}:
+            assert log(pow(h, j, q)) == j, (p, j)
+        with pytest.raises(ArithmeticError):
+            log(q - 1)  # -1 has order 2, so it is no power of h
+
+
+def test_a_cyclic_field_of_large_prime_degree_states_its_orbit():
+    from evenk.kgroups import CyclicPrime, w_invariant
+    from oracles import w_case_analysis
+
+    p, f = 1000000007, 44000000309
+    spec = CyclicPrime(p, f)
+    ((conductor, order, _),) = spec.orbits()
+    assert (conductor, order, spec.degree()) == (f, p, p)
+    # (f - 1)/p = 44 divides 2k = 44, so f divides w_44
+    assert w_invariant(spec, 22).parts == w_case_analysis(p, (f,), 22)
+    assert w_invariant(spec, 22).parts[f] == 1
+    with pytest.raises(ValueError, match="orbit index"):
+        CyclicPrime(p, f, 1)
 
 
 def test_primitive_orbit_index_matches_the_built_orbits():

@@ -185,9 +185,26 @@ def test_elementary_validation():
     spec = Elementary(3, tuple(
         CyclicPrime(3, f, orbit) for f, orbit in ((7, 0), (9, 0), (63, 0), (63, 1))
     ))
-    assert spec.rank() == 2
+    assert [(f, n) for f, n, _ in spec.orbits()] == [(7, 3), (9, 3), (63, 3), (63, 3)]
+    assert spec.orbit_shapes() == ((7, 2), (9, 2), (63, 2), (63, 2))
     assert spec.degree() == 9
     assert spec.conductor() == 63
+
+
+def test_each_spec_states_its_orbits_once():
+    # a spec states (conductor, order, coordinates) per orbit; the shapes,
+    # the characters, degree and conductor are the base class's
+    from evenk.kgroups import _Field
+
+    for cls in (Rationals, RealQuadratic, CyclicPrime, Elementary):
+        assert not {"orbit_shapes", "character_orbits", "degree", "conductor"} & set(vars(cls))
+    assert not hasattr(_Field, "rank") and not hasattr(_Field, "orbit_coordinates")
+    assert Rationals().orbits() == () and Rationals().degree() == 1
+    assert RealQuadratic(12).orbits() == ((12, 2, (((2, -1), 1), ((3, 2), 1))),)
+    assert CyclicPrime(3, 63, 1).orbits() == ((63, 3, (((3, 2), 2), ((7, 3), 1))),)
+    assert Elementary(2, tuple(RealQuadratic(d) for d in (8, 12, 24))).orbits() == (
+        RealQuadratic(8).orbits() + RealQuadratic(12).orbits() + RealQuadratic(24).orbits()
+    )
 
 
 def test_elementary_parts_must_be_closed_under_products():
@@ -234,11 +251,16 @@ def test_combine_elementary_multiquad_k1():
 
 
 def test_combine_elementary_matches_part_methods():
+    # the combiner takes its parts by the characters route; the same
+    # product over the parts' zagier orders gives the same order
     spec = multiquad_235()
     for k in (1, 2, 3):
-        a = combine_elementary(spec, k, part_method="characters").order
-        b = combine_elementary(spec, k, part_method="zagier").order
-        assert a == b
+        zagier = 1
+        for part in spec.parts:
+            zagier *= k_even_order(part, k, method="zagier").order
+        denominator = kz(4 * k - 2) ** (len(spec.parts) - 1)
+        assert zagier % denominator == 0
+        assert combine_elementary(spec, k).order == zagier // denominator
 
 
 def test_characters_route_equivalence():
@@ -342,14 +364,20 @@ def test_cyclic_orbit_index_bounds():
     for f, orbit in ((63, 5), (63, 2), (7, 1), (7, -1)):
         with pytest.raises(ValueError, match="orbit index"):
             CyclicPrime(3, f, orbit)
-    # the bound (p - 1)^(s - 1) is the number of orbits actually built
-    from evenk.winv import cyclic_conductor_is_valid
+    # the bound is the number of orbits the numbering walks, which is
+    # (p - 1)^(s - 1) for a conductor with s prime factors
+    from evenk.arith import factor_small
+    from evenk.cyclodirichlet import cyclic_conductor_is_valid
 
     for p, bound in ((3, 400), (5, 400), (7, 400)):
         for f in range(3, bound):
-            if not cyclic_conductor_is_valid(p, f):
-                continue
             count = len(primitive_orbits_of_order(f, p))
+            if not cyclic_conductor_is_valid(p, f):
+                assert count == 0
+                with pytest.raises(ValueError, match="not a conductor"):
+                    CyclicPrime(p, f)
+                continue
+            assert count == (p - 1) ** (len(factor_small(f)) - 1), (p, f)
             CyclicPrime(p, f, count - 1)
             with pytest.raises(ValueError):
                 CyclicPrime(p, f, count)
@@ -408,6 +436,22 @@ def test_elementary_closure_names_the_missing_subfield():
         Elementary(5, tuple(parts[:-1] + [CyclicPrime(5, 61)]))
 
 
+def test_combiner_matches_the_characters_route_for_p_5():
+    # the degree-25 field of conductor 341: the combiner's product of six
+    # quintic orders over |K_{4k-2}(Z)|^5 equals w_2k(E) zeta_E(1-2k)
+    from evenk.cli import parse_field_spec
+
+    quintics = ["cyclic:5:11", "cyclic:5:31"] + [f"cyclic:5:341:{i}" for i in range(4)]
+    spec = parse_field_spec("elem:5:" + ",".join(quintics))
+    assert spec.degree() == 25 and spec.conductor() == 341
+    for k in (1, 2):
+        combined = k_even_order(spec, k)
+        direct = k_even_order(spec, k, method="characters")
+        assert (combined.method, direct.method) == ("combiner", "characters")
+        assert combined.order == direct.order
+        assert combined.zeta_value == direct.zeta_value
+
+
 def test_elementary_closure_check_builds_no_characters(built_moduli):
     # a part's coordinates come from the orbit numbering (cyclic:) or the
     # Kronecker symbol at the local generators (quad:), so w and kodd of
@@ -429,8 +473,7 @@ def test_cyclic_orbit_coordinates_are_those_of_the_built_orbit():
     # build-and-sort oracle's representative (cyclic: conductors below
     # 400, 1181, and the largest product of two cubic conductors) or the
     # Kronecker character (quad:, every fundamental d < 2000)
-    from evenk.cyclodirichlet import orbit_key, quadratic_character
-    from evenk.winv import cyclic_conductor_is_valid
+    from evenk.cyclodirichlet import cyclic_conductor_is_valid, orbit_key, quadratic_character
     from oracles import local_coordinates, primitive_orbits_by_sorting
 
     specs = [CyclicPrime(5, 1181), CyclicPrime(3, 193 * 199, 1)]
@@ -441,7 +484,8 @@ def test_cyclic_orbit_coordinates_are_those_of_the_built_orbit():
                 specs += [CyclicPrime(p, f, i) for i in range(count)]
     assert len(specs) == 102
     for spec in specs:
-        (coords,) = spec.orbit_coordinates()
+        ((f, n, coords),) = spec.orbits()
+        assert (f, n) == (spec.f, spec.p)
         (orbit,) = spec.character_orbits()
         built = local_coordinates(orbit.representative, spec.p)
         assert orbit_key(coords, spec.p) == orbit_key(built, spec.p), spec
@@ -449,7 +493,8 @@ def test_cyclic_orbit_coordinates_are_those_of_the_built_orbit():
     discriminants = fundamentals(1999)
     assert len(discriminants) == 607
     for d in discriminants:
-        (coords,) = RealQuadratic(d).orbit_coordinates()
+        ((f, n, coords),) = RealQuadratic(d).orbits()
+        assert (f, n) == (d, 2)
         (orbit,) = RealQuadratic(d).character_orbits()
         assert orbit.representative == quadratic_character.__wrapped__(d), d  # uncached
         assert coords == local_coordinates(orbit.representative, 2), d

@@ -2,11 +2,11 @@ import pytest
 
 from field_enum import two_elementary_fields
 from oracles import w_case_analysis
+from evenk.cyclodirichlet import cyclic_conductor_is_valid
 from evenk.kgroups import CyclicPrime, RealQuadratic
 from evenk.siegel import fundamental_discriminant, is_fundamental_discriminant
 from evenk.winv import (
     WInvariant,
-    cyclic_conductor_is_valid,
     w_cyclic,
     w_elementary,
     w_from_orbits,
