@@ -27,8 +27,9 @@ import argparse
 import io
 import sys
 from collections import namedtuple
+from math import prod
 
-from .arith import FactorBudget, factorize, is_prime
+from .arith import FactorBudget, factor_small, factorize, is_prime
 from .cyclodirichlet import (
     CharacterFileError,
     ImprimitiveCharacter,
@@ -180,16 +181,18 @@ def _cubic_table(args):
             yield k_even_order(CyclicPrime(3, f), args.k), args.k
 
 
+def _squarefree_part(n: int) -> int:
+    return prod(p for p, e in factor_small(n) if e % 2)
+
+
 def _multiquad_table(args):
-    if (args.m is None) == (args.parts is None):
-        raise UsageError("multiquad-table needs exactly one of --m / --parts")
-    if args.m is not None:
-        m = args.m
-        parts = [RealQuadratic(fundamental_discriminant(x))
-                 for x in (2, 3, m, 6, 2 * m, 3 * m, 6 * m)]
-    else:
-        parts = [parse_field_spec(tok) for tok in args.parts.split(",")]
-    spec = Elementary(2, tuple(parts))
+    # Q(sqrt 2, sqrt 3, sqrt m) has the quadratic subfields Q(sqrt d), d the
+    # squarefree parts of 2, 3, m, 6, 2m, 3m, 6m: seven unless m's is 1, 2, 3 or 6
+    m = args.m
+    if m < 1 or _squarefree_part(m) in (1, 2, 3, 6):
+        raise UsageError(f"--m {m} must make Q(sqrt 2, sqrt 3, sqrt m) a real field of degree 8")
+    ds = [_squarefree_part(x) for x in (2, 3, m, 6, 2 * m, 3 * m, 6 * m)]
+    spec = Elementary(2, tuple(RealQuadratic(fundamental_discriminant(d)) for d in ds))
     for k in range(1, args.max_k + 1):
         yield k_even_order(spec, k), k
 
@@ -289,9 +292,7 @@ COMMANDS = {
     ),
     "multiquad-table": Command(
         "orders for Q(sqrt 2, sqrt 3, sqrt m)",
-        {"--m": dict(type=int),
-         "--parts": dict(help="explicit comma-separated quad: parts"),
-         "--max-k": dict(type=int, default=10)},
+        {"--m": _K, "--max-k": dict(type=int, default=10)},
         _multiquad_table, table=True,
     ),
     "prank-scan": Command(

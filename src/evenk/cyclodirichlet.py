@@ -2,25 +2,23 @@
 
 A Dirichlet character is its local coordinates: its values, as
 root-of-unity exponents, at the local generators of (Z/mZ)^*, which
-determine it (Washington, Introduction to Cyclotomic Fields, ch. 3).
-Its exponent at every unit is walked once from those values, by
-multiplying out the powers of the generators' lifts, so the sums of
-L-values stay in integer arithmetic.  A generalized Bernoulli number
-B_{n,chi} is held as a lift to the group ring Z[x]/(x^order - 1): one
-integer per power of zeta_order, over one denominator.  An orbit's
-L-product, the norm of L(chi, 1-2k) from Q(zeta_order) to Q, is taken
-in that ring, where each Galois conjugate permutes the coordinates;
-nothing is reduced modulo a cyclotomic polynomial.
+determine it (Washington, Introduction to Cyclotomic Fields, ch. 3),
+and nothing else is stored.  Its conductor, primitive part and parity
+are read off them; its exponent at each unit is walked from them where
+the units are summed, in O(rank) memory, so the sums of L-values stay
+in integer arithmetic.  A generalized Bernoulli number B_{n,chi} is
+held as a lift to the group ring Z[x]/(x^order - 1): one integer per
+power of zeta_order, over one denominator.  An orbit's L-product, the
+norm of L(chi, 1-2k) from Q(zeta_order) to Q, is taken in that ring,
+where each Galois conjugate permutes the coordinates.
 
 A field's characters are built one per Galois orbit, from the orbit's
 coordinates (CharacterOrbit.of).  Coordinates are checked in O(rank):
 each must be killed by its generator's order, and that is the whole
 homomorphism condition.  A map of values, as a character file gives,
-is checked once, at that boundary (DirichletCharacter.from_values): it
-must be the character its values at the generators give, that is, a
-linear form in the discrete logs of the cyclic decomposition of
-(Z/mZ)^*; comparing it with that character's walked exponents costs
-O(phi(m)).
+is checked once, at that boundary (DirichletCharacter.from_values),
+against the character its values at the generators give, in O(phi(m))
+time.
 """
 
 from __future__ import annotations
@@ -73,13 +71,12 @@ class DirichletCharacter:
     The stated order is divided by gcd(order, *c), so the stored order
     is exact, and only the nonzero coordinates are kept, in
     _local_generators order: equal characters have equal fields.  The
-    exponent at every unit is walked once: from {1: 0}, each generator's
-    lift x of order o multiplies every unit reached so far by x^j,
-    j < o, and adds j * c to its exponent.  The table is kept in residue
-    order.  A map of values goes through from_values.
+    modulus, the order and the coordinates are all that is stored; the
+    exponent at each unit is walked by units().  A map of values goes
+    through from_values.
     """
 
-    __slots__ = ("modulus", "order", "coords", "_exp")
+    __slots__ = ("modulus", "order", "coords")
 
     def __init__(self, modulus: int, order: int, coords=()):
         if modulus < 1:
@@ -100,22 +97,9 @@ class DirichletCharacter:
                 raise ValueError(f"chi({x})^{o} != 1, but {x} has order {o} mod {modulus}")
         d = gcd(order, *at.values())
         n = order // d
-        kept = []
-        exp = {1 % modulus: 0}
-        for g, _, o, x in gens:
-            c = at.get(g, 0) // d % n
-            if c:
-                kept.append((g, c))
-            for u in list(exp):
-                e = exp[u]
-                for _ in range(o - 1):
-                    u = u * x % modulus
-                    e = (e + c) % n
-                    exp[u] = e
         self.modulus = modulus
         self.order = n
-        self.coords = tuple(kept)
-        self._exp = {u: exp[u] for u in sorted(exp)}
+        self.coords = tuple((g, at[g] // d % n) for g, *_ in gens if at.get(g, 0) // d % n)
 
     @classmethod
     def from_values(
@@ -124,8 +108,8 @@ class DirichletCharacter:
         """The character with chi(a) = zeta_order^value_exponents[a] at
         each unit a in [0, modulus): its values at the lifts of the
         local generators are its coordinates, and _check_homomorphism
-        holds the map to the character they give, in O(phi(m)) once
-        the units are walked.  A map that does not cover exactly the
+        holds the map to the character they give, in O(phi(m)) time as
+        its units are walked.  A map that does not cover exactly the
         units (phi(m) distinct residues in [0, m), each prime to m), or
         is no homomorphism, raises ValueError.  This is the only path
         that takes values."""
@@ -162,22 +146,31 @@ class DirichletCharacter:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def exponent(self, a: int) -> int | None:
-        """Exponent e with chi(a) = zeta_order^e, or None when
-        gcd(a, modulus) > 1 (i.e. chi(a) = 0)."""
-        return self._exp.get(a % self.modulus)
-
-    def exponent_items(self) -> tuple[tuple[int, int], ...]:
-        """(residue, exponent) pairs in residue order."""
-        return tuple(self._exp.items())
+    def units(self):
+        """(u, e) for every unit u in [0, m), chi(u) = zeta_order^e, in no set
+        order: the products of powers x^j (j below x's order) of the local
+        generators' lifts x, e adding j times x's coordinate, with the
+        largest order innermost.  Holds one step per generator."""
+        m, n = self.modulus, self.order
+        at = dict(self.coords)
+        walk = iter([(1 % m, 0)])
+        for o, x, c in sorted((o, x, at.get(g, 0)) for g, _, o, x in _local_generators(m)):
+            walk = _times_powers(walk, o, x, c, m, n)
+        return walk
 
     def is_trivial(self) -> bool:
         return self.order == 1
 
     def is_even(self) -> bool:
-        if self.modulus <= 2:
-            return True
-        return self._exp[self.modulus - 1] == 0
+        """chi(-1) = 1.  -1 is the lift of (2, -1) at 2 and g^(o/2) at an
+        odd q (o = phi(q^e)), so a coordinate's value there is -1 when it
+        sits at (2, -1), or at an odd q with an order (dividing o) that
+        has the 2-part of o, that is, of q - 1."""
+        odd = 0
+        for (q, g), c in self.coords:
+            o = self.order // gcd(self.order, c)
+            odd += g == -1 or (q != 2 and (o & -o) == ((q - 1) & -(q - 1)))
+        return odd % 2 == 0
 
     def conductor(self) -> int:
         """Smallest modulus f through which chi factors."""
@@ -191,6 +184,15 @@ class DirichletCharacter:
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
+
+
+def _times_powers(walk, o: int, x: int, c: int, m: int, n: int):
+    """(u x^j, e + j c) for each (u, e) of walk and j < o, mod m and n."""
+    for u, e in walk:
+        for _ in range(o):
+            yield u, e
+            u = u * x % m
+            e = (e + c) % n
 
 
 def _conductor_of(coords, order: int) -> int:
@@ -248,16 +250,14 @@ def _check_homomorphism(chi: DirichletCharacter, n: int, exps: dict[int, int]) -
     for every i, which DirichletCharacter checks, and
     exps[u] = sum_i t_i * dlog_i(u) (mod n) for every unit u, which is
     chi's walked exponent at u (Washington, Introduction to Cyclotomic
-    Fields, ch. 3).  Costs O(phi(m)) once chi is built; the first
-    failing unit in residue order is reported.
-    """
+    Fields, ch. 3).  The smallest failing unit is reported."""
     scale = n // chi.order
-    for u, e in chi.exponent_items():
-        if (e * scale - exps[u]) % n:
-            raise ValueError(
-                f"multiplicativity fails at {u} mod {chi.modulus}: chi({u}) disagrees "
-                "with the generators' values"
-            )
+    bad = min((u for u, e in chi.units() if (e * scale - exps[u]) % n), default=None)
+    if bad is not None:
+        raise ValueError(
+            f"multiplicativity fails at {bad} mod {chi.modulus}: chi({bad}) disagrees "
+            "with the generators' values"
+        )
 
 
 def characters_of_order_dividing(m: int, p: int) -> list[DirichletCharacter]:
@@ -292,7 +292,6 @@ def kronecker_coordinates(d: int) -> tuple:
     return tuple((g, 1) for g, _, _, x in _local_generators(abs(d)) if kronecker(d, x) < 0)
 
 
-@lru_cache(maxsize=None)
 def quadratic_character(d: int) -> DirichletCharacter:
     """The Kronecker character a -> (d|a), as a character mod |d|, for a
     fundamental discriminant d (or d = 1)."""
@@ -307,10 +306,9 @@ class CharacterOrbit(Value):
     representative: DirichletCharacter
 
     @classmethod
-    @lru_cache(maxsize=None)
     def of(cls, m: int, coords, n: int) -> CharacterOrbit:
-        """The orbit of DirichletCharacter(m, n, coords).  Memoized, so a
-        field queried at several k builds each of its orbits once."""
+        """The orbit of DirichletCharacter(m, n, coords), built in
+        O(rank): nothing is worth keeping between queries."""
         return cls(DirichletCharacter(m, n, coords))
 
 
@@ -452,10 +450,10 @@ def gen_bernoulli(chi: DirichletCharacter, n: int) -> tuple[list[int], int]:
         B_{n,chi} = f^(n-1) * sum_{a=1..f} chi(a) B_n(a/f).
 
     Exact, as (lift, den): B_{n,chi} = sum_e lift[e] zeta_order^e / den,
-    the summands added in integers, one bucket per root of unity.  A
-    lift to Z[x]/(x^order - 1) is not unique, so compare images in
-    Q(zeta_order), not lifts.  Imprimitive input is rejected: the same
-    sum over a non-minimal modulus is a different
+    the summands added in integers as chi.units() walks them, one bucket
+    per root of unity.  A lift to Z[x]/(x^order - 1) is not unique, so
+    compare images in Q(zeta_order), not lifts.  Imprimitive input is
+    rejected: the same sum over a non-minimal modulus is a different
     (Euler-factor-deflated) quantity.
     """
     if n < 1:
@@ -467,7 +465,7 @@ def gen_bernoulli(chi: DirichletCharacter, n: int) -> tuple[list[int], int]:
     f = chi.modulus
     coeffs, d = _bernoulli_poly_int_coeffs(n, f)
     buckets = [0] * chi.order
-    for a, e in chi.exponent_items():
+    for a, e in chi.units():
         a = a or f  # residue 0 is a unit only for f = 1, where a runs to f
         acc = 0
         for c in coeffs:

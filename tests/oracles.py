@@ -602,9 +602,7 @@ def conjugates(chi: DirichletCharacter) -> tuple[DirichletCharacter, ...]:
     scaling chi's exponents."""
     n = chi.order
     return tuple(
-        DirichletCharacter.from_values(
-            chi.modulus, n, {a: e * i % n for a, e in chi.exponent_items()}
-        )
+        DirichletCharacter.from_values(chi.modulus, n, {a: e * i % n for a, e in chi.units()})
         for i in range(1, n + 1)
         if gcd(i, n) == 1
     )
@@ -612,10 +610,11 @@ def conjugates(chi: DirichletCharacter) -> tuple[DirichletCharacter, ...]:
 
 def galois_orbits(chars) -> list[CharacterOrbit]:
     """Partition a Galois-stable set of characters into its orbits, each
-    represented by its member with the smallest exponent_items()."""
+    represented by its member whose exponents, in residue order, are
+    smallest."""
     orbits: list[CharacterOrbit] = []
     seen: set = set()
-    for chi in sorted(chars, key=lambda c: c.exponent_items()):
+    for chi in sorted(chars, key=lambda c: sorted(c.units())):
         if chi in seen:
             continue
         seen.update(conjugates(chi))
@@ -641,12 +640,13 @@ def local_coordinates(chi: DirichletCharacter, n: int) -> tuple:
     primitive part agree and a product of characters adds coordinates."""
     out = []
     m = chi.modulus
+    table = exponent_table(chi)
     for q, e in factor_small(m):
         qe = q**e
         rest = m // qe
         for g in ((-1, 5) if q == 2 else (_primitive_root(q),)):
             x = (1 + rest * ((g - 1) * pow(rest, -1, qe) % qe)) % m
-            exponent = chi.exponent(x) * (n // chi.order) % n
+            exponent = table[x] * (n // chi.order) % n
             if exponent:
                 out.append(((q, g), exponent))
     return tuple(out)
@@ -656,14 +656,22 @@ def character_product(a: DirichletCharacter, b: DirichletCharacter) -> Dirichlet
     """a * b (equal moduli), by adding the two characters' exponents at
     every unit over the lcm of their orders."""
     n = lcm(a.order, b.order)
+    table = exponent_table(b)
     return DirichletCharacter.from_values(
         a.modulus,
         n,
-        {u: e * (n // a.order) + b.exponent(u) * (n // b.order) for u, e in a.exponent_items()},
+        {u: e * (n // a.order) + table[u] * (n // b.order) for u, e in a.units()},
     )
 
 
 # -- characters read off their values at every unit ------------------------------
+
+def exponent_table(chi: DirichletCharacter) -> dict[int, int]:
+    """chi's exponent at every unit, as chi.units() walks them, in a
+    table for checks that look values up.  Build it once per character;
+    the package itself keeps no such table."""
+    return dict(chi.units())
+
 
 def walked_values(chi: DirichletCharacter) -> dict[int, int]:
     """chi's exponent at every unit mod m, found by walking (Z/mZ)^* from
@@ -727,8 +735,9 @@ def dlog_values(chi: DirichletCharacter) -> dict[int, int]:
 def conductor_by_divisors(chi: DirichletCharacter) -> int:
     """The least divisor f of the modulus with chi(a) = 1 at every unit
     a = 1 mod f."""
+    table = exponent_table(chi)
     for f in divisors(chi.modulus):
-        if all(e == 0 for a, e in chi.exponent_items() if a % f == 1 % f):
+        if all(e == 0 for a, e in table.items() if a % f == 1 % f):
             return f
     raise AssertionError("the modulus itself always qualifies")
 
@@ -738,13 +747,14 @@ def primitive_part_by_units(chi: DirichletCharacter) -> DirichletCharacter:
     each unit b mod f, chi's value at the least a = b mod f prime to
     the modulus."""
     f, m = conductor_by_divisors(chi), chi.modulus
+    table = exponent_table(chi)
     exps = {}
     for b in range(f):
         if gcd(b, f) == 1:
             a = b if b else 1
             while gcd(a, m) != 1:
                 a += f
-            exps[b] = chi.exponent(a)
+            exps[b] = table[a % m]
     return DirichletCharacter.from_values(f, chi.order, exps)
 
 

@@ -181,13 +181,46 @@ def test_multiquad_table_factors_from_subfield_orders(capsys):
 
 
 def test_multiquad_table_with_parts(capsys):
+    # an explicit list of parts is an elem: spec, which kgroup takes;
+    # multiquad-table has no --parts
     code, out, _ = invoke(
         capsys,
-        "multiquad-table", "--parts", "quad:8,quad:12,quad:24",
-        "--max-k", "1", "--format", "json", "--factor-budget", "1000",
+        "kgroup", "--field", "elem:2:quad:8,quad:12,quad:24", "--k", "1",
+        "--format", "json", "--factor-budget", "1000",
     )
     assert code == 0
     assert json.loads(out)["order"] == "48"
+    for argv, message in (
+        (("--parts", "quad:8,quad:12,quad:24"), "required: --m"),
+        (("--m", "5", "--parts", "quad:8"), "unrecognized arguments: --parts"),
+    ):
+        code, out, err = invoke(capsys, "multiquad-table", *argv, "--max-k", "1")
+        assert (code, out) == (1, "") and message in err, argv
+
+
+def test_multiquad_table_reduces_m_2m_3m_and_6m_to_their_squarefree_parts(capsys):
+    # Q(sqrt 2, sqrt 3, sqrt m) = Q(sqrt 2, sqrt 3, sqrt 5) for each of
+    # these m; the parts are those of --m 5, listed in another order
+    def orders(m):
+        code, out, err = invoke(
+            capsys, "multiquad-table", "--m", str(m), "--max-k", "2",
+            "--format", "json", "--factor-budget", "1000",
+        )
+        assert (code, err) == (0, ""), m
+        records = [json.loads(line) for line in out.splitlines()]
+        fields = {frozenset(r["field"].removeprefix("elem:2:").split(",")) for r in records}
+        return fields, [(r["k"], r["order"], r["zeta"]) for r in records]
+
+    expected = orders(5)
+    for m in (10, 15, 30, 20, 45, 245):
+        assert orders(m) == expected, m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 8, 12, 24, 25, 54, 0, -5])
+def test_multiquad_table_refuses_an_m_that_gives_no_degree_8_field(capsys, m):
+    code, out, err = invoke(capsys, "multiquad-table", "--m", str(m), "--max-k", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: --m {m} must make Q(sqrt 2, sqrt 3, sqrt m) a real field of degree 8\n"
 
 
 # -- emit_table --------------------------------------------------------------------
@@ -295,7 +328,7 @@ def test_char_check_matches_the_kronecker_character_of_either_sign(capsys, tmp_p
     path.write_text(
         json.dumps(
             {"modulus": chi.modulus, "order": chi.order,
-             "values": [list(item) for item in chi.exponent_items()]}
+             "values": [list(item) for item in sorted(chi.units())]}
         ),
         encoding="utf-8",
     )

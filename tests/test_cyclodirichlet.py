@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, isqrt, prod
 
 import pytest
@@ -38,6 +39,7 @@ from oracles import (
     conjugates,
     cyclotomic_polynomial,
     dlog_values,
+    exponent_table,
     kronecker_character_by_units,
     local_coordinates,
     primitive_orbits_by_sorting,
@@ -198,7 +200,7 @@ def test_character_group_counts_and_distinct():
     for m in range(1, 101):
         group = character_group(m)
         assert len(group) == euler_phi(m)
-        assert len({chi.exponent_items() for chi in group}) == len(group)
+        assert len({frozenset(chi.units()) for chi in group}) == len(group)
 
 
 def test_characters_of_order_dividing():
@@ -215,7 +217,7 @@ def test_orthogonality():
             # sum_a chi(a) = sum_e #{a : chi(a) = zeta^e} zeta^e, reduced
             # mod Phi_order by the oracle
             counts = [0] * chi.order
-            for _, e in chi.exponent_items():
+            for _, e in chi.units():
                 counts[e] += 1
             assert not any(reduce_fraction_poly(counts, chi.order)), (m, chi)
 
@@ -247,6 +249,20 @@ def _tampered_map():
     exps = {a: 0 for a in range(35) if gcd(a, 35) == 1}
     exps[6] = 1  # breaks chi(2) chi(3) = chi(6)
     return exps
+
+
+def test_from_values_names_the_smallest_residue_at_which_the_map_fails():
+    # the units are walked in no residue order, yet of two tampered
+    # residues the smaller is reported, whichever comes first in the map
+    lifts = {x for *_, x in _local_generators(35)}
+    others = [a for a in range(35) if gcd(a, 35) == 1 and a not in lifts]
+    for a, b in combinations(others, 2):
+        for first, second in ((a, b), (b, a)):
+            exps = {first: 1, second: 1}
+            exps.update({u: 0 for u in range(35) if gcd(u, 35) == 1 and u not in exps})
+            message = rf"^multiplicativity fails at {a} mod 35: chi\({a}\) disagrees with"
+            with pytest.raises(ValueError, match=message):
+                DirichletCharacter.from_values(35, 2, exps)
 
 
 # -- the linear character check against the exhaustive oracle ---------------
@@ -301,7 +317,7 @@ def test_linear_check_accepts_every_character():
         for chi in cached_group(m):
             for scale in (1, 2, 3):
                 n = chi.order * scale
-                exps = {a: e * scale for a, e in chi.exponent_items()}
+                exps = {a: e * scale for a, e in chi.units()}
                 assert pairwise_is_character(m, n, exps)
                 assert DirichletCharacter.from_values(m, n, exps) == chi
 
@@ -327,7 +343,6 @@ def test_linear_check_matches_oracle_on_dlog_maps():
 
 
 def test_every_construction_path_rejects_a_non_character(tmp_path):
-    CharacterOrbit.of.cache_clear()  # so that CharacterOrbit.of below builds
     values = [[a, e] for a, e in sorted(_tampered_map().items())]
     path = write_char(tmp_path, "bad35.json", {"modulus": 35, "order": 2, "values": values})
     for build in (
@@ -352,29 +367,38 @@ def test_an_orbit_walks_the_units_once_and_checks_no_value_map(monkeypatch):
     from evenk import cyclodirichlet
     from evenk.kgroups import CyclicPrime
 
-    calls = []
+    calls, walks = [], []
+    units = DirichletCharacter.units
 
     def checked(*args):
         calls.append(args)
 
+    def counted(self):
+        walks.append(self.modulus)
+        return units(self)
+
     monkeypatch.setattr(cyclodirichlet, "_check_homomorphism", checked)
+    monkeypatch.setattr(DirichletCharacter, "units", counted)
     caches = {
-        name: getattr(obj, "__func__", obj)
-        for name, obj in [*vars(cyclodirichlet).items(), ("of", vars(CharacterOrbit)["of"])]
-        if hasattr(getattr(obj, "__func__", obj), "cache_info")
-        and getattr(obj, "__module__", None) == cyclodirichlet.__name__
+        name: obj
+        for name, obj in vars(cyclodirichlet).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == cyclodirichlet.__name__
     }
     for cache in caches.values():
         cache.cache_clear()
     (orbit,) = CyclicPrime(5, 1181, 0).character_orbits()
     chi = orbit.representative
-    assert chi.order == 5 and chi.is_primitive()
-    assert calls == []
-    # the unit table is the character's own: no cache keyed by the
-    # modulus holds units or discrete logs
-    assert len(chi.exponent_items()) == euler_phi(1181)
+    assert chi.order == 5 and chi.is_primitive() and chi.is_even()
+    assert calls == [] and walks == []  # building it walks no unit
+    orbit_l_product(orbit, 2)
+    assert walks == [1181]  # its one L-value walks them once
+    # the character is its coordinates, and no cache keeps one or holds
+    # units or discrete logs keyed by the modulus
+    assert DirichletCharacter.__slots__ == ("modulus", "order", "coords")
+    for built in (vars(CharacterOrbit)["of"].__func__, quadratic_character):
+        assert not hasattr(built, "cache_info")
     filled = {name for name, cache in caches.items() if cache.cache_info().currsize}
-    assert filled <= {"euler_phi", "_primitive_orbit_coordinates", "of"}
+    assert filled <= {"euler_phi", "_primitive_orbit_coordinates", "_bernoulli_poly_int_coeffs"}
     assert not hasattr(cyclodirichlet, "_unit_group_data")
 
 
@@ -386,7 +410,7 @@ def test_linear_check_matches_oracle_on_tampered_characters(m, data):
     scale = data.draw(st.integers(1, 3))
     n = chi.order * scale
     assume(n > 1)
-    exps = {a: e * scale for a, e in chi.exponent_items()}
+    exps = {a: e * scale for a, e in chi.units()}
     a = data.draw(st.sampled_from(sorted(exps)))
     exps[a] = (exps[a] + data.draw(st.integers(1, n - 1))) % n
     assert linear_check_accepts(m, n, exps) == pairwise_is_character(m, n, exps)
@@ -411,16 +435,17 @@ def test_conductor_examples():
     chi8 = next(
         c
         for c in character_group(8)
-        if c.exponent(7) == 0 and not c.is_trivial()
+        if exponent_table(c)[7] == 0 and not c.is_trivial()
     )
-    assert set(a for a in (1, 7) if chi8.exponent(a) == 0) == {1, 7}
+    assert set(a for a, e in chi8.units() if e == 0) == {1, 7}
     assert chi8.conductor() == 8
     # induce the quadratic character mod 5 up to modulus 15
     chi5 = quadratic_character(5)
+    table5 = exponent_table(chi5)
     induced = DirichletCharacter.from_values(
         15,
         2,
-        {a: chi5.exponent(a % 5) for a in range(15) if gcd(a, 15) == 1},
+        {a: table5[a % 5] for a in range(15) if gcd(a, 15) == 1},
     )
     assert induced.conductor() == 5
     assert induced.primitive_part() == chi5
@@ -432,8 +457,8 @@ def test_coordinates_give_the_values_conductor_and_primitive_part():
     for m in range(1, 201):
         for chi in cached_group(m):
             walked = walked_values(chi)
-            assert chi.exponent_items() == tuple(sorted(walked.items())), (m, chi)
-            assert chi.exponent_items() == tuple(dlog_values(chi).items()), (m, chi)
+            table = exponent_table(chi)
+            assert table == walked == dlog_values(chi), (m, chi)
             assert chi.conductor() == conductor_by_divisors(chi), (m, chi)
             assert chi.primitive_part() == primitive_part_by_units(chi), (m, chi)
             assert chi.is_even() == (walked[(m - 1) % m] == 0), (m, chi)
@@ -482,9 +507,10 @@ def test_quadratic_characters_even_and_primitive():
 def gen_bernoulli_naive(chi, n):
     """Direct f^(n-1) sum chi(a) B_n(a/f) with no Horner shortcut."""
     f = chi.modulus
+    table = exponent_table(chi)
     total = FractionCyclotomic.from_rational(0, chi.order)
     for a in range(1, f + 1):
-        e = chi.exponent(a)
+        e = table.get(a % f)
         if e is None:
             continue
         term = FractionCyclotomic.root_of_unity(chi.order, e) * bernoulli_poly_value(
@@ -732,6 +758,25 @@ def test_orbit_l_product_rejects_odd_characters_and_k_below_1():
             orbit_l_product(CharacterOrbit(chi), 1)
     with pytest.raises(ValueError, match="requires k >= 1"):
         orbit_l_product(CharacterOrbit(quadratic_character(5)), 0)
+
+
+def test_an_orbit_l_product_keeps_no_table_of_units():
+    # the 100002 units mod 100003 are walked where they are summed: the
+    # character, its one generalized Bernoulli number and the product
+    # over its conjugates take a few KB, not a table per unit
+    import tracemalloc
+    from evenk.kgroups import CyclicPrime
+
+    spec = CyclicPrime(3, 100003)
+    tracemalloc.start()
+    try:
+        (orbit,) = spec.character_orbits()
+        value = orbit_l_product(orbit, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value.denominator > 0 and value != 0
+    assert peak < 64 * 1024, peak
 
 
 def test_orbit_l_product_raises_not_rational_on_a_product_that_is_not_galois_fixed(monkeypatch):

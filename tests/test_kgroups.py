@@ -33,9 +33,8 @@ from oracles import quadratic_k2_closed_form, quadratic_k6_closed_form
 def built_moduli(monkeypatch):
     """The modulus of every DirichletCharacter constructed while the
     test runs, in construction order."""
-    from evenk.cyclodirichlet import CharacterOrbit, DirichletCharacter
+    from evenk.cyclodirichlet import DirichletCharacter
 
-    CharacterOrbit.of.cache_clear()  # count what the test builds, not what it reuses
     moduli = []
     init = DirichletCharacter.__init__
 
@@ -496,7 +495,7 @@ def test_cyclic_orbit_coordinates_are_those_of_the_built_orbit():
         ((f, n, coords),) = RealQuadratic(d).orbits()
         assert (f, n) == (d, 2)
         (orbit,) = RealQuadratic(d).character_orbits()
-        assert orbit.representative == quadratic_character.__wrapped__(d), d  # uncached
+        assert orbit.representative == quadratic_character(d), d
         assert coords == local_coordinates(orbit.representative, 2), d
 
 
@@ -523,16 +522,14 @@ def test_zagier_and_w_routes_build_no_characters(built_moduli):
 
 def test_characters_route_builds_one_character_per_orbit(built_moduli):
     from evenk.cli import run
-    from evenk.cyclodirichlet import CharacterOrbit
 
     specs = [Rationals(), RealQuadratic(5), CyclicPrime(3, 63, 1), CyclicPrime(5, 1181)]
     specs += [multiquad_235(), degree_nine_field()]
     for spec in specs:
-        CharacterOrbit.of.cache_clear()
-        built_moduli.clear()
         for k in (1, 2, 3):
+            built_moduli.clear()
             k_even_order(spec, k, method="characters")
-        assert sorted(built_moduli) == sorted(f for f, _ in spec.orbit_shapes()), spec
+            assert sorted(built_moduli) == sorted(f for f, _ in spec.orbit_shapes()), (spec, k)
     built_moduli.clear()
     assert run(["zeta", "--field", "cyclic:29:59", "--k", "20"]) == 0
     assert built_moduli == [59]
