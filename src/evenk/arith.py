@@ -288,24 +288,26 @@ class PartialFactorization(Value):
     """Factored part of an integer plus whatever resisted the budget.
 
     factored lists (prime, exponent) pairs in increasing prime order;
-    cofactor is the remaining unfactored part (1 when complete).  The
+    cofactor is the remaining unfactored part, and the factorization is
+    complete exactly when it is 1.  The
     product of everything reproduces the original integer.  factorize
     proves each listed prime once, while finding it, so only the shape
     is checked here.
     """
 
-    __slots__ = ("factored", "cofactor", "complete")
-    _defaults = {"cofactor": 1, "complete": True}
+    __slots__ = ("factored", "cofactor")
+    _defaults = {"cofactor": 1}
     factored: tuple[tuple[int, int], ...]
     cofactor: int
-    complete: bool
 
     def __post_init__(self) -> None:
         for p, e in self.factored:
             if e < 1:
                 raise ValueError(f"bad factorization entry ({p}, {e})")
-        if self.complete and self.cofactor != 1:
-            raise ValueError("complete factorization with cofactor != 1")
+
+    @property
+    def complete(self) -> bool:
+        return self.cofactor == 1
 
     def value(self) -> int:
         n = self.cofactor
@@ -627,8 +629,8 @@ def factorize(
     integer root test on what rho cannot split, ECM on what is still
     composite when the budget goes beyond RHO_CAP (see FactorBudget),
     and gcd refinement of the composites left.  Anything still composite
-    when the budget runs out is returned as an explicit cofactor with
-    complete=False, never mislabeled.
+    when the budget runs out is returned as an explicit cofactor, never
+    mislabeled.
 
     pieces are optional positive integers whose primes should cover
     those of n, typically the factors n was multiplied from: rho then
@@ -657,8 +659,4 @@ def factorize(
         m = 1
     large, cofactor = _split_along_pieces(m, pieces, budget.rho_iterations)
     found.update(large)
-    return PartialFactorization(
-        factored=tuple(sorted(found.items())),
-        cofactor=cofactor,
-        complete=cofactor == 1,
-    )
+    return PartialFactorization(tuple(sorted(found.items())), cofactor)

@@ -83,24 +83,36 @@ and the zeta value as a fraction string; the fields are the columns."""
 
 
 def parse_field_spec(text: str) -> FieldSpec:
-    """Parse the field mini-language into a FieldSpec."""
-    parts = text.strip().split(":")
+    """Parse the field mini-language into a FieldSpec; every error names
+    the whole spec."""
     try:
-        if parts == ["q"]:
-            return Rationals()
-        if parts[0] == "quad" and len(parts) == 2:
-            return RealQuadratic(int(parts[1]))
-        if parts[0] == "cyclic" and len(parts) in (3, 4):
-            orbit = int(parts[3]) if len(parts) == 4 else 0
-            return CyclicPrime(int(parts[1]), int(parts[2]), orbit)
-        if parts[0] == "elem" and len(parts) >= 3:
-            p = int(parts[1])
-            rest = text.strip().split(":", 2)[2]
-            members = tuple(parse_field_spec(tok) for tok in rest.split(","))
-            return Elementary(p, members)
-    except (ValueError, IndexError) as exc:
-        raise UsageError(f"bad field spec {text!r}: {exc}") from exc
-    raise UsageError(f"bad field spec {text!r}")
+        return _spec(text)
+    except ValueError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        raise UsageError(f"bad field spec {text!r}{detail}") from exc
+
+
+def _spec(text: str) -> FieldSpec:
+    """text as a FieldSpec; a bare ValueError when it has no spec's shape."""
+    parts = text.split(":")
+    if parts == ["q"]:
+        return Rationals()
+    if parts[0] == "quad" and len(parts) == 2:
+        return RealQuadratic(_natural(parts[1]))
+    if parts[0] == "cyclic" and len(parts) in (3, 4):
+        return CyclicPrime(*map(_natural, parts[1:]))
+    if parts[0] == "elem" and len(parts) >= 3:
+        members = text.split(":", 2)[2].split(",")
+        return Elementary(_natural(parts[1]), tuple(map(_spec, members)))
+    raise ValueError
+
+
+def _natural(token: str) -> int:
+    """A spec's integer, written canonically: 0, or a nonzero digit
+    followed by digits, with no sign and no spaces."""
+    if not (token.isascii() and token.isdigit()) or (token[0] == "0" and token != "0"):
+        raise ValueError(f"{token!r} is not a canonical integer")
+    return int(token)
 
 
 def _record_from_order(

@@ -58,7 +58,7 @@ def euler_phi(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class DirichletCharacter:
+class DirichletCharacter(Value):
     """A character of (Z/mZ)^*, held as its local coordinates: ((q, g), c)
     pairs meaning chi(x) = zeta_order^c at the lift x of the local
     generator (q, g) (see _local_generators), and chi(x) = 1 at the
@@ -97,9 +97,8 @@ class DirichletCharacter:
                 raise ValueError(f"chi({x})^{o} != 1, but {x} has order {o} mod {modulus}")
         d = gcd(order, *at.values())
         n = order // d
-        self.modulus = modulus
-        self.order = n
-        self.coords = tuple((g, at[g] // d % n) for g, *_ in gens if at.get(g, 0) // d % n)
+        coords = tuple((g, at[g] // d % n) for g, *_ in gens if at.get(g, 0) // d % n)
+        super().__init__(modulus, n, coords)
 
     @classmethod
     def from_values(
@@ -128,23 +127,6 @@ class DirichletCharacter:
         chi = cls(modulus, order, coords)
         _check_homomorphism(chi, order, value_exponents)
         return chi
-
-    def __repr__(self) -> str:
-        return (
-            f"DirichletCharacter(modulus={self.modulus}, order={self.order}, "
-            f"coords={self.coords})"
-        )
-
-    def _key(self) -> tuple:
-        return self.modulus, self.order, self.coords
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def units(self):
         """(u, e) for every unit u in [0, m), chi(u) = zeta_order^e, in no set
@@ -313,18 +295,15 @@ class CharacterOrbit(Value):
 
 
 def cyclic_conductor_is_valid(p: int, f: int) -> bool:
-    """Whether f is the conductor of some real cyclic degree-p field:
-    v_p(f) is 0 or 2 attained by p^2, every other prime factor is
-    simple and = 1 mod p."""
+    """Whether f is the conductor of some real cyclic degree-p field (p
+    an odd prime): f >= 3, every local generator mod f has order
+    divisible by p, and a character of order p that is nontrivial at
+    each of them has conductor f."""
     if f < 3:
         return False
-    for q, e in factor_small(f):
-        if q == p:
-            if e != 2:
-                return False
-        elif e != 1 or (q - 1) % p != 0 or q == 2:
-            return False
-    return True
+    gens = _local_generators(f)
+    coords = [(g, 1) for g, *_ in gens]
+    return all(o % p == 0 for _, _, o, _ in gens) and _conductor_of(coords, p) == f
 
 
 def _subgroup_log(h: int, p: int, modulus: int):
@@ -430,7 +409,6 @@ def primitive_orbit_index(key, p: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _bernoulli_poly_int_coeffs(n: int, f: int) -> tuple[tuple[int, ...], int]:
     """Integers (c_0..c_n, d) with d * f^(n-1) * B_n(a/f) =
     (1/f) * sum_i c_i a^(n-i), i.e. the numerator polynomial of the

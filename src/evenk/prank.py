@@ -24,31 +24,20 @@ class DivisibilityWitness(Value):
     exactly when all the booleans coincide.  power_sums keeps the raw
     e_j values so an inconsistency can be reported in full."""
 
-    __slots__ = ("d", "statements", "consistent", "power_sums")
+    __slots__ = ("d", "statements", "power_sums")
     _defaults = {"power_sums": ()}
     d: int
     statements: tuple[tuple[str, bool], ...]
-    consistent: bool
     power_sums: tuple[tuple[str, int], ...]
+
+    @property
+    def consistent(self) -> bool:
+        return len({value for _, value in self.statements}) < 2
 
     def details(self) -> str:
         body = ", ".join(f"{label}={value}" for label, value in self.statements)
         sums = ", ".join(f"{name}={value}" for name, value in self.power_sums)
         return f"D={self.d}: {body} [{sums}]"
-
-
-def _witness(
-    d: int,
-    statements: list[tuple[str, bool]],
-    power_sums: dict[str, int],
-) -> DivisibilityWitness:
-    values = [v for _, v in statements]
-    return DivisibilityWitness(
-        d,
-        tuple(statements),
-        all(values) or not any(values),
-        tuple(power_sums.items()),
-    )
 
 
 def rank3_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
@@ -87,7 +76,7 @@ def rank3_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
         ("3 | e_13(9D)", sums["e_13(9D)"] % 3 == 0),
         ("3 | e_15(9D)", sums["e_15(9D)"] % 3 == 0),
     ]
-    return _witness(d, statements, sums)
+    return DivisibilityWitness(d, tuple(statements), tuple(sums.items()))
 
 
 def rank5_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
@@ -114,7 +103,7 @@ def rank5_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
         ),
         ("5 | e_13(9D)", sums["e_13(9D)"] % 5 == 0),
     ]
-    return _witness(d, statements, sums)
+    return DivisibilityWitness(d, tuple(statements), tuple(sums.items()))
 
 
 def fundamental_discriminants_up_to(bound: int) -> list[int]:

@@ -13,6 +13,7 @@ from math import isqrt
 
 from .arith import divisor_sum, divisors, factor_small, kronecker
 from .qseries import siegel_coeffs
+from .values import Value
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -37,26 +38,15 @@ def _squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factor_small(n))
 
 
-class QuadraticDiscriminant:
+class QuadraticDiscriminant(Value):
     """A positive fundamental discriminant, verified at construction."""
 
     __slots__ = ("value",)
+    value: int
 
-    def __init__(self, value: int) -> None:
-        if not is_fundamental_discriminant(value):
-            raise ValueError(f"{value} is not a fundamental discriminant > 1")
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"QuadraticDiscriminant({self.value})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QuadraticDiscriminant):
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("QuadraticDiscriminant", self.value))
+    def __post_init__(self) -> None:
+        if not is_fundamental_discriminant(self.value):
+            raise ValueError(f"{self.value} is not a fundamental discriminant > 1")
 
     def __int__(self) -> int:
         return self.value

@@ -25,17 +25,19 @@ from .values import Value
 
 
 class WInvariant(Value):
-    """w value together with its prime decomposition."""
+    """w held as its prime decomposition {ell: exponent}; value is their
+    product."""
 
-    __slots__ = ("value", "parts")
-    value: int
+    __slots__ = ("parts",)
     parts: dict[int, int]
 
     def __post_init__(self) -> None:
         if any(e < 1 for e in self.parts.values()):
             raise ValueError("zero exponents must be omitted")
-        if prod(ell**e for ell, e in self.parts.items()) != self.value:
-            raise ValueError("parts do not multiply to value")
+
+    @property
+    def value(self) -> int:
+        return prod(ell**e for ell, e in self.parts.items())
 
     def __int__(self) -> int:
         return self.value
@@ -60,8 +62,7 @@ def _valuation_of_w(ell: int, orbits: tuple, k: int) -> int:
 
 
 def _w_from_valuations(parts: dict[int, int]) -> WInvariant:
-    parts = {ell: e for ell, e in sorted(parts.items()) if e}
-    return WInvariant(prod(ell**e for ell, e in parts.items()), parts)
+    return WInvariant({ell: e for ell, e in sorted(parts.items()) if e})
 
 
 def w_rational(k: int) -> WInvariant:

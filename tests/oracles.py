@@ -3,7 +3,8 @@
 Each is a plain transcription of a definition, or earlier code that a
 kernel in `evenk` replaced (Fraction arithmetic in Q(zeta_n) reduced
 modulo Phi_n, the list-based trial division, orbit numbering by
-building and sorting every character, a character's coordinates read
+building and sorting every character, the conductors of cyclic fields
+read off their factorization, a character's coordinates read
 off its values, its values read off
 discrete-log tables, its conductor, primitive part and Kronecker
 symbol read off its value at every unit, the weights b_j(h) read off
@@ -593,6 +594,23 @@ def series_power(s: LaurentSeries, n: int) -> LaurentSeries:
         base = base * base
         n >>= 1
     return result
+
+
+# -- conductors of cyclic fields by their factorization ---------------------------
+
+def cyclic_conductor_by_factorization(p: int, f: int) -> bool:
+    """Whether f is the conductor of some real cyclic degree-p field (p
+    an odd prime): v_p(f) is 0 or 2, and every other prime factor is
+    simple and = 1 mod p."""
+    if f < 3:
+        return False
+    for q, e in factor_small(f):
+        if q == p:
+            if e != 2:
+                return False
+        elif e != 1 or (q - 1) % p != 0 or q == 2:
+            return False
+    return True
 
 
 # -- Galois orbits and local coordinates ----------------------------------------

@@ -307,7 +307,7 @@ def factorize_without_rho(n, trial_limit):
         found[m], m = 1, 1
     elif m > 1 and (power := prime_power_root(m)):
         found[power[0]], m = power[1], 1
-    return PartialFactorization(tuple(sorted(found.items())), m, m == 1), untested
+    return PartialFactorization(tuple(sorted(found.items())), m), untested
 
 
 @settings(max_examples=150, deadline=None)
@@ -341,7 +341,7 @@ def test_is_prime():
 # -- factorization -----------------------------------------------------------
 
 def test_factorize_examples():
-    assert factorize(1) == PartialFactorization((), 1, True)
+    assert factorize(1) == PartialFactorization((), 1)
     assert factorize(2193408).factored == ((2, 11), (3, 2), (7, 1), (17, 1))
     assert factorize(2193408).complete
     assert factorize(59144).factored == ((2, 3), (7393, 1))

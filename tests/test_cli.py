@@ -24,6 +24,7 @@ def test_parse_field_specs():
     assert parse_field_spec("quad:5") == RealQuadratic(5)
     assert parse_field_spec("cyclic:3:7") == CyclicPrime(3, 7)
     assert parse_field_spec("cyclic:3:63:1") == CyclicPrime(3, 63, 1)
+    assert parse_field_spec("cyclic:3:63:0") == CyclicPrime(3, 63)
     spec = parse_field_spec("elem:2:quad:8,quad:12,quad:24")
     assert spec == Elementary(2, (RealQuadratic(8), RealQuadratic(12), RealQuadratic(24)))
 
@@ -35,6 +36,15 @@ def test_parse_field_spec_failures():
                 "elem:2:quad:5,quad:8,quad:12"):
         with pytest.raises(UsageError):
             parse_field_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["quad:+5", "cyclic:03:7", "cyclic:3:7:-0", "cyclic:3:7:00", "quad:5 ", " q", "elem:2:"],
+)
+def test_a_spec_takes_only_canonical_integers_and_errors_name_it(capsys, field):
+    code, out, err = invoke(capsys, "w", "--field", field, "--k", "1")
+    assert (code, out) == (1, "") and err.startswith(f"error: bad field spec {field!r}")
 
 
 # -- single order commands --------------------------------------------------------

@@ -37,6 +37,7 @@ from oracles import (
     character_product,
     conductor_by_divisors,
     conjugates,
+    cyclic_conductor_by_factorization,
     cyclotomic_polynomial,
     dlog_values,
     exponent_table,
@@ -398,7 +399,7 @@ def test_an_orbit_walks_the_units_once_and_checks_no_value_map(monkeypatch):
     for built in (vars(CharacterOrbit)["of"].__func__, quadratic_character):
         assert not hasattr(built, "cache_info")
     filled = {name for name, cache in caches.items() if cache.cache_info().currsize}
-    assert filled <= {"euler_phi", "_primitive_orbit_coordinates", "_bernoulli_poly_int_coeffs"}
+    assert filled <= {"euler_phi", "_primitive_orbit_coordinates"}
     assert not hasattr(cyclodirichlet, "_unit_group_data")
 
 
@@ -604,6 +605,15 @@ def test_primitive_orbit_counts():
     assert len(primitive_orbits_of_order(63, 3)) == 2
     orbits = primitive_orbits_of_order(63, 3)
     assert all(o.representative.conductor() == 63 for o in orbits)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cyclic_conductors_are_the_conductors_of_the_local_generators(p):
+    # the coordinate rule against the rule on the factorization
+    from evenk.cyclodirichlet import cyclic_conductor_is_valid
+
+    for f in range(5000):
+        assert cyclic_conductor_is_valid(p, f) == cyclic_conductor_by_factorization(p, f), f
 
 
 # conductor ranges per odd prime p; p = 11 reaches 23 * 67, its first

@@ -8,7 +8,8 @@ The `kgroup --method` choices are spelled out in the CLI's command
 table; they must stay the routes the field specs accept.  The README's
 character-file example must stay a file that `char-check` accepts, its
 count of green tests the suite's size, and the factorization caps it
-states the constants of `evenk.arith`.  Every command
+states the constants of `evenk.arith`.  Only `evenk.values.Value`
+defines equality, hashing and repr.  Every command
 is a fresh process, so importing the CLI must not load modules it only
 sometimes needs."""
 
@@ -131,6 +132,24 @@ def test_cli_import_leaves_dataclasses_json_and_csv_unloaded():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert result.stdout == "[]\n"
+
+
+def test_only_value_defines_equality_hash_and_repr():
+    # every value type is a Value; a hand-rolled one would drift from it
+    import ast
+
+    names = ("__eq__", "__hash__", "__repr__")
+    package = TRACING.parent.parent / "src" / "evenk"
+    defined = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                defined |= {
+                    (path.stem, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in names
+                }
+    assert defined == {("values", "Value", name) for name in names}
 
 
 # criteria 3 and 8 of tests/test_acceptance.py fail by design (README)

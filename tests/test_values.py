@@ -11,7 +11,7 @@ import pytest
 
 from evenk.arith import FactorBudget, PartialFactorization, factorize
 from evenk.cli import COMMANDS, OutputRecord, run
-from evenk.cyclodirichlet import CharacterOrbit, quadratic_character
+from evenk.cyclodirichlet import CharacterOrbit, DirichletCharacter, quadratic_character
 from evenk.kgroups import (
     CubicParameters,
     CyclicPrime,
@@ -22,6 +22,7 @@ from evenk.kgroups import (
     RealQuadratic,
 )
 from evenk.prank import DivisibilityWitness
+from evenk.siegel import QuadraticDiscriminant
 from evenk.winv import WInvariant
 
 
@@ -46,9 +47,19 @@ FROZEN = [
         "FactorBudget(trial_limit=1000000, rho_iterations=1000000)",
     ),
     (
-        lambda: PartialFactorization(((2, 1),), 15, False),
+        lambda: PartialFactorization(((2, 1),), 15),
         lambda: PartialFactorization(((2, 1),)),
-        "PartialFactorization(factored=((2, 1),), cofactor=15, complete=False)",
+        "PartialFactorization(factored=((2, 1),), cofactor=15)",
+    ),
+    (
+        lambda: quadratic_character(5),
+        lambda: DirichletCharacter(5, 4, (((5, 2), 1),)),
+        "DirichletCharacter(modulus=5, order=2, coords=(((5, 2), 1),))",
+    ),
+    (
+        lambda: QuadraticDiscriminant(5),
+        lambda: QuadraticDiscriminant(8),
+        "QuadraticDiscriminant(value=5)",
     ),
     (
         lambda: CharacterOrbit(quadratic_character(5)),
@@ -57,9 +68,9 @@ FROZEN = [
         "coords=(((5, 2), 1),)))",
     ),
     (
-        lambda: DivisibilityWitness(5, (("a", True),), True),
-        lambda: DivisibilityWitness(5, (("a", True),), True, (("e", 2),)),
-        "DivisibilityWitness(d=5, statements=(('a', True),), consistent=True, power_sums=())",
+        lambda: DivisibilityWitness(5, (("a", True),)),
+        lambda: DivisibilityWitness(5, (("a", True),), (("e", 2),)),
+        "DivisibilityWitness(d=5, statements=(('a', True),), power_sums=())",
     ),
     (lambda: CubicParameters(7, -1, 3), lambda: CubicParameters(9, -3, 3),
      "CubicParameters(f=7, a=-1, b=3)"),
@@ -103,20 +114,29 @@ def test_values_of_different_types_differ():
 
 def test_w_invariant_compares_but_does_not_hash():
     # its parts are a dict, as they were in the dataclass
-    w = WInvariant(24, {2: 3, 3: 1})
-    assert w == WInvariant(24, {2: 3, 3: 1}) and w != WInvariant(8, {2: 3})
-    assert repr(w) == "WInvariant(value=24, parts={2: 3, 3: 1})"
+    w = WInvariant({2: 3, 3: 1})
+    assert w == WInvariant({2: 3, 3: 1}) and w != WInvariant({2: 3})
+    assert repr(w) == "WInvariant(parts={2: 3, 3: 1})"
     with pytest.raises(TypeError):
         hash(w)
     with pytest.raises(AttributeError):
         w.value = 8
 
 
+def test_derived_fields_are_read_only_properties():
+    # each is read off the stored fields, so no check keeps two copies in step
+    derived = [
+        (PartialFactorization(((2, 1),), 15), "complete", False),
+        (WInvariant({2: 3, 3: 1}), "value", 24),
+        (DivisibilityWitness(5, (("a", True), ("b", False))), "consistent", False),
+    ]
+    for value, name, expected in derived:
+        assert name not in type(value).__slots__ and getattr(value, name) == expected
+        with pytest.raises(AttributeError):
+            setattr(value, name, expected)
+
+
 def test_checks_still_run_on_construction():
-    with pytest.raises(ValueError, match="parts do not multiply"):
-        WInvariant(25, {2: 3, 3: 1})
-    with pytest.raises(ValueError, match="cofactor"):
-        PartialFactorization((), 15)
     with pytest.raises(ValueError, match="orbit index"):
         CyclicPrime(3, 7, 1)
     with pytest.raises(TypeError):

@@ -116,9 +116,7 @@ def test_part_support():
 
 def test_winvariant_consistency_check():
     with pytest.raises(ValueError):
-        WInvariant(24, {2: 3})
-    with pytest.raises(ValueError):
-        WInvariant(24, {2: 3, 3: 0})
+        WInvariant({2: 3, 3: 0})
 
 
 def test_w_formula_matches_case_analysis():
