@@ -4,10 +4,17 @@ Everything here is pure big-integer / big-rational arithmetic: divisor
 power sums, the full Kronecker symbol, l-adic valuations, Bernoulli
 numbers (from integer tangent numbers), a lazily grown prime sieve, and
 best-effort factorization (trial division, Pollard rho with Brent cycle
-detection for up to RHO_CAP iterations, then the elliptic curve method
-with the rest of the budget counted in modular multiplications,
-optionally run on the factors a number was multiplied from).
-`fractions.Fraction` is the rational scalar used throughout the package.
+detection, then, once the budget buys a whole curve beyond RHO_CAP rho
+iterations, the elliptic curve method with the rest of it counted in
+modular multiplications, optionally run on the factors a number was
+multiplied from).  `fractions.Fraction` is the rational scalar used
+throughout the package.
+
+Primality is Miller-Rabin to fixed bases below 3.3e24, where they make
+it deterministic, and Baillie-PSW above: a strong probable-prime test to
+base 2 and a strong Lucas test with Selfridge's parameters (Baillie and
+Wagstaff, Math. Comp. 35, 1980; Pomerance, Selfridge and Wagstaff,
+ibid.).  No composite is known to pass it, but none is proved not to.
 
 The elliptic curve method is Lenstra's (Ann. of Math. 126, 1987) on
 Montgomery's x-only curves (Math. Comp. 48, 1987), as in Cohen, "A
@@ -25,7 +32,8 @@ from math import gcd, isqrt
 
 from .values import Value
 
-# Witnesses making Miller-Rabin deterministic below 3.317e24.
+# Witnesses making Miller-Rabin deterministic below 3.317e24; is_prime
+# runs Baillie-PSW from there on.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -34,8 +42,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # Trial division walks primes up to this bound at most, whatever the budget.
 TRIAL_CAP = 10**6
 # Pollard rho runs at most this many iterations per number, whatever the
-# budget; the rest of a number's budget goes to ECM curves.
-RHO_CAP = 10**5
+# budget; the rest of a budget that buys a whole curve beyond it goes to
+# ECM curves (see FactorBudget).
+RHO_CAP = 10**4
 # ECM stage 1 multiplies by every prime power up to ECM_B1, stage 2
 # catches one more prime up to ECM_B2, in giant steps of _ECM_D.
 ECM_B1 = 2000
@@ -95,35 +104,81 @@ def primes_up_to(x: int) -> list[int]:
     return list(_primes(x))
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes Miller's strong test to base a, 0 < a < n:
+    for n - 1 = d 2^r with d odd, a^d = 1 or a^(d 2^i) = -1 mod n for
+    some 0 <= i < r."""
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Whether odd n > 2 passes the strong Lucas test with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with Jacobi symbol
+    (D | n) = -1, P = 1 and Q = (1 - D) / 4.  For n + 1 = k 2^s with k
+    odd, n passes when U_k = 0 or V_(k 2^i) = 0 mod n for some
+    0 <= i < s.  No D of a perfect square has symbol -1, so squares are
+    rejected before the search."""
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (j := kronecker(d, n)) != -1:
+        if j == 0:
+            # D shares a factor with n: n is prime only as |D| itself
+            return abs(d) == n
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    # U_m, V_m and Q^m mod n for m the leading bits of k, from m = 1:
+    # U_2m = U_m V_m and V_2m = V_m^2 - 2 Q^m; with P = 1 a step to
+    # m + 1 is U = (U + V) / 2, V = (D U + V) / 2, halved mod odd n
+    u, v, qm = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
+        if bit == "1":
+            u, v = u + v, d * u + v
+            u = ((u + n * (u & 1)) >> 1) % n
+            v = ((v + n * (v & 1)) >> 1) % n
+            qm = qm * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qm) % n
+        if v == 0:
+            return True
+        qm = qm * qm % n
+    return False
+
+
+def _baillie_psw(n: int) -> bool:
+    """Baillie-PSW for odd n > 2: strong probable prime to base 2 and
+    strong Lucas probable prime."""
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
 def is_prime(n: int) -> bool:
-    """Miller-Rabin: deterministic below 3.3e24, 64 rounds above."""
+    """Miller-Rabin to the fixed bases _MR_BASES below 3.3e24, where it
+    is deterministic; Baillie-PSW above, which no known composite
+    passes."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-
-    def witness(a: int) -> bool:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            return False
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                return False
-        return True
-
     if n < _MR_DETERMINISTIC_BOUND:
-        bases = _MR_BASES
-    else:
-        rng = random.Random(n)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(64))
-    return not any(witness(a) for a in bases)
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _baillie_psw(n)
 
 
 @lru_cache(maxsize=None)
@@ -271,11 +326,11 @@ class FactorBudget(Value):
 
     Trial division runs over the primes up to min(trial_limit,
     TRIAL_CAP) (2 at least), sieved only as far as the number needs;
-    factorize applies the cap, so callers pass any limit.  Each number
-    left to split then gets min(rho_iterations, RHO_CAP) Pollard-rho
-    iterations; beyond RHO_CAP, rho_iterations - RHO_CAP is spent on
-    ECM curves, counted in modular multiplications, so a budget of
-    RHO_CAP or less never runs ECM.
+    factorize applies the cap, so callers pass any limit.  A budget N of
+    at least RHO_CAP plus the cost of one ECM curve (77,063) gives each
+    number left to split RHO_CAP Pollard-rho iterations, then N - RHO_CAP
+    modular multiplications of ECM curves; a smaller budget gives rho
+    all N iterations and ECM nothing.
     """
 
     __slots__ = ("trial_limit", "rho_iterations")
@@ -559,28 +614,40 @@ def _coprime_base(numbers: list[int]) -> list[int]:
     return sorted(base)
 
 
+def _budget_shares(budget: int) -> tuple[int, int]:
+    """The rho iterations and ECM multiplications of one number's budget
+    N, as FactorBudget states: (RHO_CAP, N - RHO_CAP) once N - RHO_CAP
+    buys a whole curve, else (N, 0).  The curve cost is read off the
+    primes up to ECM_B2, about 8 ms, so only a budget past RHO_CAP looks
+    at it."""
+    if budget > RHO_CAP and budget - RHO_CAP >= _ecm_curve_cost():
+        return RHO_CAP, budget - RHO_CAP
+    return budget, 0
+
+
 def _rho_stack(stack: list[int], rho_iterations: int) -> tuple[set[int], list[int]]:
-    """Split every stack entry by primality test, Pollard rho (at most
-    RHO_CAP iterations), then, for what rho gives up on, an integer root
-    and ECM with the rest of the budget: the primes met (each proved
-    once) and the composites left, each once.  A repeat of a composite
-    already given up on is not searched again: the search depends on
-    the number alone, so it would fail again."""
+    """Split every stack entry by primality test, Pollard rho, then, for
+    what rho gives up on, an integer root and ECM, with the budget shared
+    by _budget_shares: the primes met (each proved once) and the
+    composites left, each once.  A repeat of a composite already given
+    up on is not searched again: the search depends on the number alone,
+    so it would fail again."""
     found: set[int] = set()
     stubborn: list[int] = []
-    ecm_budget = rho_iterations - RHO_CAP
     while stack:
         c = stack.pop()
         if c in found or c in stubborn:
             continue
         if is_prime(c):
             found.add(c)
-        elif g := _pollard_rho_brent(c, min(rho_iterations, RHO_CAP)):
+            continue
+        rho, ecm = _budget_shares(rho_iterations)
+        if g := _pollard_rho_brent(c, rho):
             stack += (g, c // g)
         elif power := _perfect_power(c):
             r, k = power
             stack += [r] * k
-        elif ecm_budget > 0 and (g := _ecm(c, ecm_budget)):
+        elif ecm and (g := _ecm(c, ecm)):
             stack += (g, c // g)
         else:
             stubborn.append(c)
@@ -627,7 +694,8 @@ def factorize(
     Trial division first; what is left goes through _split_along_pieces
     in every case: Pollard rho (Brent variant) on a coprime base, an
     integer root test on what rho cannot split, ECM on what is still
-    composite when the budget goes beyond RHO_CAP (see FactorBudget),
+    composite when the budget buys a curve beyond RHO_CAP (see
+    FactorBudget),
     and gcd refinement of the composites left.  Anything still composite
     when the budget runs out is returned as an explicit cofactor, never
     mislabeled.

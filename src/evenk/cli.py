@@ -14,9 +14,14 @@ Field specs use a small grammar: `q`, `quad:D`, `cyclic:p:f` (or
 `elem:p:part,part,...` where each part is itself a `quad:` or
 `cyclic:` spec.
 
+Every integer, in a spec or as an option's value, is written
+canonically: 0, or a nonzero digit followed by digits, with no sign,
+space or underscore.
+
 Exit codes: 0 success, 1 usage error (including a field spec that names
-no field, a negative --factor-budget, and a --method that does not
-apply to the field, which k_even_order rejects with UnsupportedField),
+no field, an integer option that is not canonical, a negative
+--factor-budget among them, and a --method that does not apply to the
+field, which k_even_order rejects with UnsupportedField),
 2 computation/data error (NonIntegralOrder, InexactDivision,
 NotRational, bad character files and kin), 3 witness inconsistency.
 """
@@ -164,14 +169,13 @@ def emit_table(records: list[OutputRecord], fmt: str) -> str:
     raise UsageError(f"unknown format {fmt!r}")
 
 
-def _nonnegative_int(text: str) -> int:
+def _canonical_int(text: str) -> int:
+    """An integer option's value, held to the rule of a spec's integers
+    (_natural); argparse names the option in the error."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+        return _natural(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class InconsistentWitnesses(Exception):
@@ -284,7 +288,7 @@ renders with emit_table; such a command also takes `--format csv` and
 which run prints one per line."""
 
 
-_K = dict(type=int, required=True)
+_K = dict(type=_canonical_int, required=True)
 _FIELD_K = {"--field": dict(required=True, type=parse_field_spec), "--k": _K}
 
 COMMANDS = {
@@ -304,12 +308,12 @@ COMMANDS = {
     ),
     "multiquad-table": Command(
         "orders for Q(sqrt 2, sqrt 3, sqrt m)",
-        {"--m": _K, "--max-k": dict(type=int, default=10)},
+        {"--m": _K, "--max-k": dict(type=_canonical_int, default=10)},
         _multiquad_table, table=True,
     ),
     "prank-scan": Command(
         "divisibility witness scan",
-        {"--p": dict(type=int, choices=(3, 5), required=True), "--max-d": _K},
+        {"--p": dict(type=_canonical_int, choices=(3, 5), required=True), "--max-d": _K},
         _prank_scan,
     ),
     "char-check": Command(
@@ -328,10 +332,11 @@ def _build_parser() -> _Parser:
         formats = ("text", "json", "csv") if command.table else ("text", "json")
         p.add_argument("--format", choices=formats, default="text")
         if command.table:
-            p.add_argument("--factor-budget", type=_nonnegative_int, default=10**6,
+            p.add_argument("--factor-budget", type=_canonical_int, default=10**6,
                            help="trial-division limit, and the search budget of each "
-                                "number left: Pollard-rho iterations up to 10^5, ECM "
-                                "modular multiplications beyond")
+                                "number left: Pollard-rho iterations up to 10^4, ECM "
+                                "modular multiplications beyond once they buy a whole "
+                                "curve (from 77063 on); below that, all of it for rho")
     return parser
 
 

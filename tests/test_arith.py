@@ -338,6 +338,83 @@ def test_is_prime():
     assert not is_prime(2**67 - 1)
 
 
+# -- primality above the deterministic bound: Baillie-PSW --------------------
+
+# strong pseudoprimes to base 2 (OEIS A001262) and strong Lucas
+# pseudoprimes with Selfridge's parameters (A217255), all below 10^5
+_SPSP_2 = (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141,
+           52633, 65281, 74665, 80581, 85489, 88357, 90751)
+_SLPSP = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+          58519, 75077, 97439)
+_CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841,
+               29341, 41041, 46657, 52633, 62745, 63973, 75361)
+
+
+def _chernick(k):
+    """(6k + 1)(12k + 1)(18k + 1): a Carmichael number when all three
+    factors are prime."""
+    factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+    assert all(is_prime(f) for f in factors)
+    return prod(factors)
+
+
+def test_baillie_psw_agrees_with_a_sieve_below_2e5(monkeypatch):
+    primes = set(sieve_primes(2 * 10**5))
+    assert all(arith._baillie_psw(n) == (n in primes) for n in range(3, 2 * 10**5, 2))
+    # is_prime with Baillie-PSW from 0 on, its small-prime division included
+    monkeypatch.setattr(arith, "_MR_DETERMINISTIC_BOUND", 0)
+    assert all(is_prime(n) == (n in primes) for n in range(2 * 10**5))
+
+
+def test_each_half_of_baillie_psw_rejects_the_pseudoprimes_of_the_other():
+    for n in _SPSP_2:
+        assert arith._strong_probable_prime(n, 2)
+        assert not arith._strong_lucas_probable_prime(n)
+    for n in _SLPSP:
+        assert arith._strong_lucas_probable_prime(n)
+        assert not arith._strong_probable_prime(n, 2)
+    assert not any(arith._baillie_psw(n) for n in _SPSP_2 + _SLPSP + _CARMICHAEL)
+
+
+def test_a_carmichael_strong_pseudoprime_above_the_bound_is_composite():
+    n = _chernick(13682706)
+    assert n > arith._MR_DETERMINISTIC_BOUND and arith._strong_probable_prime(n, 2)
+    assert not is_prime(n)
+    assert not is_prime(_chernick(13679106))
+
+
+def test_a_square_is_rejected_before_the_search_for_d(monkeypatch):
+    def kronecker(a, n):
+        raise AssertionError(f"searched for D on {n}")
+
+    # 1093^2 and 3511^2 are strong pseudoprimes to base 2
+    squares = (1093**2, 3511**2, (2**61 - 1) ** 2, (2**89 - 1) ** 2)
+    assert arith._strong_probable_prime(1093**2, 2)
+    assert arith._strong_probable_prime(3511**2, 2)
+    monkeypatch.setattr(arith, "kronecker", kronecker)
+    for n in squares:
+        assert not arith._strong_lucas_probable_prime(n)
+    monkeypatch.undo()
+    assert not any(is_prime(n) for n in squares)
+
+
+def test_mersenne_numbers_above_the_bound():
+    for e in (89, 107, 127):
+        assert is_prime(2**e - 1)
+    for e in (97, 101, 103, 109, 113):
+        assert not is_prime(2**e - 1)
+
+
+def test_products_of_two_primes_above_1e25_are_composite():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(22)
+    for _ in range(6):
+        p, q = (sympy.nextprime(rng.randrange(10**25, 10**30)) for _ in "pq")
+        assert is_prime(p) and is_prime(q)
+        assert not is_prime(p * q)
+        assert not is_prime(p * p)
+
+
 # -- factorization -----------------------------------------------------------
 
 def test_factorize_examples():
@@ -592,30 +669,64 @@ def test_ladder_matches_affine_montgomery_arithmetic(curve, k):
                 assert z_ % p != 0 and x % p == expected[0] * z_ % p
 
 
-# two primes rho cannot separate within RHO_CAP iterations
+# two primes rho cannot separate within 10^5 iterations
 _RHO_RESISTANT = (10**15 + 37) * (10**15 + 91)
 
 
-def test_a_budget_at_or_below_rho_cap_never_enters_ecm(monkeypatch):
+def _ecm_threshold():
+    """The smallest budget that runs ECM: RHO_CAP and one whole curve."""
+    return arith.RHO_CAP + arith._ecm_curve_cost()
+
+
+def test_a_budget_below_rho_cap_plus_a_curve_never_enters_ecm(monkeypatch):
     def ecm(n, budget):
         raise AssertionError(f"ECM ran with budget {budget}")
 
     monkeypatch.setattr(arith, "_ecm", ecm)
-    for rho_iterations in (0, 1000, arith.RHO_CAP):
+    threshold = _ecm_threshold()
+    assert threshold == 77_063
+    for rho_iterations in (0, 1000, arith.RHO_CAP, arith.RHO_CAP + 1, threshold - 1):
         result = factorize(_RHO_RESISTANT, FactorBudget(100, rho_iterations))
         assert result.cofactor == _RHO_RESISTANT
-    with pytest.raises(AssertionError, match="budget 1$"):
-        factorize(_RHO_RESISTANT, FactorBudget(100, arith.RHO_CAP + 1))
+    with pytest.raises(AssertionError, match=f"budget {threshold - arith.RHO_CAP}$"):
+        factorize(_RHO_RESISTANT, FactorBudget(100, threshold))
+
+
+def test_the_threshold_budget_runs_rho_cap_iterations_and_one_curve(monkeypatch):
+    rho, curves = [], []
+    real_rho = arith._pollard_rho_brent
+
+    def counted_rho(n, budget):
+        rho.append(budget)
+        return real_rho(n, budget)
+
+    monkeypatch.setattr(arith, "_pollard_rho_brent", counted_rho)
+    monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma: curves.append(sigma))
+    threshold = _ecm_threshold()
+    result = factorize(_RHO_RESISTANT, FactorBudget(100, threshold - 1))
+    assert result.cofactor == _RHO_RESISTANT and rho == [threshold - 1] and curves == []
+    rho.clear()
+    result = factorize(_RHO_RESISTANT, FactorBudget(100, threshold))
+    assert result.cofactor == _RHO_RESISTANT and rho == [arith.RHO_CAP] and len(curves) == 1
 
 
 def test_ecm_starts_a_curve_only_if_its_whole_cost_fits(monkeypatch):
     curves = []
     monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma: curves.append(sigma))
     cost = arith._ecm_curve_cost()
-    result = factorize(_RHO_RESISTANT, FactorBudget(100, arith.RHO_CAP + cost - 1))
-    assert result.cofactor == _RHO_RESISTANT and curves == []
+    result = factorize(_RHO_RESISTANT, FactorBudget(100, arith.RHO_CAP + 2 * cost - 1))
+    assert result.cofactor == _RHO_RESISTANT and len(curves) == 1
     assert arith._ecm(_RHO_RESISTANT, 3 * cost - 1) is None
-    assert len(curves) == 2
+    assert len(curves) == 3
+
+
+def test_a_number_that_needs_no_search_never_works_out_the_curve_cost():
+    arith._ecm_curve_cost.cache_clear()
+    p = 2**61 - 1
+    assert factorize(6 * p).factored == ((2, 1), (3, 1), (p, 1))
+    result = factorize(_RHO_RESISTANT, FactorBudget(100, arith.RHO_CAP))
+    assert result.cofactor == _RHO_RESISTANT
+    assert arith._ecm_curve_cost.cache_info().misses == 0
 
 
 def _semiprimes_of_12_digit_primes():

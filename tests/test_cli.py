@@ -47,6 +47,29 @@ def test_a_spec_takes_only_canonical_integers_and_errors_name_it(capsys, field):
     assert (code, out) == (1, "") and err.startswith(f"error: bad field spec {field!r}")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kgroup", "--field", "q", "--k", " +06"),
+        ("kgroup", "--field", "q", "--k", "6", "--factor-budget", " 1_000"),
+        ("kgroup", "--field", "q", "--k", "1", "--factor-budget", "-5"),
+        ("kodd", "--field", "q", "--k", "01"),
+        ("esum", "--m", "5", "--j", "+2"),
+        ("siegel-coeffs", "--h", "1_0"),
+        ("cubic-table", "--k", "1", "--max-f", "20 "),
+        ("multiquad-table", "--m", "5", "--max-k", "0x2"),
+        ("multiquad-table", "--max-k", "1", "--m", "-5"),
+        ("prank-scan", "--p", "3", "--max-d", "-25"),
+    ],
+    ids=lambda argv: " ".join(argv[-2:]),
+)
+def test_an_integer_option_takes_only_canonical_integers_and_errors_name_it(capsys, argv):
+    option, value = argv[-2:]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {option}: {value!r} is not a canonical integer\n"
+
+
 # -- single order commands --------------------------------------------------------
 
 def test_elementary_spec_that_is_not_a_field_is_usage_error(capsys):
@@ -72,6 +95,17 @@ def test_specs_that_name_no_field_are_usage_errors(capsys, command, field, messa
     code, out, err = invoke(capsys, command, "--field", field, "--k", "1")
     assert code == 1 and out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_a_default_budget_row_is_pinned_byte_for_byte(capsys):
+    # only ECM completes this order: at --factor-budget 100000 its
+    # 59-digit cofactor still prints as ·C
+    code, out, err = invoke(capsys, "kgroup", "--field", "cyclic:3:199", "--k", "7")
+    assert (code, err) == (0, "")
+    assert out == (
+        "field         k  index  order                                                          factorization                                                           method      zeta\n"
+        "cyclic:3:199  7  26     1627873937502805987866182115463649524068761957369672430117048  2^3·3^2·2372039077·604551409327·15766423808793522306061233077007293821  characters  -67828080729283582827757588144318730169531748223736351254877\n"
+    )
 
 
 def test_kgroup_rationals(capsys):
@@ -226,7 +260,7 @@ def test_multiquad_table_reduces_m_2m_3m_and_6m_to_their_squarefree_parts(capsys
         assert orders(m) == expected, m
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 6, 8, 12, 24, 25, 54, 0, -5])
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 8, 12, 24, 25, 54, 0])
 def test_multiquad_table_refuses_an_m_that_gives_no_degree_8_field(capsys, m):
     code, out, err = invoke(capsys, "multiquad-table", "--m", str(m), "--max-k", "1")
     assert (code, out) == (1, "")

@@ -187,16 +187,22 @@ def test_readme_factorization_caps_are_the_arith_constants(capsys):
     cost = arith._ecm_curve_cost()
     default = arith.FactorBudget().rho_iterations
     assert stated(r"up to `min\(N, ([^)]+)\)`, in one shared table") == arith.TRIAL_CAP
-    assert stated(r"runs at most `min\(N, ([^)]+)\)` iterations") == arith.RHO_CAP
+    threshold = arith.RHO_CAP + cost
+    assert stated(r"all `N` iterations when `N < (\d+)`, and `([^`]+)` otherwise") == threshold
+    assert stated(r"`N < \d+`, and `([^`]+)` otherwise") == arith.RHO_CAP
+    assert stated(r"That threshold is `([^`]+)` iterations plus the cost of one") == arith.RHO_CAP
     assert stated(r"the rest of its budget, `N - ([^`]+)`") == arith.RHO_CAP
-    assert stated(r"`N <= ([^`]+)` runs none") == arith.RHO_CAP
+    assert stated(r"`N < (\d+)` runs none") == threshold
     assert stated(r"`B1 = ([^`]+)`") == arith.ECM_B1
     assert stated(r"`B2 = ([^`]+)`") == arith.ECM_B2
     assert stated(r"A curve costs about (\S+) multiplications") == round(cost, -3)
     assert stated(r"default `N = ([^`]+)`") == default
     assert stated(r"runs up to (\d+) curves") == (default - arith.RHO_CAP) // cost
-    # the --factor-budget help states the rho cap too
+    bound = arith._MR_DETERMINISTIC_BOUND
+    assert stated(r"A listed prime below (\S+) is proved") == pytest.approx(bound, rel=0.01)
+    # the --factor-budget help states the rho cap and the threshold too
     with pytest.raises(SystemExit):
         cli.run(["kgroup", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert stated(r"iterations up to (\S+),", help_text) == arith.RHO_CAP
+    assert stated(r"curve \(from (\d+) on\)", help_text) == threshold
