@@ -10,15 +10,21 @@ modular multiplications, optionally run on the factors a number was
 multiplied from).  `fractions.Fraction` is the rational scalar used
 throughout the package.
 
-Primality is Miller-Rabin to fixed bases below 3.3e24, where they make
-it deterministic, and Baillie-PSW above: a strong probable-prime test to
-base 2 and a strong Lucas test with Selfridge's parameters (Baillie and
-Wagstaff, Math. Comp. 35, 1980; Pomerance, Selfridge and Wagstaff,
-ibid.).  No composite is known to pass it, but none is proved not to.
+Primality is Baillie-PSW: a strong probable-prime test to base 2 and a
+strong Lucas test with Selfridge's parameters (Baillie and Wagstaff,
+Math. Comp. 35, 1980; Pomerance, Selfridge and Wagstaff, ibid.).  Below
+2^64 it is exact: Feitsma's list of the strong pseudoprimes to base 2
+below 2^64 holds none that passes the Lucas test.  From 2^64 to 3.3e24
+Miller-Rabin to twelve fixed bases is deterministic and used instead;
+above, no composite is known to pass Baillie-PSW, but none is proved
+not to.
 
 The elliptic curve method is Lenstra's (Ann. of Math. 126, 1987) on
 Montgomery's x-only curves (Math. Comp. 48, 1987), as in Cohen, "A
-Course in Computational Algebraic Number Theory", section 10.3.
+Course in Computational Algebraic Number Theory", section 10.3.  Its
+stage 2 works on affine x-coordinates, put at Z = 1 a chunk of points
+at a time by simultaneous inversion (Montgomery, Math. Comp. 48, as
+above): one shared inversion and 4 multiplications a point.
 """
 
 from __future__ import annotations
@@ -33,9 +39,11 @@ from math import gcd, isqrt
 from .values import Value
 
 # Witnesses making Miller-Rabin deterministic below 3.317e24; is_prime
-# runs Baillie-PSW from there on.
+# runs them on [_BPSW_EXACT_BOUND, 3.317e24) and Baillie-PSW elsewhere,
+# which has no pseudoprime below 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+_BPSW_EXACT_BOUND = 2**64
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -52,6 +60,8 @@ ECM_B2 = 2 * 10**5
 _ECM_D = 210
 # the baby steps j of stage 2: 0 < j < D/2 and gcd(j, D) = 1
 _ECM_BABY_STEPS = tuple(j for j in range(1, _ECM_D // 2, 2) if gcd(j, _ECM_D) == 1)
+# giant steps of stage 2 that share one inversion
+_ECM_CHUNK = 64
 
 
 def _odd_sieve(n: int) -> bytearray:
@@ -75,25 +85,36 @@ _SEED = _odd_sieve(64)
 _sieve = _SEED
 
 
+def _odd_table(hi: int) -> bytearray:
+    """The shared table, first doubled as often as it takes to cover the
+    odd numbers up to hi."""
+    global _sieve
+    s = _sieve
+    if 2 * len(s) - 1 < hi:
+        n = 2 * len(s)
+        while 2 * n - 1 < hi:
+            n *= 2
+        # let the old table go before sieving the new one, so the two
+        # never count to the peak memory together
+        s = _sieve = _SEED
+        s = _sieve = _odd_sieve(n)
+    return s
+
+
 def _primes(hi: int) -> Iterator[int]:
     """The primes <= hi in increasing order, sieved lazily: the cached
     table doubles only when the walk passes its end, so a caller that
     stops early never pays for the primes it did not reach."""
-    global _sieve
     if hi >= 2:
         yield 2
     lo = 3
     while lo <= hi:
-        s = _sieve
+        s = _odd_table(lo)
         top = min(hi, 2 * len(s) - 1)
-        if lo > top:
-            # let the old table go before sieving the new one, so the
-            # two never count to the peak memory together
-            n = 2 * len(s)
-            s = _sieve = _SEED
-            _sieve = _odd_sieve(n)
-            continue
         yield from compress(range(lo, top + 1, 2), memoryview(s)[lo // 2 : (top + 1) // 2])
+        # let go of the table before the next _odd_table sieves a larger
+        # one, so the two never count to the peak memory together
+        del s
         lo = top + 2
 
 
@@ -168,15 +189,15 @@ def _baillie_psw(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the fixed bases _MR_BASES below 3.3e24, where it
-    is deterministic; Baillie-PSW above, which no known composite
-    passes."""
+    """Baillie-PSW below 2^64, where it is exact; Miller-Rabin to the
+    fixed bases _MR_BASES from there to 3.3e24, where they make it
+    deterministic; Baillie-PSW above, which no known composite passes."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < _MR_DETERMINISTIC_BOUND:
+    if _BPSW_EXACT_BOUND <= n < _MR_DETERMINISTIC_BOUND:
         return all(_strong_probable_prime(n, a) for a in _MR_BASES)
     return _baillie_psw(n)
 
@@ -327,10 +348,11 @@ class FactorBudget(Value):
     Trial division runs over the primes up to min(trial_limit,
     TRIAL_CAP) (2 at least), sieved only as far as the number needs;
     factorize applies the cap, so callers pass any limit.  A budget N of
-    at least RHO_CAP plus the cost of one ECM curve (77,063) gives each
-    number left to split RHO_CAP Pollard-rho iterations, then N - RHO_CAP
-    modular multiplications of ECM curves; a smaller budget gives rho
-    all N iterations and ECM nothing.
+    at least RHO_CAP plus the price of one ECM curve (77,063) gives each
+    number left to split RHO_CAP Pollard-rho iterations, then ECM curves
+    for the other N - RHO_CAP, each priced at _ecm_curve_cost() modular
+    multiplications; a smaller budget gives rho all N iterations and ECM
+    nothing.
     """
 
     __slots__ = ("trial_limit", "rho_iterations")
@@ -498,33 +520,46 @@ def _ecm_stage2_plan() -> bytes:
     """Stage 2's schedule for D = _ECM_D, one byte per step: 0 is a
     giant step from mDQ to (m + 1)DQ, starting at m = 2, and j > 0 pairs
     mDQ with the baby step jQ, for a prime p = mD +- j in (ECM_B1,
-    ECM_B2]; a pair that covers two primes comes once.  About 15k
-    bytes, walked once from the shared sieve: no list of the primes up
-    to ECM_B2 is built."""
+    ECM_B2]; a pair that covers two primes comes once, and the pairs of
+    one giant step come in increasing j.  About 15k bytes, read off the
+    shared sieve in columns: mD + j and mD - j for m = 0, 1, ... lie D/2
+    entries apart in it."""
     half = _ECM_D // 2
-    plan = bytearray()
-    at = 2
-    seen: set[int] = set()
-    for p in _primes(ECM_B2):
-        if p <= ECM_B1:
-            continue
-        m = (p + half) // _ECM_D
-        if m > at:
-            plan += bytes(m - at)
-            at, seen = m, set()
-        j = abs(p - m * _ECM_D)
-        if j not in seen:
-            seen.add(j)
-            plan.append(j)
-    return bytes(plan)
+    top = (ECM_B2 + half) // _ECM_D  # the last giant step m
+    table = _odd_table(ECM_B2)
+    lo, hi = (ECM_B1 + 1) // 2, (ECM_B2 + 1) // 2  # the entries of (B1, B2]
+
+    def column(c: int) -> int:
+        """The entries m half + c for m = 0..top, 1 for a prime in (B1,
+        B2] and 0 otherwise, one byte each, read as a big-endian int so
+        that two columns OR together."""
+        first = max(0, -((c - lo) // half))
+        last = (hi - 1 - c) // half
+        flags = table[first * half + c : last * half + c + 1 : half]
+        return int.from_bytes(bytes(first) + flags + bytes(top - last), "big")
+
+    # one row per m: its baby steps, then 255 where the giant step goes
+    width = len(_ECM_BABY_STEPS) + 1
+    grid = bytearray(width * (top + 1))
+    for i, j in enumerate(_ECM_BABY_STEPS):
+        # a 0/1 byte per m: mD + j or mD - j is a prime in range
+        hit = (column(j // 2) | column(-(j // 2) - 1)).to_bytes(top + 1, "big")
+        grid[i::width] = hit.replace(b"\1", bytes((j,)))
+    grid[width - 1 :: width] = b"\xff" * (top + 1)
+    # from m = 2 on, without the 0s of the baby steps that pair nothing
+    rows = bytes(grid[2 * width :]).translate(None, b"\0")
+    return rows.replace(b"\xff", b"\0").rstrip(b"\0")
 
 
 @lru_cache(maxsize=None)
 def _ecm_curve_cost() -> int:
-    """The modular multiplications of one _ecm_curve that finds nothing,
-    leaving out the few of its set-up: the stage-1 ladder; in stage 2,
-    the odd multiples of Q up to D/2, XZ of each baby step, DQ and 2DQ,
-    then 7 per giant step (the step and XZ) and 2 per pair."""
+    """The price of one _ecm_curve, in modular multiplications, that a
+    budget pays before the curve starts.  It is what the curve took when
+    stage 2 ran on projective points, leaving out the few of its set-up:
+    the stage-1 ladder; in stage 2, the odd multiples of Q up to D/2, XZ
+    of each baby step, DQ and 2DQ, then 7 per giant step (the step and
+    XZ) and 2 per pair.  The affine stage 2 does fewer, but the price
+    stays, so every budget buys the curves it bought before."""
     stage1 = 5 + 11 * (_ecm_stage1_scalar().bit_length() - 1)
     baby = 5 + 6 * (_ECM_D // 4) + len(_ECM_BABY_STEPS) + 2 * 5
     plan = _ecm_stage2_plan()
@@ -532,34 +567,83 @@ def _ecm_curve_cost() -> int:
     return stage1 + baby + 7 * giant + 2 * (len(plan) - giant)
 
 
+def _to_affine(xs: list[int], zs: list[int], n: int) -> int:
+    """Replace each xs[i] by xs[i] / zs[i] mod n and return 1, with one
+    inversion for all of them and 4 multiplications a point (Montgomery's
+    simultaneous inversion); or, when some zs[i] is not a unit, leave xs
+    alone and return gcd(prod zs, n) > 1."""
+    before = []  # before[i] = zs[0] ... zs[i - 1]
+    c = 1
+    for zi in zs:
+        before.append(c)
+        c = c * zi % n
+    if (g := gcd(c, n)) != 1:
+        return g
+    inv = pow(c, -1, n)
+    for i in range(len(zs) - 1, -1, -1):
+        # inv = 1 / (zs[0] ... zs[i])
+        xs[i] = xs[i] * before[i] % n * inv % n
+        inv = inv * zs[i] % n
+    return 1
+
+
 def _ecm_stage2(x: int, z: int, a24: int, n: int) -> int:
     """The product over the pairs (m, j) of _ecm_stage2_plan of
-    X(mDQ) Z(jQ) - X(jQ) Z(mDQ) mod n, for Q = (x : z): a prime of n
-    divides it when the order of Q modulo that prime is a prime in
-    (ECM_B1, ECM_B2].  Each term costs 2 multiplications, as
-    (X_m - X_j)(Z_m + Z_j) - X_m Z_m + X_j Z_j."""
+    x(mDQ) - x(jQ) mod n on affine x-coordinates, for Q = (x : z): a
+    prime of n divides it when the order of Q modulo that prime is a
+    prime in (ECM_B1, ECM_B2].  Each term costs one multiplication.  The
+    baby steps are put at Z = 1 with one inversion; the giant steps are
+    walked in chunks of _ECM_CHUNK, each chunk's points that a pair uses
+    with one more.
+
+    It is the projective product of X_m Z_j - X_j Z_m times the unit
+    prod 1 / (Z_m Z_j), so its gcd with n is the same, as long as every
+    such Z is a unit.  If one is not, a multiple of Q is O modulo a
+    prime of n, and what comes back is gcd(prod Z, n) over the points of
+    that inversion: the one case where a curve may find a factor the
+    projective product would have missed, or miss one it would have
+    found."""
     q = (x, z)
     q2 = _xdbl(x, z, a24, n)
     odd = [q, _xadd(q2, q, q, n)]  # odd[i] = (2i + 1) Q, up to (D/2) Q
     while len(odd) <= _ECM_D // 4:
         odd.append(_xadd(odd[-1], q2, odd[-2], n))
-    baby: list[tuple[int, int, int]] = [(0, 0, 0)] * (_ECM_D // 2)
-    for j in _ECM_BABY_STEPS:
-        xj, zj = odd[j // 2]
-        baby[j] = xj, zj, xj * zj % n
-    r = _xdbl(*odd[-1], a24, n)
-    prev, cur = r, _xdbl(*r, a24, n)
-    xm, zm = cur
-    xzm = xm * zm % n
+    xs = [odd[j // 2][0] for j in _ECM_BABY_STEPS]
+    if (g := _to_affine(xs, [odd[j // 2][1] for j in _ECM_BABY_STEPS], n)) != 1:
+        return g
+    baby = [0] * (_ECM_D // 2)
+    for j, xj in zip(_ECM_BABY_STEPS, xs):
+        baby[j] = xj
+    xr, zr = _xdbl(*odd[-1], a24, n)  # R = DQ
+    sr, dr = xr + zr, xr - zr
+    xp, zp = xr, zr  # (m - 1)DQ
+    xm, zm = _xdbl(xr, zr, a24, n)  # mDQ, from m = 2
+    plan = _ecm_stage2_plan()
     acc = 1
-    for j in _ecm_stage2_plan():
-        if j:
-            xj, zj, xzj = baby[j]
-            acc = acc * (((xm - xj) * (zm + zj) - xzm + xzj) % n) % n
-        else:
-            prev, cur = cur, _xadd(cur, r, prev, n)
-            xm, zm = cur
-            xzm = xm * zm % n
+    at = 0  # where the pairs of mDQ start in the plan
+    while at <= len(plan):
+        # the next _ECM_CHUNK giant points that a pair uses, and their pairs
+        xs, zs, pairs = [], [], []
+        for _ in range(_ECM_CHUNK):
+            end = plan.find(0, at)
+            if end < 0:
+                end = len(plan)
+            if end > at:
+                xs.append(xm)
+                zs.append(zm)
+                pairs.append(plan[at:end])
+            at = end + 1
+            if at > len(plan):
+                break
+            # (m + 1)DQ = mDQ + R, whose difference is (m - 1)DQ
+            s = (xm - zm) * sr % n
+            t = (xm + zm) * dr % n
+            xp, zp, xm, zm = xm, zm, zp * (s + t) ** 2 % n, xp * (s - t) ** 2 % n
+        if (g := _to_affine(xs, zs, n)) != 1:
+            return g
+        for xa, js in zip(xs, pairs):
+            for j in js:
+                acc = acc * (xa - baby[j]) % n
     return acc
 
 
@@ -574,7 +658,8 @@ def _ecm_curve(n: int, sigma: int) -> int | None:
     g = gcd(den, n)
     if g == 1:
         a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
-        x, z, _, _ = _ladder(_ecm_stage1_scalar(), x, z, a24, n)
+        # the base point enters at Z = 1: z = v^3 is a unit, as den is
+        x, z, _, _ = _ladder(_ecm_stage1_scalar(), x * pow(z, -1, n) % n, 1, a24, n)
         g = gcd(z, n)
         if g == 1:
             g = gcd(_ecm_stage2(x, z, a24, n), n)
@@ -583,7 +668,7 @@ def _ecm_curve(n: int, sigma: int) -> int | None:
 
 def _ecm(n: int, budget: int) -> int | None:
     """A nontrivial factor of odd composite n, or None: one ECM curve
-    after another while the whole cost of the next still fits in the
+    after another while the whole price of the next still fits in the
     budget of modular multiplications.  The curves are drawn from
     random.Random(n), so the outcome depends on n and budget alone."""
     cost = _ecm_curve_cost()
@@ -617,9 +702,9 @@ def _coprime_base(numbers: list[int]) -> list[int]:
 def _budget_shares(budget: int) -> tuple[int, int]:
     """The rho iterations and ECM multiplications of one number's budget
     N, as FactorBudget states: (RHO_CAP, N - RHO_CAP) once N - RHO_CAP
-    buys a whole curve, else (N, 0).  The curve cost is read off the
-    primes up to ECM_B2, about 8 ms, so only a budget past RHO_CAP looks
-    at it."""
+    buys a whole curve, else (N, 0).  The curve's price is read off the
+    stage-2 plan, which needs the sieve up to ECM_B2, so only a budget
+    past RHO_CAP looks at it."""
     if budget > RHO_CAP and budget - RHO_CAP >= _ecm_curve_cost():
         return RHO_CAP, budget - RHO_CAP
     return budget, 0

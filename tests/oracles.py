@@ -10,8 +10,8 @@ discrete-log tables, its conductor, primitive part and Kronecker
 symbol read off its value at every unit, the weights b_j(h) read off
 precision-tracking Laurent series, the power sums e_j(m) by
 enumerating b^2 + 4ac = m, multiples of a point on a Montgomery curve by
-affine double-and-add); the tests require the kernels to agree with
-them exactly.
+affine double-and-add, ECM's stage 2 on projective points); the tests
+require the kernels to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +22,13 @@ from itertools import compress
 from math import comb, gcd, isqrt, lcm
 
 from evenk.arith import (
+    _ECM_BABY_STEPS,
+    _ECM_D,
+    _ecm_stage1_scalar,
+    _ecm_stage2_plan,
+    _ladder,
+    _xadd,
+    _xdbl,
     bernoulli,
     divisor_sum,
     divisors,
@@ -148,6 +155,57 @@ def montgomery_multiple(k: int, P, a: int, b: int, p: int):
         addend = montgomery_add(addend, addend, a, b, p)
         k >>= 1
     return out
+
+
+def ecm_stage2_projective(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """ECM's stage 2 for Q = (x : z) on projective points, as evenk once
+    ran it: the product over the pairs (m, j) of the plan of
+    X(mDQ) Z(jQ) - X(jQ) Z(mDQ) mod n, each term as
+    (X_m - X_j)(Z_m + Z_j) - X_m Z_m + X_j Z_j; and the product of
+    Z(mDQ) Z(jQ) over the same pairs, the unit (when it is one) by
+    which it exceeds the affine product."""
+    q = (x, z)
+    q2 = _xdbl(x, z, a24, n)
+    odd = [q, _xadd(q2, q, q, n)]  # odd[i] = (2i + 1) Q, up to (D/2) Q
+    while len(odd) <= _ECM_D // 4:
+        odd.append(_xadd(odd[-1], q2, odd[-2], n))
+    baby: list[tuple[int, int, int]] = [(0, 0, 0)] * (_ECM_D // 2)
+    for j in _ECM_BABY_STEPS:
+        xj, zj = odd[j // 2]
+        baby[j] = xj, zj, xj * zj % n
+    r = _xdbl(*odd[-1], a24, n)
+    prev, cur = r, _xdbl(*r, a24, n)
+    xm, zm = cur
+    xzm = xm * zm % n
+    acc = scale = 1
+    for j in _ecm_stage2_plan():
+        if j:
+            xj, zj, xzj = baby[j]
+            acc = acc * (((xm - xj) * (zm + zj) - xzm + xzj) % n) % n
+            scale = scale * zm * zj % n
+        else:
+            prev, cur = cur, _xadd(cur, r, prev, n)
+            xm, zm = cur
+            xzm = xm * zm % n
+    return acc, scale
+
+
+def ecm_curve_projective(n: int, sigma: int) -> int | None:
+    """One ECM curve as evenk once ran it: Suyama's curve at sigma, the
+    stage-1 ladder from the base point (u^3 : v^3), stage 2 by
+    ecm_stage2_projective."""
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    x, z = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * x * v % n
+    g = gcd(den, n)
+    if g == 1:
+        a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+        x, z, _, _ = _ladder(_ecm_stage1_scalar(), x, z, a24, n)
+        g = gcd(z, n)
+        if g == 1:
+            g = gcd(ecm_stage2_projective(x, z, a24, n)[0], n)
+    return g if 1 < g < n else None
 
 
 # -- cyclotomic polynomials ----------------------------------------------------

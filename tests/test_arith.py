@@ -3,6 +3,9 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, gcd, isqrt, prod
+from tracemalloc import get_traced_memory
+from tracemalloc import start as start_tracing
+from tracemalloc import stop as stop_tracing
 from unittest.mock import patch
 
 import pytest
@@ -23,6 +26,8 @@ from evenk.arith import (
 )
 from oracles import (
     bernoulli_poly_value,
+    ecm_curve_projective,
+    ecm_stage2_projective,
     montgomery_multiple,
     prime_power_root,
     sieve_primes,
@@ -271,6 +276,25 @@ def test_trial_division_sieves_only_as_far_as_the_number_needs(monkeypatch):
     assert 10009 <= 2 * len(arith._sieve) - 1 < 2 * 10009
 
 
+def _traced_peak(work):
+    start_tracing()
+    try:
+        work()
+        return get_traced_memory()[1]
+    finally:
+        stop_tracing()
+
+
+def test_a_walk_that_grows_the_table_never_holds_two_tables(monkeypatch):
+    # the last doubling sieves 2^19 bytes; the 2^18 before it must be
+    # gone by then, or the peak is 2^18 above that of the sieve alone
+    sieve_alone = _traced_peak(lambda: arith._odd_sieve(2**19))
+    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    peak = _traced_peak(lambda: all(arith._primes(2**20)))
+    assert len(arith._sieve) == 2**19
+    assert peak < sieve_alone + 2**17
+
+
 def test_trial_limit_zero_still_divides_by_two():
     budget = FactorBudget(trial_limit=0, rho_iterations=0)
     assert factorize(2**10 * 3, budget).factored == ((2, 10), (3, 1))
@@ -413,6 +437,39 @@ def test_products_of_two_primes_above_1e25_are_composite():
         assert is_prime(p) and is_prime(q)
         assert not is_prime(p * q)
         assert not is_prime(p * p)
+
+
+# -- primality below 2^64: Baillie-PSW, which has no pseudoprime there ------
+
+def _twelve_bases(n):
+    """Miller-Rabin to the twelve bases, is_prime's test up to 3.3e24."""
+    return all(arith._strong_probable_prime(n, a) for a in arith._MR_BASES)
+
+
+# strong pseudoprimes to the first 4, 5, 6, 8 and 11 prime bases, then
+# the largest prime below 2^64 and the smallest above
+_BELOW_AND_AROUND_2_64 = (3215031751, 2152302898747, 3474749660383,
+                          341550071728321, 3825123056546413051,
+                          2**64 - 59, 2**64 + 13)
+
+
+def test_baillie_psw_agrees_with_the_twelve_bases_around_2_64():
+    rng = random.Random(64)
+    for n in [rng.randrange(2**63, 2**64) | 1 for _ in range(2000)]:
+        assert is_prime(n) == arith._baillie_psw(n) == _twelve_bases(n), n
+    expected = (False,) * 5 + (True, True)
+    assert tuple(map(_twelve_bases, _BELOW_AND_AROUND_2_64)) == expected
+    assert tuple(map(arith._baillie_psw, _BELOW_AND_AROUND_2_64)) == expected
+    assert tuple(map(is_prime, _BELOW_AND_AROUND_2_64)) == expected
+
+
+def test_is_prime_runs_baillie_psw_below_2_64_and_the_twelve_bases_above(monkeypatch):
+    calls = []
+    real = arith._baillie_psw
+    monkeypatch.setattr(arith, "_baillie_psw", lambda n: calls.append(n) or real(n))
+    assert is_prime(2**64 - 59) and is_prime(2**64 + 13)
+    assert not is_prime(3825123056546413051)
+    assert calls == [2**64 - 59, 3825123056546413051]
 
 
 # -- factorization -----------------------------------------------------------
@@ -765,6 +822,83 @@ def test_the_ecm_plan_covers_every_stage_2_prime_once():
         else:
             m += 1
     assert sorted(covered) == [p for p in sieve_primes(arith.ECM_B2) if p > arith.ECM_B1]
+
+
+_STAGE_2_PRIMES = primes_up_to(2 * 10**5)
+
+
+@st.composite
+def stage_2_inputs(draw):
+    """(x, z, a24, n) for n = p q, q = 2^89 - 1 and a random point: for
+    p < 3000, some used multiple of Q is O modulo p; for p up to 2e5,
+    stage 2 mostly runs on units and now and then divides p."""
+    p = draw(st.one_of(st.sampled_from(_STAGE_2_PRIMES[4:430]),
+                       st.sampled_from(_STAGE_2_PRIMES[430:]),
+                       st.just(2**61 - 1)))
+    n = p * (2**89 - 1)
+    x, z, a24 = (draw(st.integers(0, n - 1)) for _ in "xza")
+    return x, z, a24, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(stage_2_inputs())
+def test_affine_stage_2_is_the_projective_product_over_a_unit(inputs):
+    # the projective product over the pairs (m, j) of X_m Z_j - X_j Z_m
+    # is Z_m Z_j (x_m - x_j); when every Z is a unit, dividing by the
+    # product of the Z_m Z_j gives the affine product exactly
+    x, z, a24, n = inputs
+    affine = arith._ecm_stage2(x, z, a24, n)
+    projective, scale = ecm_stage2_projective(x, z, a24, n)
+    if gcd(scale, n) == 1:
+        assert affine == projective * pow(scale, -1, n) % n
+        assert gcd(affine, n) == gcd(projective, n)
+    else:
+        # some used multiple of Q is O modulo a prime of n
+        assert gcd(affine, n) > 1
+
+
+def _z_of_multiple(k, x, a24, p):
+    """Z(kQ) mod p for Q = (x : 1) and k >= 1."""
+    return arith._ladder(k, x % p, 1, a24 % p, p)[1] % p
+
+
+def test_a_giant_step_that_is_o_mod_p_gives_a_divisor():
+    rng = random.Random(499)
+    q = 2**89 - 1
+    plan = arith._ecm_stage2_plan()
+    used = [m for m, pairs in enumerate(plan.split(b"\0"), 2) if pairs]
+    for p in (53, 211, 307, 499):
+        n, hits = p * q, 0
+        while hits < 2:
+            x, a24 = rng.randrange(n), rng.randrange(n)
+            if any(_z_of_multiple(j, x, a24, p) == 0 for j in arith._ECM_BABY_STEPS):
+                continue
+            if all(_z_of_multiple(m * arith._ECM_D, x, a24, p) for m in used):
+                continue
+            # a giant step mDQ that a pair uses is O mod p: its Z, and
+            # so the product the affine stage 2 inverts, is not a unit
+            assert gcd(arith._ecm_stage2(x, 1, a24, n), n) == p
+            hits += 1
+
+
+def test_ecm_curves_agree_with_the_projective_curves():
+    found = 0
+    for p, q in _semiprimes_of_12_digit_primes():
+        rng = random.Random(p * q)  # the first curves _ecm draws
+        for _ in range(3):
+            sigma = rng.randrange(6, p * q - 1)
+            g = arith._ecm_curve(p * q, sigma)
+            assert g == ecm_curve_projective(p * q, sigma)
+            found += g is not None
+    assert found > 0
+
+
+def test_stage_2_stays_under_32_kb_on_a_230_bit_number():
+    rng = random.Random(230)
+    n = rng.randrange(2**229, 2**230) | 1
+    x, z, a24 = (rng.randrange(n) for _ in "xza")
+    arith._ecm_stage2_plan()  # the cached plan is not stage 2's to pay for
+    assert _traced_peak(lambda: arith._ecm_stage2(x, z, a24, n)) < 32 * 1024
 
 
 def test_bernoulli_memo_is_thread_safe():

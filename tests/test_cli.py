@@ -108,6 +108,24 @@ def test_a_default_budget_row_is_pinned_byte_for_byte(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "field, k, expected",
+    [
+        # complete: ECM splits the one cofactor rho leaves
+        ("cyclic:3:73", "8",
+         "field        k  index  order                                                          factorization                                                       method      zeta\n"
+         "cyclic:3:73  8  30     1029423315973183676087896552894627659221580087192725216267403  3·193·3617·5915762743279·83091419853032509667151531372827744456599  characters  343141105324394558695965517631542553073860029064241738755801/680\n"),
+        # ECM splits one of the two cofactors rho leaves; the other stays ·C
+        ("cyclic:3:37", "10",
+         "field        k   index  order                                                                  factorization                                                                        method      zeta\n"
+         "cyclic:3:37  10  38     441502260965231273574389006231933827576835514910941467425460051191209  3·7·37·283·617·1201·13009·3624641239·57463009203514851040920628476230366951622397·C  characters  147167420321743757858129668743977942525611838303647155808486683730403/550\n"),
+    ],
+)
+def test_default_budget_rows_that_ecm_splits_are_pinned_byte_for_byte(capsys, field, k, expected):
+    code, out, err = invoke(capsys, "kgroup", "--field", field, "--k", k)
+    assert (code, err, out) == (0, "", expected)
+
+
 def test_kgroup_rationals(capsys):
     code, out, _ = invoke(capsys, "kgroup", "--field", "q", "--k", "6")
     assert code == 0
