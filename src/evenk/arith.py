@@ -3,12 +3,16 @@
 Everything here is pure big-integer / big-rational arithmetic: divisor
 power sums, the full Kronecker symbol, l-adic valuations, Bernoulli
 numbers (from integer tangent numbers), a lazily grown prime sieve, and
-best-effort factorization (trial division, Pollard rho with Brent cycle
-detection, then, once the budget buys a whole curve beyond RHO_CAP rho
-iterations, the elliptic curve method with the rest of it counted in
-modular multiplications, optionally run on the factors a number was
-multiplied from).  `fractions.Fraction` is the rational scalar used
+factorization.  `fractions.Fraction` is the rational scalar used
 throughout the package.
+
+factor_small factors completely, by trial division to TRIAL_CAP and a
+proof that what is left is prime, or refuses the number.  factorize is
+best-effort under one integer budget N: trial division to min(N,
+TRIAL_CAP), Pollard rho with Brent cycle detection, then, once N buys a
+whole curve beyond RHO_CAP rho iterations, the elliptic curve method
+with the rest counted in modular multiplications, optionally run on the
+factors a number was multiplied from.
 
 Primality is Baillie-PSW: a strong probable-prime test to base 2 and a
 strong Lucas test with Selfridge's parameters (Baillie and Wagstaff,
@@ -47,12 +51,18 @@ _BPSW_EXACT_BOUND = 2**64
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+# factorize's budget when the caller names none
+FACTOR_BUDGET = 10**6
 # Trial division walks primes up to this bound at most, whatever the budget.
 TRIAL_CAP = 10**6
 # Pollard rho runs at most this many iterations per number, whatever the
 # budget; the rest of a budget that buys a whole curve beyond it goes to
-# ECM curves (see FactorBudget).
+# ECM curves.
 RHO_CAP = 10**4
+# The price a budget pays for one ECM curve, in modular multiplications:
+# what a curve took when stage 2 ran on projective points.  A curve now
+# does about 52,900.
+ECM_CURVE_PRICE = 67_063
 # ECM stage 1 multiplies by every prime power up to ECM_B1, stage 2
 # catches one more prime up to ECM_B2, in giant steps of _ECM_D.
 ECM_B1 = 2000
@@ -204,23 +214,21 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def factor_small(n: int) -> tuple[tuple[int, int], ...]:
-    """Complete factorization by trial division; for modest n only."""
+    """Complete factorization of n >= 1 by trial division to TRIAL_CAP.
+    What is left must be a prime below _MR_DETERMINISTIC_BOUND, where
+    is_prime proves it; any other n, such as a product of two primes
+    above TRIAL_CAP, is refused with ValueError rather than searched."""
     if n < 1:
         raise ValueError("factor_small requires n >= 1")
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
+    found, m = _trial_division(n, TRIAL_CAP)
     if m > 1:
-        out.append((m, 1))
-    return tuple(out)
+        if not (m < _MR_DETERMINISTIC_BOUND and is_prime(m)):
+            raise ValueError(
+                f"cannot factor {n}: trial division to {TRIAL_CAP} leaves {m}, "
+                "which is not a proved prime"
+            )
+        found[m] = 1
+    return tuple(found.items())
 
 
 def divisors(n: int) -> list[int]:
@@ -340,25 +348,6 @@ def bernoulli(n: int) -> Fraction:
             out += (b if k % 2 else -b, Fraction(0))
         _bernoulli_cache[:] = out[: top + 1]
     return _bernoulli_cache[n]
-
-
-class FactorBudget(Value):
-    """Bounds for best-effort factorization.
-
-    Trial division runs over the primes up to min(trial_limit,
-    TRIAL_CAP) (2 at least), sieved only as far as the number needs;
-    factorize applies the cap, so callers pass any limit.  A budget N of
-    at least RHO_CAP plus the price of one ECM curve (77,063) gives each
-    number left to split RHO_CAP Pollard-rho iterations, then ECM curves
-    for the other N - RHO_CAP, each priced at _ecm_curve_cost() modular
-    multiplications; a smaller budget gives rho all N iterations and ECM
-    nothing.
-    """
-
-    __slots__ = ("trial_limit", "rho_iterations")
-    _defaults = {"trial_limit": 10**6, "rho_iterations": 10**6}
-    trial_limit: int
-    rho_iterations: int
 
 
 class PartialFactorization(Value):
@@ -551,22 +540,6 @@ def _ecm_stage2_plan() -> bytes:
     return rows.replace(b"\xff", b"\0").rstrip(b"\0")
 
 
-@lru_cache(maxsize=None)
-def _ecm_curve_cost() -> int:
-    """The price of one _ecm_curve, in modular multiplications, that a
-    budget pays before the curve starts.  It is what the curve took when
-    stage 2 ran on projective points, leaving out the few of its set-up:
-    the stage-1 ladder; in stage 2, the odd multiples of Q up to D/2, XZ
-    of each baby step, DQ and 2DQ, then 7 per giant step (the step and
-    XZ) and 2 per pair.  The affine stage 2 does fewer, but the price
-    stays, so every budget buys the curves it bought before."""
-    stage1 = 5 + 11 * (_ecm_stage1_scalar().bit_length() - 1)
-    baby = 5 + 6 * (_ECM_D // 4) + len(_ECM_BABY_STEPS) + 2 * 5
-    plan = _ecm_stage2_plan()
-    giant = plan.count(0)
-    return stage1 + baby + 7 * giant + 2 * (len(plan) - giant)
-
-
 def _to_affine(xs: list[int], zs: list[int], n: int) -> int:
     """Replace each xs[i] by xs[i] / zs[i] mod n and return 1, with one
     inversion for all of them and 4 multiplications a point (Montgomery's
@@ -671,10 +644,9 @@ def _ecm(n: int, budget: int) -> int | None:
     after another while the whole price of the next still fits in the
     budget of modular multiplications.  The curves are drawn from
     random.Random(n), so the outcome depends on n and budget alone."""
-    cost = _ecm_curve_cost()
     rng = random.Random(n)
-    while budget >= cost:
-        budget -= cost
+    while budget >= ECM_CURVE_PRICE:
+        budget -= ECM_CURVE_PRICE
         if g := _ecm_curve(n, rng.randrange(6, n - 1)):
             return g
     return None
@@ -701,16 +673,14 @@ def _coprime_base(numbers: list[int]) -> list[int]:
 
 def _budget_shares(budget: int) -> tuple[int, int]:
     """The rho iterations and ECM multiplications of one number's budget
-    N, as FactorBudget states: (RHO_CAP, N - RHO_CAP) once N - RHO_CAP
-    buys a whole curve, else (N, 0).  The curve's price is read off the
-    stage-2 plan, which needs the sieve up to ECM_B2, so only a budget
-    past RHO_CAP looks at it."""
-    if budget > RHO_CAP and budget - RHO_CAP >= _ecm_curve_cost():
+    N: (RHO_CAP, N - RHO_CAP) once N - RHO_CAP buys a whole curve, else
+    (N, 0)."""
+    if budget - RHO_CAP >= ECM_CURVE_PRICE:
         return RHO_CAP, budget - RHO_CAP
     return budget, 0
 
 
-def _rho_stack(stack: list[int], rho_iterations: int) -> tuple[set[int], list[int]]:
+def _rho_stack(stack: list[int], budget: int) -> tuple[set[int], list[int]]:
     """Split every stack entry by primality test, Pollard rho, then, for
     what rho gives up on, an integer root and ECM, with the budget shared
     by _budget_shares: the primes met (each proved once) and the
@@ -726,7 +696,7 @@ def _rho_stack(stack: list[int], rho_iterations: int) -> tuple[set[int], list[in
         if is_prime(c):
             found.add(c)
             continue
-        rho, ecm = _budget_shares(rho_iterations)
+        rho, ecm = _budget_shares(budget)
         if g := _pollard_rho_brent(c, rho):
             stack += (g, c // g)
         elif power := _perfect_power(c):
@@ -740,7 +710,7 @@ def _rho_stack(stack: list[int], rho_iterations: int) -> tuple[set[int], list[in
 
 
 def _split_along_pieces(
-    m: int, pieces: tuple[int, ...], rho_iterations: int
+    m: int, pieces: tuple[int, ...], budget: int
 ) -> tuple[dict[int, int], int]:
     """Prime powers of m found through the pieces, and the cofactor.
 
@@ -754,7 +724,7 @@ def _split_along_pieces(
     read by dividing m, and what is left of it is the cofactor.
     """
     base = _coprime_base([m, *(gcd(piece, m) for piece in pieces)])
-    met, stubborn = _rho_stack(base, rho_iterations)
+    met, stubborn = _rho_stack(base, budget)
     found: dict[int, int] = {}
     new = sorted(met)
     while new:
@@ -771,19 +741,43 @@ def _split_along_pieces(
     return found, m
 
 
-def factorize(
-    n: int, budget: FactorBudget | None = None, pieces: tuple[int, ...] = ()
-) -> PartialFactorization:
-    """Best-effort factorization of n >= 1 under the given budget.
+def _trial_division(n: int, limit: int) -> tuple[dict[int, int], int]:
+    """The prime powers of n >= 1 that trial division over the primes up
+    to max(min(limit, TRIAL_CAP), 2) finds, and what is left of n.  The
+    primes are sieved only as far as the number needs, and a survivor
+    below the square of the last prime tried is listed as prime, with no
+    primality test."""
+    found: dict[int, int] = {}
+    m = n
+    tested_to = 1
+    for p in _primes(max(min(limit, TRIAL_CAP), 2)):
+        tested_to = p
+        if p * p > m:
+            break
+        while m % p == 0:
+            m //= p
+            found[p] = found.get(p, 0) + 1
+    if m > 1 and m <= tested_to * tested_to:
+        found[m] = found.get(m, 0) + 1
+        m = 1
+    return found, m
 
-    Trial division first; what is left goes through _split_along_pieces
-    in every case: Pollard rho (Brent variant) on a coprime base, an
-    integer root test on what rho cannot split, ECM on what is still
-    composite when the budget buys a curve beyond RHO_CAP (see
-    FactorBudget),
-    and gcd refinement of the composites left.  Anything still composite
-    when the budget runs out is returned as an explicit cofactor, never
-    mislabeled.
+
+def factorize(
+    n: int, budget: int = FACTOR_BUDGET, pieces: tuple[int, ...] = ()
+) -> PartialFactorization:
+    """Best-effort factorization of n >= 1 under a budget N >= 0.
+
+    Trial division runs over the primes up to min(N, TRIAL_CAP) (2 at
+    least).  What is left goes through _split_along_pieces in every
+    case: Pollard rho (Brent variant) on a coprime base, an integer root
+    test on what rho cannot split, ECM on what is still composite, and
+    gcd refinement of the composites left.  Each number searched gets
+    RHO_CAP rho iterations and ECM curves for the other N - RHO_CAP
+    modular multiplications, at ECM_CURVE_PRICE a curve, once that buys
+    a whole curve; a smaller N gives rho all N iterations and ECM
+    nothing.  Anything still composite when the budget runs out is
+    returned as an explicit cofactor, never mislabeled.
 
     pieces are optional positive integers whose primes should cover
     those of n, typically the factors n was multiplied from: rho then
@@ -794,22 +788,7 @@ def factorize(
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    if budget is None:
-        budget = FactorBudget()
-    found: dict[int, int] = {}
-    m = n
-    tested_to = 1
-    for p in _primes(max(min(budget.trial_limit, TRIAL_CAP), 2)):
-        tested_to = p
-        if p * p > m:
-            break
-        while m % p == 0:
-            m //= p
-            found[p] = found.get(p, 0) + 1
-    if m > 1 and m <= tested_to * tested_to:
-        # trial division below sqrt(m) proves the survivor prime
-        found[m] = found.get(m, 0) + 1
-        m = 1
-    large, cofactor = _split_along_pieces(m, pieces, budget.rho_iterations)
+    found, m = _trial_division(n, budget)
+    large, cofactor = _split_along_pieces(m, pieces, budget)
     found.update(large)
     return PartialFactorization(tuple(sorted(found.items())), cofactor)

@@ -20,8 +20,9 @@ space or underscore.
 
 Exit codes: 0 success, 1 usage error (including a field spec that names
 no field, an integer option that is not canonical, a negative
---factor-budget among them, and a --method that does not apply to the
-field, which k_even_order rejects with UnsupportedField),
+--factor-budget among them, a --method that does not apply to the
+field, which k_even_order rejects with UnsupportedField, and a
+conductor or divisor-sum argument that factor_small refuses),
 2 computation/data error (NonIntegralOrder, InexactDivision,
 NotRational, bad character files and kin), 3 witness inconsistency.
 """
@@ -34,7 +35,7 @@ import sys
 from collections import namedtuple
 from math import prod
 
-from .arith import FactorBudget, factor_small, factorize, is_prime
+from .arith import ECM_CURVE_PRICE, FACTOR_BUDGET, RHO_CAP, factor_small, factorize, is_prime
 from .cyclodirichlet import (
     CharacterFileError,
     ImprimitiveCharacter,
@@ -120,13 +121,12 @@ def _natural(token: str) -> int:
     return int(token)
 
 
-def _record_from_order(
-    result: KGroupOrder, k: int, budget: FactorBudget
-) -> OutputRecord:
+def _record_from_order(result: KGroupOrder, budget: int) -> OutputRecord:
     factorization = factorize(result.order, budget, result.pieces)
     return OutputRecord(
         field=result.field.label(),
-        k=k,
+        # the index is 4k - 2 or 4k - 1
+        k=(result.index + 2) // 4,
         index=result.index,
         order=str(result.order),
         factorization=factorization.format(),
@@ -184,17 +184,17 @@ class InconsistentWitnesses(Exception):
 
 
 def _kgroup(args):
-    yield k_even_order(args.field, args.k, method=args.method), args.k
+    yield k_even_order(args.field, args.k, method=args.method)
 
 
 def _kodd(args):
-    yield k_odd_order(args.field, args.k), args.k
+    yield k_odd_order(args.field, args.k)
 
 
 def _cubic_table(args):
     for f in range(7, args.max_f + 1):
         if (is_prime(f) and f % 3 == 1) or f == 9:
-            yield k_even_order(CyclicPrime(3, f), args.k), args.k
+            yield k_even_order(CyclicPrime(3, f), args.k)
 
 
 def _squarefree_part(n: int) -> int:
@@ -210,7 +210,7 @@ def _multiquad_table(args):
     ds = [_squarefree_part(x) for x in (2, 3, m, 6, 2 * m, 3 * m, 6 * m)]
     spec = Elementary(2, tuple(RealQuadratic(fundamental_discriminant(d)) for d in ds))
     for k in range(1, args.max_k + 1):
-        yield k_even_order(spec, k), k
+        yield k_even_order(spec, k)
 
 
 def _zeta(args):
@@ -282,10 +282,10 @@ def _char_check(args):
 Command = namedtuple("Command", ("help", "arguments", "handler", "table"), defaults=(False,))
 Command.__doc__ = """A subcommand: help text, arguments (flag -> add_argument keywords),
 and a handler of the parsed arguments.  A table command's handler
-yields (KGroupOrder, k) pairs, which run factors under one budget and
-renders with emit_table; such a command also takes `--format csv` and
---factor-budget.  Any other handler yields (JSON object, text) pairs,
-which run prints one per line."""
+yields KGroupOrders, which run factors under one budget and renders
+with emit_table, k read off each order's index; such a command also
+takes `--format csv` and --factor-budget.  Any other handler yields
+(JSON object, text) pairs, which run prints one per line."""
 
 
 _K = dict(type=_canonical_int, required=True)
@@ -332,11 +332,12 @@ def _build_parser() -> _Parser:
         formats = ("text", "json", "csv") if command.table else ("text", "json")
         p.add_argument("--format", choices=formats, default="text")
         if command.table:
-            p.add_argument("--factor-budget", type=_canonical_int, default=10**6,
+            p.add_argument("--factor-budget", type=_canonical_int, default=FACTOR_BUDGET,
                            help="trial-division limit, and the search budget of each "
-                                "number left: Pollard-rho iterations up to 10^4, ECM "
-                                "modular multiplications beyond once they buy a whole "
-                                "curve (from 77063 on); below that, all of it for rho")
+                                f"number left: Pollard-rho iterations up to {RHO_CAP}, "
+                                "ECM modular multiplications beyond once they buy a "
+                                f"whole curve (from {RHO_CAP + ECM_CURVE_PRICE} on); "
+                                "below that, all of it for rho")
     return parser
 
 
@@ -346,11 +347,8 @@ def run(argv: list[str]) -> int:
         args = _build_parser().parse_args(argv)
         command = COMMANDS[args.command]
         if command.table:
-            budget = FactorBudget(
-                trial_limit=args.factor_budget, rho_iterations=args.factor_budget
-            )
-            records = [_record_from_order(result, k, budget)
-                       for result, k in command.handler(args)]
+            records = [_record_from_order(result, args.factor_budget)
+                       for result in command.handler(args)]
             sys.stdout.write(emit_table(records, args.format))
         elif args.format == "json":
             import json

@@ -2,7 +2,8 @@
 
 Each is a plain transcription of a definition, or earlier code that a
 kernel in `evenk` replaced (Fraction arithmetic in Q(zeta_n) reduced
-modulo Phi_n, the list-based trial division, orbit numbering by
+modulo Phi_n, the list-based trial division, the unbounded trial
+division factor_small once was, orbit numbering by
 building and sorting every character, the conductors of cyclic fields
 read off their factorization, a character's coordinates read
 off its values, its values read off
@@ -32,7 +33,6 @@ from evenk.arith import (
     bernoulli,
     divisor_sum,
     divisors,
-    factor_small,
     is_prime,
     kronecker,
     primes_up_to,
@@ -113,6 +113,27 @@ def trial_division(n: int, trial_limit: int) -> tuple[dict[int, int], int, int]:
             m //= p
             found[p] = found.get(p, 0) + 1
     return found, m, tested_to
+
+
+@lru_cache(maxsize=None)
+def factor_by_trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    """The complete factorization of n >= 1 by trial division over 2 and
+    the odd numbers up to the square root of what is left, with no bound:
+    the earlier factor_small."""
+    out = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
 
 
 def prime_power_root(n: int) -> tuple[int, int] | None:
@@ -662,7 +683,7 @@ def cyclic_conductor_by_factorization(p: int, f: int) -> bool:
     simple and = 1 mod p."""
     if f < 3:
         return False
-    for q, e in factor_small(f):
+    for q, e in factor_by_trial_division(f):
         if q == p:
             if e != 2:
                 return False
@@ -717,7 +738,7 @@ def local_coordinates(chi: DirichletCharacter, n: int) -> tuple:
     out = []
     m = chi.modulus
     table = exponent_table(chi)
-    for q, e in factor_small(m):
+    for q, e in factor_by_trial_division(m):
         qe = q**e
         rest = m // qe
         for g in ((-1, 5) if q == 2 else (_primitive_root(q),)):

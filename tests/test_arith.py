@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from evenk import arith
 from evenk.arith import (
-    FactorBudget,
     PartialFactorization,
     bernoulli,
     divisor_sum,
@@ -28,6 +27,7 @@ from oracles import (
     bernoulli_poly_value,
     ecm_curve_projective,
     ecm_stage2_projective,
+    factor_by_trial_division,
     montgomery_multiple,
     prime_power_root,
     sieve_primes,
@@ -85,6 +85,26 @@ def test_divisor_sum_multiplicative():
         if gcd(m, n) == 1:
             for j in range(10):
                 assert divisor_sum(m * n, j) == divisor_sum(m, j) * divisor_sum(n, j)
+
+
+# -- complete factorization ---------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(1, 10**6), st.integers(1, 10**12 - 1)))
+def test_factor_small_agrees_with_unbounded_trial_division_below_1e12(n):
+    assert arith.factor_small(n) == factor_by_trial_division(n)
+
+
+def test_factor_small_stops_at_the_trial_cap():
+    p = 10**18 + 3  # a prime, proved once trial division stops
+    assert arith.factor_small(12 * p) == ((2, 2), (3, 1), (p, 1))
+    # two primes above the cap, the square of one, and a prime above the
+    # Miller-Rabin bound are refused, not searched
+    for n in (1000000009 * 1000000021, 1000003**2, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"^cannot factor {n}: "):
+            arith.factor_small(n)
+    with pytest.raises(ValueError, match="^cannot factor "):
+        divisor_sum(1000003 * 1000033, 1)
 
 
 # -- Kronecker symbol --------------------------------------------------------
@@ -296,9 +316,8 @@ def test_a_walk_that_grows_the_table_never_holds_two_tables(monkeypatch):
 
 
 def test_trial_limit_zero_still_divides_by_two():
-    budget = FactorBudget(trial_limit=0, rho_iterations=0)
-    assert factorize(2**10 * 3, budget).factored == ((2, 10), (3, 1))
-    result = factorize(2**7 * 10007 * 10009, budget)
+    assert factorize(2**10 * 3, 0).factored == ((2, 10), (3, 1))
+    result = factorize(2**7 * 10007 * 10009, 0)
     assert result.factored == ((2, 7),)
     assert result.cofactor == 10007 * 10009
 
@@ -317,17 +336,24 @@ def counting_is_prime():
         yield calls
 
 
-def factorize_without_rho(n, trial_limit):
-    """What factorize(n, FactorBudget(trial_limit, 0)) must give, from
-    the list-based trial division, and the primes it proves without a
-    primality test: those trial division met and a survivor below the
-    square of the last prime tried."""
+def trial_division_proving_by_size(n, trial_limit):
+    """What arith._trial_division(n, trial_limit) must give, from the
+    list-based trial division: the primes it met, a survivor below the
+    square of the last prime tried listed as prime, and what is left."""
     found, m, tested_to = trial_division(n, trial_limit)
-    untested = set(found)
     if 1 < m <= tested_to**2:
-        untested.add(m)
         found[m], m = 1, 1
-    elif m > 1 and is_prime(m):
+    return found, m
+
+
+def factorize_without_rho(n):
+    """What factorize(n, 0) must give, from the list-based trial
+    division, and the primes it proves without a primality test: those
+    trial division met and a survivor below the square of the last
+    prime tried."""
+    found, m = trial_division_proving_by_size(n, 0)
+    untested = set(found)
+    if m > 1 and is_prime(m):
         found[m], m = 1, 1
     elif m > 1 and (power := prime_power_root(m)):
         found[power[0]], m = power[1], 1
@@ -341,13 +367,22 @@ def factorize_without_rho(n, trial_limit):
         # a small part times a prime power above the trial limit
         st.builds(lambda a, p, e: a * p**e, st.integers(1, 1000),
                   st.integers(2, 10**4).filter(is_prime), st.integers(2, 3)),
+        # the same above budget 0's trial limit, 2
+        st.builds(lambda a, p, e: 2**a * p**e, st.integers(0, 10),
+                  st.integers(3, 10**4).filter(is_prime), st.integers(1, 3)),
     ),
     trial_limit=st.one_of(st.integers(0, 300), st.integers(0, 2 * 10**6)),
 )
 def test_factorize_matches_list_based_trial_division(n, trial_limit):
-    expected, untested = factorize_without_rho(n, trial_limit)
+    # the trial stage alone, at any limit, tests no prime for primality
     with counting_is_prime() as calls:
-        result = factorize(n, FactorBudget(trial_limit, rho_iterations=0))
+        trial = arith._trial_division(n, trial_limit)
+    assert trial == trial_division_proving_by_size(n, trial_limit)
+    assert not calls
+    # with no search, what trial division leaves is tested once
+    expected, untested = factorize_without_rho(n)
+    with counting_is_prime() as calls:
+        result = factorize(n, 0)
     assert result == expected
     for p, _ in result.factored:
         assert calls[p] == (0 if p in untested else 1)
@@ -489,7 +524,7 @@ def test_factorize_multiplies_back():
 
 def test_factorize_finds_large_factors_with_rho():
     p, q = 1000003, 1000033
-    result = factorize(p * q, FactorBudget(trial_limit=100, rho_iterations=10**6))
+    result = factorize(p * q, arith.RHO_CAP)
     assert result.complete
     assert result.factored == ((p, 1), (q, 1))
 
@@ -497,7 +532,7 @@ def test_factorize_finds_large_factors_with_rho():
 def test_factorize_incomplete_is_flagged():
     p, q = 2**61 - 1, 2**89 - 1
     n = 4 * p * q
-    result = factorize(n, FactorBudget(trial_limit=100, rho_iterations=0))
+    result = factorize(n, 0)
     assert not result.complete
     assert result.cofactor == p * q
     assert result.value() == n
@@ -508,23 +543,21 @@ def test_factorize_tests_what_rho_leaves_for_primality_once():
     # rho (given no iterations) leaves p * q; the refinement against the
     # prime r must not test it again
     p, q, r = 2**61 - 1, 2**89 - 1, 1000003
-    budget = FactorBudget(trial_limit=100, rho_iterations=0)
     for pieces, left in (((), r * p * q), ((r, p * q), p * q)):
         with counting_is_prime() as calls:
-            result = factorize(4 * r * p * q, budget, pieces)
+            result = factorize(4 * r * p * q, 0, pieces)
         check_partial_factorization(result, 4 * r * p * q)
         assert result.cofactor == left and calls[left] == 1
 
 
 def test_factorize_takes_integer_roots_of_what_rho_leaves():
-    budget = FactorBudget(trial_limit=100, rho_iterations=0)
     for pieces in ((), (10007**2,)):
-        assert factorize(10007**2, budget, pieces).format() == "10007^2"
+        assert factorize(10007**2, 0, pieces).format() == "10007^2"
     p, q = 2**61 - 1, 2**31 - 1
-    assert factorize(4 * p**6, budget).factored == ((2, 2), (p, 6))
+    assert factorize(4 * p**6, 0).factored == ((2, 2), (p, 6))
     # a power of a composite that rho cannot split stays one cofactor
-    result = factorize(3 * (p * q) ** 2, budget)
-    assert result.factored == ((3, 1),)
+    result = factorize(2 * (p * q) ** 2, 0)
+    assert result.factored == ((2, 1),)
     assert result.cofactor == (p * q) ** 2
 
 
@@ -546,14 +579,15 @@ def _next_prime(x):
     return x
 
 
-# primes below the trial limit of PIECES_BUDGET, primes rho splits off
-# quickly, and primes rho cannot separate from each other in its budget
+# primes below the trial limit of PIECES_BUDGET, primes above it that
+# rho splits off quickly, and primes rho cannot separate from each other
+# in its budget
 _PRIME_POOLS = (
     primes_up_to(97),
     [_next_prime(x) for x in range(10**4, 2 * 10**5, 9973)],
     [_next_prime(10**15 + 37 * 10**12 * i) for i in range(8)],
 )
-PIECES_BUDGET = FactorBudget(trial_limit=100, rho_iterations=3000)
+PIECES_BUDGET = 3000
 
 
 def check_partial_factorization(result, n):
@@ -617,16 +651,18 @@ def test_factorize_with_pieces_is_a_valid_factorization(case):
 @settings(max_examples=100, deadline=None)
 @given(prime_powers_and_pieces())
 def test_factorize_proves_each_listed_prime_once(case):
-    # PIECES_BUDGET's trial division proves the primes below 100; every
-    # larger pool prime needs exactly one primality test, by rho's stack
-    # or by the refinement against the pieces
+    # PIECES_BUDGET's trial division proves the primes below 100 and a
+    # survivor below the square of the last prime it tried; every other
+    # pool prime needs exactly one primality test, by rho's stack or by
+    # the refinement against the pieces
     powers, pieces = case
     n = _product(powers)
+    untested = trial_division_proving_by_size(n, PIECES_BUDGET)[0]
     for hints in ((), pieces):
         with counting_is_prime() as calls:
             result = factorize(n, PIECES_BUDGET, hints)
         assert {p: calls[p] for p, _ in result.factored} == {
-            p: int(p > 100) for p, _ in result.factored
+            p: int(p not in untested) for p, _ in result.factored
         }
 
 
@@ -636,15 +672,14 @@ def test_factorize_with_every_prime_as_a_piece_is_complete(case):
     # exponents are read off n, whatever the pieces' exponents
     powers, _ = case
     pieces = tuple(p for p, _ in powers)
-    budget = FactorBudget(trial_limit=100, rho_iterations=0)
-    result = factorize(_product(powers), budget, pieces)
+    result = factorize(_product(powers), 0, pieces)
     assert result == PartialFactorization(tuple(powers))
 
 
 def test_factorize_pieces_refine_what_rho_cannot_split():
     p, q, r, s, t = _PRIME_POOLS[2][:5]
     n = p**2 * q * r**3 * s * t
-    budget = FactorBudget(trial_limit=100, rho_iterations=1000)
+    budget = 1000
     assert not factorize(n, budget).complete
     # no piece is a prime, but their gcds with each other and with n
     # separate all five
@@ -662,7 +697,7 @@ def test_factorize_refines_what_rho_leaves_against_the_rest():
     # parts, the primes found and the rest of n finish the job
     a, b, c, d, e = 907391, 1429951, 1801489, 3464173, 6104047
     n = a * b**2 * c**2 * d * e**3
-    budget = FactorBudget(trial_limit=100, rho_iterations=800)
+    budget = 800
     assert not factorize(n, budget).complete
     result = factorize(n, budget, (a * e, a * b))
     assert result.factored == ((a, 1), (b, 2), (c, 2), (d, 1), (e, 3))
@@ -689,7 +724,7 @@ def test_factorize_searches_a_repeated_composite_once():
         return real(c, budget)
 
     with patch.object(arith, "_pollard_rho_brent", counted):
-        result = factorize(3 * r**3, FactorBudget(trial_limit=100, rho_iterations=2000))
+        result = factorize(3 * r**3, 2000)
     assert result.factored == ((3, 1),)
     assert result.cofactor == r**3
     assert calls == Counter({r**3: 1, r: 1})
@@ -732,7 +767,18 @@ _RHO_RESISTANT = (10**15 + 37) * (10**15 + 91)
 
 def _ecm_threshold():
     """The smallest budget that runs ECM: RHO_CAP and one whole curve."""
-    return arith.RHO_CAP + arith._ecm_curve_cost()
+    return arith.RHO_CAP + arith.ECM_CURVE_PRICE
+
+
+def test_the_curve_price_is_what_a_projective_stage_2_curve_took():
+    # the stage-1 ladder; in stage 2, the odd multiples of Q up to D/2,
+    # XZ of each baby step, DQ and 2DQ, then 7 per giant step (the step
+    # and XZ) and 2 per pair, leaving out the few of the set-up
+    stage1 = 5 + 11 * (arith._ecm_stage1_scalar().bit_length() - 1)
+    baby = 5 + 6 * (arith._ECM_D // 4) + len(arith._ECM_BABY_STEPS) + 2 * 5
+    plan = arith._ecm_stage2_plan()
+    giant = plan.count(0)
+    assert stage1 + baby + 7 * giant + 2 * (len(plan) - giant) == arith.ECM_CURVE_PRICE
 
 
 def test_a_budget_below_rho_cap_plus_a_curve_never_enters_ecm(monkeypatch):
@@ -742,11 +788,11 @@ def test_a_budget_below_rho_cap_plus_a_curve_never_enters_ecm(monkeypatch):
     monkeypatch.setattr(arith, "_ecm", ecm)
     threshold = _ecm_threshold()
     assert threshold == 77_063
-    for rho_iterations in (0, 1000, arith.RHO_CAP, arith.RHO_CAP + 1, threshold - 1):
-        result = factorize(_RHO_RESISTANT, FactorBudget(100, rho_iterations))
+    for budget in (0, 1000, arith.RHO_CAP, arith.RHO_CAP + 1, threshold - 1):
+        result = factorize(_RHO_RESISTANT, budget)
         assert result.cofactor == _RHO_RESISTANT
     with pytest.raises(AssertionError, match=f"budget {threshold - arith.RHO_CAP}$"):
-        factorize(_RHO_RESISTANT, FactorBudget(100, threshold))
+        factorize(_RHO_RESISTANT, threshold)
 
 
 def test_the_threshold_budget_runs_rho_cap_iterations_and_one_curve(monkeypatch):
@@ -760,30 +806,21 @@ def test_the_threshold_budget_runs_rho_cap_iterations_and_one_curve(monkeypatch)
     monkeypatch.setattr(arith, "_pollard_rho_brent", counted_rho)
     monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma: curves.append(sigma))
     threshold = _ecm_threshold()
-    result = factorize(_RHO_RESISTANT, FactorBudget(100, threshold - 1))
+    result = factorize(_RHO_RESISTANT, threshold - 1)
     assert result.cofactor == _RHO_RESISTANT and rho == [threshold - 1] and curves == []
     rho.clear()
-    result = factorize(_RHO_RESISTANT, FactorBudget(100, threshold))
+    result = factorize(_RHO_RESISTANT, threshold)
     assert result.cofactor == _RHO_RESISTANT and rho == [arith.RHO_CAP] and len(curves) == 1
 
 
 def test_ecm_starts_a_curve_only_if_its_whole_cost_fits(monkeypatch):
     curves = []
     monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma: curves.append(sigma))
-    cost = arith._ecm_curve_cost()
-    result = factorize(_RHO_RESISTANT, FactorBudget(100, arith.RHO_CAP + 2 * cost - 1))
+    cost = arith.ECM_CURVE_PRICE
+    result = factorize(_RHO_RESISTANT, arith.RHO_CAP + 2 * cost - 1)
     assert result.cofactor == _RHO_RESISTANT and len(curves) == 1
     assert arith._ecm(_RHO_RESISTANT, 3 * cost - 1) is None
     assert len(curves) == 3
-
-
-def test_a_number_that_needs_no_search_never_works_out_the_curve_cost():
-    arith._ecm_curve_cost.cache_clear()
-    p = 2**61 - 1
-    assert factorize(6 * p).factored == ((2, 1), (3, 1), (p, 1))
-    result = factorize(_RHO_RESISTANT, FactorBudget(100, arith.RHO_CAP))
-    assert result.cofactor == _RHO_RESISTANT
-    assert arith._ecm_curve_cost.cache_info().misses == 0
 
 
 def _semiprimes_of_12_digit_primes():

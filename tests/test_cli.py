@@ -176,6 +176,20 @@ def test_w_and_esum_and_siegel(capsys):
     assert code == 0 and "1/240" in out
 
 
+def test_conductors_and_divisor_sums_are_factored_to_the_trial_cap_only(capsys):
+    # a prime left after trial division is proved; a product of two
+    # primes above the cap is refused at once rather than searched
+    code, out, err = invoke(capsys, "w", "--field", "cyclic:3:1000000000000000003", "--k", "1")
+    assert (code, out, err) == (0, "w_2(cyclic:3:1000000000000000003) = 24 = 2^3·3\n", "")
+    field = "cyclic:3:1000000030000000189"  # 1000000009 * 1000000021
+    code, out, err = invoke(capsys, "w", "--field", field, "--k", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: bad field spec {field!r}: cannot factor 1000000030000000189: ")
+    # e_1(4m) starts with sigma_1(m), m = 1000003 * 1000033
+    code, out, err = invoke(capsys, "esum", "--m", str(4 * 1000003 * 1000033), "--j", "1")
+    assert (code, out) == (1, "") and err.startswith("error: cannot factor 1000036000099: ")
+
+
 def test_zeta_command(capsys):
     code, out, _ = invoke(
         capsys, "zeta", "--field", "cyclic:3:7", "--k", "1", "--format", "json"

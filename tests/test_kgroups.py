@@ -223,10 +223,10 @@ def test_elementary_parts_must_be_closed_under_products():
 
 
 def test_elementary_orders_carry_their_pieces():
-    from evenk.arith import FactorBudget, factorize
+    from evenk.arith import factorize
 
     spec = multiquad_235()
-    budget = FactorBudget(trial_limit=1000, rho_iterations=10**5)
+    budget = 1000
     for k in (1, 2, 3, 4):
         combined = combine_elementary(spec, k)
         assert kz(4 * k - 2) in combined.pieces + (1,)  # |K_6(Z)| = 1

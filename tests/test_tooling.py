@@ -8,7 +8,7 @@ The `kgroup --method` choices are spelled out in the CLI's command
 table; they must stay the routes the field specs accept.  The README's
 character-file example must stay a file that `char-check` accepts, its
 count of green tests the suite's size, and the factorization caps it
-states the constants of `evenk.arith`.  Only `evenk.values.Value`
+and the `--factor-budget` help state the constants of `evenk.arith`.  Only `evenk.values.Value`
 defines equality, hashing and repr.  Every command
 is a fresh process, so importing the CLI must not load modules it only
 sometimes needs."""
@@ -176,33 +176,57 @@ def _readme_number(text: str) -> float:
     return float(match[1] or 1) * 10 ** int(match[2] or 0)
 
 
+def _factor_budget_help(capsys) -> str:
+    from evenk import cli
+
+    with pytest.raises(SystemExit):
+        cli.run(["kgroup", "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
 def test_readme_factorization_caps_are_the_arith_constants(capsys):
-    from evenk import arith, cli
+    from evenk import arith
 
     text = " ".join(README.read_text(encoding="utf-8").split())
 
     def stated(pattern: str, text: str = text) -> float:
         return _readme_number(re.search(pattern, text)[1])
 
-    cost = arith._ecm_curve_cost()
-    default = arith.FactorBudget().rho_iterations
+    price = arith.ECM_CURVE_PRICE
+    default = arith.FACTOR_BUDGET
     assert stated(r"up to `min\(N, ([^)]+)\)`, in one shared table") == arith.TRIAL_CAP
-    threshold = arith.RHO_CAP + cost
+    threshold = arith.RHO_CAP + price
     assert stated(r"all `N` iterations when `N < (\d+)`, and `([^`]+)` otherwise") == threshold
     assert stated(r"`N < \d+`, and `([^`]+)` otherwise") == arith.RHO_CAP
-    assert stated(r"That threshold is `([^`]+)` iterations plus the cost of one") == arith.RHO_CAP
+    assert stated(r"That threshold is `([^`]+)` iterations plus the price of one") == arith.RHO_CAP
     assert stated(r"the rest of its budget, `N - ([^`]+)`") == arith.RHO_CAP
     assert stated(r"`N < (\d+)` runs none") == threshold
     assert stated(r"`B1 = ([^`]+)`") == arith.ECM_B1
     assert stated(r"`B2 = ([^`]+)`") == arith.ECM_B2
-    assert stated(r"A curve costs about (\S+) multiplications") == round(cost, -3)
+    assert stated(r"A curve is priced at (\d+) multiplications") == price
     assert stated(r"default `N = ([^`]+)`") == default
-    assert stated(r"runs up to (\d+) curves") == (default - arith.RHO_CAP) // cost
+    assert stated(r"runs up to (\d+) curves") == (default - arith.RHO_CAP) // price
     bound = arith._MR_DETERMINISTIC_BOUND
     assert stated(r"A listed prime below (\S+) is proved") == pytest.approx(bound, rel=0.01)
+    assert stated(r"trial division by the primes up to `([^`]+)`") == arith.TRIAL_CAP
     # the --factor-budget help states the rho cap and the threshold too
-    with pytest.raises(SystemExit):
-        cli.run(["kgroup", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
+    help_text = _factor_budget_help(capsys)
     assert stated(r"iterations up to (\S+),", help_text) == arith.RHO_CAP
     assert stated(r"curve \(from (\d+) on\)", help_text) == threshold
+
+
+def test_the_factor_budget_help_and_default_are_read_off_the_arith_constants(
+    capsys, monkeypatch
+):
+    from evenk import arith, cli
+
+    assert (cli.RHO_CAP, cli.ECM_CURVE_PRICE, cli.FACTOR_BUDGET) == (
+        arith.RHO_CAP, arith.ECM_CURVE_PRICE, arith.FACTOR_BUDGET
+    )
+    monkeypatch.setattr(cli, "RHO_CAP", 123)
+    monkeypatch.setattr(cli, "ECM_CURVE_PRICE", 4000)
+    monkeypatch.setattr(cli, "FACTOR_BUDGET", 5678)
+    help_text = _factor_budget_help(capsys)
+    assert "iterations up to 123," in help_text and "curve (from 4123 on)" in help_text
+    args = cli._build_parser().parse_args(["kgroup", "--field", "q", "--k", "1"])
+    assert args.factor_budget == 5678

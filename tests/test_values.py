@@ -9,7 +9,7 @@ from typing import get_args
 
 import pytest
 
-from evenk.arith import FactorBudget, PartialFactorization, factorize
+from evenk.arith import PartialFactorization, factorize
 from evenk.cli import COMMANDS, OutputRecord, run
 from evenk.cyclodirichlet import CharacterOrbit, DirichletCharacter, quadratic_character
 from evenk.kgroups import (
@@ -40,11 +40,6 @@ FROZEN = [
         quad_235,
         lambda: Elementary(2, tuple(RealQuadratic(d) for d in (12, 28, 21))),
         "Elementary(p=2, parts=(RealQuadratic(d=5), RealQuadratic(d=8), RealQuadratic(d=40)))",
-    ),
-    (
-        FactorBudget,
-        lambda: FactorBudget(100, rho_iterations=7),
-        "FactorBudget(trial_limit=1000000, rho_iterations=1000000)",
     ),
     (
         lambda: PartialFactorization(((2, 1),), 15),
@@ -108,7 +103,6 @@ def test_values_of_different_types_differ():
     assert Rationals() != ()
     assert RealQuadratic(5) != (5,)
     assert CyclicPrime(3, 7) != CubicParameters(3, 7, 0)
-    assert FactorBudget(3, 7) != CubicParameters(3, 7, 0)
     assert len({Rationals(), (), RealQuadratic(5), (5,)}) == 4
 
 
@@ -144,7 +138,7 @@ def test_checks_still_run_on_construction():
     with pytest.raises(TypeError):
         RealQuadratic(5, 8)
     with pytest.raises(TypeError):
-        FactorBudget(trial_limt=5)
+        PartialFactorization(((2, 1),), cofacter=3)
 
 
 def test_k_group_order_is_a_frozen_value():
@@ -153,7 +147,7 @@ def test_k_group_order_is_a_frozen_value():
     order = KGroupOrder(Rationals(), 2, 48, "kz", Fraction(-1, 12), pieces=(48,))
     assert not hasattr(order, "factorization")
     assert not hasattr(order, "ensure_factorization")
-    assert factorize(order.order, None, order.pieces) == PartialFactorization(((2, 4), (3, 1)))
+    assert factorize(order.order, pieces=order.pieces) == PartialFactorization(((2, 4), (3, 1)))
 
 
 def test_field_spec_lists_the_four_spec_classes():
