@@ -2,7 +2,8 @@
 
 Everything here is pure big-integer / big-rational arithmetic: divisor
 power sums, the full Kronecker symbol, l-adic valuations, Bernoulli
-numbers (from integer tangent numbers), a lazily grown prime sieve, and
+numbers (from integer tangent numbers), a prime sieve (one shared table,
+grown lazily to 2^18, then windows of 2^15 odd numbers), and
 factorization.  `fractions.Fraction` is the rational scalar used
 throughout the package.
 
@@ -37,7 +38,7 @@ import random
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt
 
 from .values import Value
@@ -83,7 +84,8 @@ def _odd_sieve(n: int) -> bytearray:
         if s[i]:
             p = 2 * i + 1
             start = p * p // 2
-            s[start::p] = bytes(len(range(start, n, p)))
+            # a bytearray, because a slice assignment copies bytes into one
+            s[start::p] = bytearray(len(range(start, n, p)))
     return s
 
 
@@ -93,16 +95,21 @@ def _odd_sieve(n: int) -> bytearray:
 # Concurrent walks may sieve the same table twice, never read a wrong one.
 _SEED = _odd_sieve(64)
 _sieve = _SEED
+# The table stops growing at _TABLE_CAP bytes, the odd numbers below
+# 2^18, which cover ECM_B2; past them a walk sieves windows of _WINDOW
+# odd numbers (Bays and Hudson, BIT 17, 1977), one at a time.
+_TABLE_CAP = 2**17
+_WINDOW = 2**15
 
 
 def _odd_table(hi: int) -> bytearray:
     """The shared table, first doubled as often as it takes to cover the
-    odd numbers up to hi."""
+    odd numbers up to hi, or to reach _TABLE_CAP bytes."""
     global _sieve
     s = _sieve
-    if 2 * len(s) - 1 < hi:
+    if 2 * len(s) - 1 < hi and len(s) < _TABLE_CAP:
         n = 2 * len(s)
-        while 2 * n - 1 < hi:
+        while 2 * n - 1 < hi and n < _TABLE_CAP:
             n *= 2
         # let the old table go before sieving the new one, so the two
         # never count to the peak memory together
@@ -111,19 +118,41 @@ def _odd_table(hi: int) -> bytearray:
     return s
 
 
+def _odd_window(lo: int, top: int) -> bytearray:
+    """w[i] == 1 iff lo + 2i is prime, for odd 3 <= lo <= top: the odd
+    numbers from lo to top crossed off by the odd primes up to
+    sqrt(top), which the walk itself gives."""
+    n = (top - lo) // 2 + 1
+    w = bytearray([1]) * n
+    for p in islice(_primes(isqrt(top)), 1, None):
+        # the first odd multiple of p from max(p^2, lo)
+        start = max(p * p, -(-lo // p) * p)
+        start += p * (1 - start % 2)
+        i = (start - lo) // 2
+        w[i::p] = bytearray(len(range(i, n, p)))
+    return w
+
+
 def _primes(hi: int) -> Iterator[int]:
     """The primes <= hi in increasing order, sieved lazily: the cached
-    table doubles only when the walk passes its end, so a caller that
-    stops early never pays for the primes it did not reach."""
+    table doubles only when the walk passes its end, up to _TABLE_CAP
+    bytes, and past that the walk sieves one window at a time, so a
+    caller that stops early never pays for the primes it did not reach,
+    and one past the cap holds one window beside the table."""
     if hi >= 2:
         yield 2
     lo = 3
     while lo <= hi:
         s = _odd_table(lo)
-        top = min(hi, 2 * len(s) - 1)
-        yield from compress(range(lo, top + 1, 2), memoryview(s)[lo // 2 : (top + 1) // 2])
-        # let go of the table before the next _odd_table sieves a larger
-        # one, so the two never count to the peak memory together
+        if lo < 2 * len(s):
+            top = min(hi, 2 * len(s) - 1)
+            s = memoryview(s)[lo // 2 : (top + 1) // 2]
+        else:
+            top = min(hi, lo + 2 * _WINDOW - 2)
+            s = _odd_window(lo, top)
+        yield from compress(range(lo, top + 1, 2), s)
+        # let go of the table or window before the next is sieved, so
+        # the two never count to the peak memory together
         del s
         lo = top + 2
 

@@ -343,8 +343,14 @@ def _build_parser() -> _Parser:
 
 def run(argv: list[str]) -> int:
     """Entry point; returns the process exit code."""
+    # None before Python 3.10.7, which has no limit on int-to-str digits
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         args = _build_parser().parse_args(argv)
+        # spec and option integers are read under the interpreter's limit;
+        # an exact value is printed however many digits it has
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         command = COMMANDS[args.command]
         if command.table:
             records = [_record_from_order(result, args.factor_budget)
@@ -369,6 +375,9 @@ def run(argv: list[str]) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def main() -> None:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, gcd, isqrt, lcm
 
-from .arith import bernoulli, factor_small, is_prime, kronecker, valuation
+from .arith import bernoulli, factor_small, factorize, is_prime, kronecker, valuation
 from .siegel import is_kronecker_discriminant
 from .values import Value
 
@@ -189,10 +189,17 @@ def _conductor_of(coords, order: int) -> int:
     return f
 
 
+@lru_cache(maxsize=None)
 def _primitive_root(q: int) -> int:
-    """A primitive root mod q^2, and so mod every q^e, for odd prime q."""
+    """A primitive root mod q^2, and so mod every q^e, for odd prime q.
+    ValueError names q when the default budget leaves q - 1 incomplete."""
     phi = q - 1
-    prime_parts = [p for p, _ in factor_small(phi)]
+    # q came out of factor_small, so q < 3.3e24, below which is_prime is
+    # exact: every prime factorize lists for q - 1 is proved
+    whole = factorize(phi)
+    if not whole.complete:
+        raise ValueError(f"cannot find a primitive root mod {q}: q - 1 = {whole.format()}")
+    prime_parts = [p for p, _ in whole.factored]
     g = 2
     while True:
         if all(pow(g, phi // p, q) != 1 for p in prime_parts):

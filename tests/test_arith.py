@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -285,6 +286,43 @@ def test_primes_up_to(monkeypatch):
         assert primes_up_to(x) == list(sieve_primes(x))
 
 
+def test_the_table_doubles_up_to_its_cap_and_no_further(monkeypatch):
+    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    cap = arith._TABLE_CAP
+    assert all(arith._primes(2 * cap - 1))
+    assert len(arith._sieve) == cap
+    assert all(arith._primes(10**6))
+    assert len(arith._sieve) == cap
+    # the table covers ECM_B2, so stage 2's plan reads it alone
+    assert 2 * cap - 1 >= arith.ECM_B2
+
+
+def test_the_walk_agrees_at_every_window_edge():
+    # windows of _WINDOW odd numbers start at 2 _TABLE_CAP + 1
+    last = 2 * 10**6 + 2
+    oracle = sieve_primes(last)
+    step = 2 * arith._WINDOW
+    edges = [2 * arith._TABLE_CAP + d for d in (-3, -2, -1, 0, 1, 2, 3)]
+    edges += [
+        lo + d
+        for lo in range(2 * arith._TABLE_CAP + 1, last - 1, step)
+        for d in (-2, -1, 0, 1, 2)
+    ]
+    for x in edges:
+        assert tuple(arith._primes(x)) == oracle[: bisect_right(oracle, x)], x
+
+
+def test_windows_read_their_base_primes_from_windows(monkeypatch):
+    # at the real sizes every base prime below 2^18 comes from the table;
+    # with a 64-byte table and windows of 16 odd numbers, the windows
+    # past 128^2 take theirs from windows
+    monkeypatch.setattr(arith, "_TABLE_CAP", 64)
+    monkeypatch.setattr(arith, "_WINDOW", 16)
+    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    assert list(arith._primes(10**5)) == list(sieve_primes(10**5))
+    assert len(arith._sieve) == 64
+
+
 def test_trial_division_sieves_only_as_far_as_the_number_needs(monkeypatch):
     monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
     # the default budget allows 10^6, but the walk stops at 11^2 > 97
@@ -306,13 +344,26 @@ def _traced_peak(work):
 
 
 def test_a_walk_that_grows_the_table_never_holds_two_tables(monkeypatch):
-    # the last doubling sieves 2^19 bytes; the 2^18 before it must be
-    # gone by then, or the peak is 2^18 above that of the sieve alone
-    sieve_alone = _traced_peak(lambda: arith._odd_sieve(2**19))
+    # the last doubling sieves _TABLE_CAP bytes; the half-size table
+    # before it must be gone by then, or the peak is cap / 2 above that
+    # of the sieve alone
+    cap = arith._TABLE_CAP
+    sieve_alone = _traced_peak(lambda: arith._odd_sieve(cap))
     monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
-    peak = _traced_peak(lambda: all(arith._primes(2**20)))
-    assert len(arith._sieve) == 2**19
-    assert peak < sieve_alone + 2**17
+    peak = _traced_peak(lambda: all(arith._primes(2 * cap - 1)))
+    assert len(arith._sieve) == cap
+    assert peak < sieve_alone + cap // 4
+
+
+def test_trial_division_to_the_cap_holds_the_table_and_one_window(monkeypatch):
+    # 3^200 + 2 has no prime factor below 10^6 but 2473, so the walk runs
+    # to TRIAL_CAP: the 2^17-byte table and a 2^15-byte window, each with
+    # its largest crossing-off temporary (a third of its size), at most
+    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    found = {}
+    peak = _traced_peak(lambda: found.update(arith._trial_division(3**200 + 2, 10**6)[0]))
+    assert found == {2473: 1}
+    assert peak < 2**17 + 2**16
 
 
 def test_trial_limit_zero_still_divides_by_two():

@@ -185,9 +185,34 @@ def test_conductors_and_divisor_sums_are_factored_to_the_trial_cap_only(capsys):
     code, out, err = invoke(capsys, "w", "--field", field, "--k", "1")
     assert (code, out) == (1, "")
     assert err.startswith(f"error: bad field spec {field!r}: cannot factor 1000000030000000189: ")
+    code, out, err = invoke(capsys, "kgroup", "--field", field, "--k", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: bad field spec {field!r}: cannot factor 1000000030000000189: ")
     # e_1(4m) starts with sigma_1(m), m = 1000003 * 1000033
     code, out, err = invoke(capsys, "esum", "--m", str(4 * 1000003 * 1000033), "--j", "1")
     assert (code, out) == (1, "") and err.startswith("error: cannot factor 1000036000099: ")
+
+
+def test_a_primitive_root_searches_q_minus_1_past_the_trial_cap(capsys):
+    # q - 1 = 4 * 1000037 * 1000289 has two primes above TRIAL_CAP
+    code, out, err = invoke(capsys, "w", "--field", "quad:4001304042773", "--k", "1")
+    assert (code, out, err) == (0, "w_2(quad:4001304042773) = 24 = 2^3·3\n", "")
+
+
+def test_a_value_over_4300_digits_is_printed_and_specs_keep_the_limit(capsys):
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = invoke(capsys, "zeta", "--field", "q", "--k", "1040")
+    assert (code, err) == (0, "")
+    value = out.removeprefix("zeta_q(1-2*1040) = ").removesuffix("\n")
+    numerator, denominator = value.split("/")
+    assert len(numerator) > 4300 and numerator.isdigit() and denominator.isdigit()
+    # run puts the limit back, and reads specs under it
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if limit:
+        code, out, err = invoke(capsys, "w", "--field", "quad:1" + "0" * limit, "--k", "1")
+        assert (code, out) == (1, "") and "Exceeds the limit" in err
 
 
 def test_zeta_command(capsys):

@@ -399,8 +399,23 @@ def test_an_orbit_walks_the_units_once_and_checks_no_value_map(monkeypatch):
     for built in (vars(CharacterOrbit)["of"].__func__, quadratic_character):
         assert not hasattr(built, "cache_info")
     filled = {name for name, cache in caches.items() if cache.cache_info().currsize}
-    assert filled <= {"euler_phi", "_primitive_orbit_coordinates"}
+    # _primitive_root holds one int per prime, and no units or logs
+    assert filled <= {"euler_phi", "_primitive_orbit_coordinates", "_primitive_root"}
     assert not hasattr(cyclodirichlet, "_unit_group_data")
+
+
+def test_a_primitive_root_is_refused_when_q_minus_1_is_left_incomplete(monkeypatch):
+    from evenk import cyclodirichlet
+    from evenk.arith import PartialFactorization
+
+    cyclodirichlet._primitive_root.cache_clear()
+    monkeypatch.setattr(
+        cyclodirichlet, "factorize", lambda n: PartialFactorization(((2, 2),), n // 4)
+    )
+    # q < 3.3e24, so a complete factorization of q - 1 is proved; an
+    # incomplete one is refused, naming q
+    with pytest.raises(ValueError, match="primitive root mod 4001304042773: q - 1 = 2"):
+        cyclodirichlet._primitive_root(4001304042773)
 
 
 @pytest.mark.parametrize("m", range(1, 61))

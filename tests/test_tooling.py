@@ -194,7 +194,11 @@ def test_readme_factorization_caps_are_the_arith_constants(capsys):
 
     price = arith.ECM_CURVE_PRICE
     default = arith.FACTOR_BUDGET
-    assert stated(r"up to `min\(N, ([^)]+)\)`, in one shared table") == arith.TRIAL_CAP
+    assert stated(r"up to `min\(N, ([^)]+)\)`, so a small order costs no sieve") == arith.TRIAL_CAP
+    # the table cap, in bytes and in the numbers it covers, and the window
+    assert 2 ** int(re.search(r"up to at most `2\^(\d+)` bytes", text)[1]) == arith._TABLE_CAP
+    assert 2 ** int(re.search(r"the odd numbers below `2\^(\d+)`", text)[1]) == 2 * arith._TABLE_CAP
+    assert 2 ** int(re.search(r"windows of `2\^(\d+)` odd numbers", text)[1]) == arith._WINDOW
     threshold = arith.RHO_CAP + price
     assert stated(r"all `N` iterations when `N < (\d+)`, and `([^`]+)` otherwise") == threshold
     assert stated(r"`N < \d+`, and `([^`]+)` otherwise") == arith.RHO_CAP
