@@ -75,25 +75,31 @@ _ECM_BABY_STEPS = tuple(j for j in range(1, _ECM_D // 2, 2) if gcd(j, _ECM_D) ==
 _ECM_CHUNK = 64
 
 
-def _odd_sieve(n: int) -> bytearray:
-    """s[i] == 1 iff 2i + 1 is prime, for 0 <= i < n (n >= 1): the
-    sieve of Eratosthenes on odd numbers, one byte each."""
-    s = bytearray([1]) * n
-    s[0] = 0
-    for i in range(1, (isqrt(2 * n - 1) + 1) // 2):
-        if s[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            # a bytearray, because a slice assignment copies bytes into one
-            s[start::p] = bytearray(len(range(start, n, p)))
-    return s
+def _odd_window(lo: int, top: int) -> bytearray:
+    """w[i] == 1 iff lo + 2i is prime, for odd 1 <= lo <= top: the odd
+    numbers from lo to top crossed off by the odd primes up to
+    sqrt(top), which the walk itself gives, and 1 marked not prime."""
+    n = (top - lo) // 2 + 1
+    w = bytearray([1]) * n
+    if lo == 1:
+        w[0] = 0
+    for p in islice(_primes(isqrt(top)), 1, None):
+        # the first odd multiple of p from max(p^2, lo)
+        start = max(p * p, -(-lo // p) * p)
+        start += p * (1 - start % 2)
+        i = (start - lo) // 2
+        # a bytearray, because a slice assignment copies bytes into one
+        w[i::p] = bytearray(len(range(i, n, p)))
+    return w
 
 
-# The one prime table of the package, shared by every walk.  It is
-# grown by replacement, never in place, so a walk in progress keeps its
-# view; while a larger one is sieved, the table reads as the seed.
-# Concurrent walks may sieve the same table twice, never read a wrong one.
-_SEED = _odd_sieve(64)
+# The one prime table of the package, shared by every walk.  It starts
+# as the seed, one byte for the odd number 1, and is grown by
+# replacement, never in place, so a walk in progress keeps its view;
+# while a larger one is sieved, the table reads as the seed and grows
+# again to the square root of the new size.  Concurrent walks may sieve
+# the same table twice, never read a wrong one.
+_SEED = bytearray(1)
 _sieve = _SEED
 # The table stops growing at _TABLE_CAP bytes, the odd numbers below
 # 2^18, which cover ECM_B2; past them a walk sieves windows of _WINDOW
@@ -104,33 +110,19 @@ _WINDOW = 2**15
 
 def _odd_table(hi: int) -> bytearray:
     """The shared table, first doubled as often as it takes to cover the
-    odd numbers up to hi, or to reach _TABLE_CAP bytes."""
+    odd numbers up to hi, or to reach _TABLE_CAP bytes: the window of
+    the odd numbers from 1, sieved once the old table is let go, by base
+    primes from a table of square-root size, so two full tables never
+    count to the peak memory together."""
     global _sieve
     s = _sieve
     if 2 * len(s) - 1 < hi and len(s) < _TABLE_CAP:
         n = 2 * len(s)
         while 2 * n - 1 < hi and n < _TABLE_CAP:
             n *= 2
-        # let the old table go before sieving the new one, so the two
-        # never count to the peak memory together
         s = _sieve = _SEED
-        s = _sieve = _odd_sieve(n)
+        s = _sieve = _odd_window(1, 2 * n - 1)
     return s
-
-
-def _odd_window(lo: int, top: int) -> bytearray:
-    """w[i] == 1 iff lo + 2i is prime, for odd 3 <= lo <= top: the odd
-    numbers from lo to top crossed off by the odd primes up to
-    sqrt(top), which the walk itself gives."""
-    n = (top - lo) // 2 + 1
-    w = bytearray([1]) * n
-    for p in islice(_primes(isqrt(top)), 1, None):
-        # the first odd multiple of p from max(p^2, lo)
-        start = max(p * p, -(-lo // p) * p)
-        start += p * (1 - start % 2)
-        i = (start - lo) // 2
-        w[i::p] = bytearray(len(range(i, n, p)))
-    return w
 
 
 def _primes(hi: int) -> Iterator[int]:
@@ -467,9 +459,11 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _perfect_power(n: int) -> tuple[int, int] | None:
-    """(r, k) with n = r^k for a prime k, or None; for n >= 2."""
-    for k in _primes(n.bit_length()):
+def _perfect_power(n: int, tried: int) -> tuple[int, int] | None:
+    """(r, k) with n = r^k for a prime k, or None; for n >= 2 with no
+    prime factor up to tried >= 2.  Then r > tried, so k is at most
+    log n / log(tried + 1)."""
+    for k in _primes(n.bit_length() // ((tried + 1).bit_length() - 1)):
         r = _iroot(n, k)
         if r**k == n:
             return r, k
@@ -715,7 +709,13 @@ def _rho_stack(stack: list[int], budget: int) -> tuple[set[int], list[int]]:
     by _budget_shares: the primes met (each proved once) and the
     composites left, each once.  A repeat of a composite already given
     up on is not searched again: the search depends on the number alone,
-    so it would fail again."""
+    so it would fail again.
+
+    Every entry divides what trial division with the same budget left,
+    so its primes, and those of every number split off it, all exceed
+    max(min(budget, TRIAL_CAP), 2); the root test tries only the
+    exponents that allows."""
+    tried = max(min(budget, TRIAL_CAP), 2)
     found: set[int] = set()
     stubborn: list[int] = []
     while stack:
@@ -728,7 +728,7 @@ def _rho_stack(stack: list[int], budget: int) -> tuple[set[int], list[int]]:
         rho, ecm = _budget_shares(budget)
         if g := _pollard_rho_brent(c, rho):
             stack += (g, c // g)
-        elif power := _perfect_power(c):
+        elif power := _perfect_power(c, tried):
             r, k = power
             stack += [r] * k
         elif ecm and (g := _ecm(c, ecm)):

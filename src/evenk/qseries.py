@@ -5,10 +5,11 @@ The weights are the principal part of the auxiliary form
 T_h = G_{12r-h+2} Delta^(-r) (Siegel 1969, Zagier 1976), where
 G_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n is the Eisenstein series and
 Delta = q prod (1-q^n)^24.  So q^r T_h is a power series, and its
-r + 1 coefficients at q^0 .. q^r carry every weight.  The eta product
-and its inverse powers have integer coefficients and are computed on
-plain integer lists; the one rational number is the Eisenstein scale
--2k/B_k.
+r + 1 coefficients at q^0 .. q^r carry every weight.  By Jacobi's
+identity prod (1-q^n)^3 = sum_i (-1)^i (2i+1) q^(i(i+1)/2), the power
+prod (1-q^n)^(-24r) is that sparse series to the power -8r, taken by
+J.C.P. Miller's recurrence on plain integer lists; the one rational
+number is the Eisenstein scale -2k/B_k.
 """
 
 from __future__ import annotations
@@ -37,33 +38,17 @@ def _int_mul(a, b, prec: int) -> list[int]:
     return out
 
 
-def _eta24(prec: int) -> tuple[int, ...]:
-    """prod_{n>=1} (1-q^n)^24 truncated at q^prec: Jacobi's identity
-    prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), squared three
-    times."""
-    e = [0] * prec
-    k = 0
-    while k * (k + 1) // 2 < prec:
-        e[k * (k + 1) // 2] = -(2 * k + 1) if k % 2 else 2 * k + 1
-        k += 1
-    for _ in range(3):
-        e = _int_mul(e, e, prec)
-    return tuple(e)
-
-
-def _int_inverse_power(a, r: int, prec: int) -> list[int]:
-    """a^(-r) truncated at q^prec, for an integer series with a[0] = 1."""
-    inv = [1] + [0] * (prec - 1)
+def _int_power(a, alpha: int, prec: int) -> list[int]:
+    """a^alpha truncated at q^prec, for an integer series with a[0] = 1
+    and any integer alpha: J.C.P. Miller's recurrence
+    n b_n = sum_{k=1..n} ((alpha+1)k - n) a_k b_{n-k} (Knuth, TAOCP
+    vol. 2, 4.7), run over the nonzero a_k only.  The division by n is
+    exact, because b is an integer series."""
+    terms = [(k, x) for k, x in enumerate(a[1:prec], 1) if x]
+    b = [1] + [0] * (prec - 1)
     for n in range(1, prec):
-        inv[n] = -sum(a[i] * inv[n - i] for i in range(1, n + 1))
-    result = [1] + [0] * (prec - 1)
-    while r:
-        if r & 1:
-            result = _int_mul(result, inv, prec)
-        r >>= 1
-        if r:
-            inv = _int_mul(inv, inv, prec)
-    return result
+        b[n] = sum(((alpha + 1) * k - n) * x * b[n - k] for k, x in terms if k <= n) // n
+    return b
 
 
 def t_series_pole_order(h: int) -> int:
@@ -76,12 +61,18 @@ def t_series_pole_order(h: int) -> int:
 def siegel_coeffs(h: int) -> list[Fraction]:
     """The weights b_j(h) = -c_{h,j} / c_{h,0} for j = 1..r, where
     c_{h,j} is the coefficient of q^-j in T_h, read off
-    c = q^r T_h = G_k (prod (1-q^n)^24)^(-r) at q^0 .. q^r.  The
+    c = q^r T_h = G_k J^(-8r) at q^0 .. q^r, where Jacobi's series
+    J = sum_i (-1)^i (2i+1) q^(i(i+1)/2) is prod (1-q^n)^3.  The
     weight k = 12r - h + 2 is 0 when h = 2 mod 12, and then G_k = 1."""
     r = t_series_pole_order(h)
     k = 12 * r - h + 2
     n = r + 1
-    c = _int_inverse_power(_eta24(n), r, n)
+    jacobi = [0] * n
+    i = 0
+    while (t := i * (i + 1) // 2) < n:
+        jacobi[t] = (-1) ** i * (2 * i + 1)
+        i += 1
+    c = _int_power(jacobi, -8 * r, n)
     if k > 0:
         scale = Fraction(-2 * k) / bernoulli(k)
         sigma = [0] + [divisor_sum(i, k - 1) for i in range(1, n)]

@@ -9,7 +9,8 @@ read off their factorization, a character's coordinates read
 off its values, its values read off
 discrete-log tables, its conductor, primitive part and Kronecker
 symbol read off its value at every unit, the weights b_j(h) read off
-precision-tracking Laurent series, the power sums e_j(m) by
+precision-tracking Laurent series from the eta product by three
+squarings and its inverse by binary powering, the power sums e_j(m) by
 enumerating b^2 + 4ac = m, multiples of a point on a Montgomery curve by
 affine double-and-add, ECM's stage 2 on projective points); the tests
 require the kernels to agree with them exactly.
@@ -48,12 +49,7 @@ from evenk.cyclodirichlet import (
     euler_phi,
 )
 from evenk.kgroups import _as_positive_int
-from evenk.qseries import (
-    DegenerateConstantTerm,
-    _eta24,
-    _int_inverse_power,
-    t_series_pole_order,
-)
+from evenk.qseries import DegenerateConstantTerm, _int_mul, t_series_pole_order
 from evenk.siegel import QuadraticDiscriminant, e_sum
 
 
@@ -580,6 +576,36 @@ class LaurentSeries:
             [self.coefficient(e) for e in range(val, precision)],
             precision,
         )
+
+
+def _eta24(prec: int) -> tuple[int, ...]:
+    """prod_{n>=1} (1-q^n)^24 truncated at q^prec: Jacobi's identity
+    prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), squared three
+    times."""
+    e = [0] * prec
+    k = 0
+    while k * (k + 1) // 2 < prec:
+        e[k * (k + 1) // 2] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    for _ in range(3):
+        e = _int_mul(e, e, prec)
+    return tuple(e)
+
+
+def _int_inverse_power(a, r: int, prec: int) -> list[int]:
+    """a^(-r) truncated at q^prec, for an integer series with a[0] = 1:
+    the series inverse, then binary powering."""
+    inv = [1] + [0] * (prec - 1)
+    for n in range(1, prec):
+        inv[n] = -sum(a[i] * inv[n - i] for i in range(1, n + 1))
+    result = [1] + [0] * (prec - 1)
+    while r:
+        if r & 1:
+            result = _int_mul(result, inv, prec)
+        r >>= 1
+        if r:
+            inv = _int_mul(inv, inv, prec)
+    return result
 
 
 def eisenstein(weight: int, prec: int) -> LaurentSeries:

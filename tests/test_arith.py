@@ -3,6 +3,7 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import compress
 from math import comb, gcd, isqrt, prod
 from tracemalloc import get_traced_memory
 from tracemalloc import start as start_tracing
@@ -277,7 +278,7 @@ def test_primes_up_to(monkeypatch):
     assert len(primes_up_to(1000)) == 168
     # a fresh 64-byte table covers the odd numbers up to 127 and doubles
     # each time a walk passes its end: 255, 511, 1023, ...
-    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
     edges = [b + d for b in (127, 255, 511, 1023) for d in (-1, 0, 1)]
     for x in [1, 2, 3, 4, *edges]:
         naive = [n for n in range(2, x + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
@@ -286,8 +287,23 @@ def test_primes_up_to(monkeypatch):
         assert primes_up_to(x) == list(sieve_primes(x))
 
 
+def test_the_table_grows_from_the_one_byte_seed(monkeypatch):
+    # each doubling takes its base primes from a walk that grows the
+    # table again from the seed; every length stays a power of two, and
+    # the table marks exactly the odd primes, 1 not among them
+    assert arith._SEED == bytearray(1)
+    xs = [*range(601), *(2**j + d for j in range(10, 19) for d in (-1, 1))]
+    for x in xs:
+        monkeypatch.setattr(arith, "_sieve", arith._SEED)
+        assert tuple(arith._primes(x)) == sieve_primes(x), x
+        table = arith._sieve
+        n = len(table)
+        assert n & (n - 1) == 0, x
+        assert tuple(compress(range(1, 2 * n, 2), table)) == sieve_primes(2 * n)[1:], x
+
+
 def test_the_table_doubles_up_to_its_cap_and_no_further(monkeypatch):
-    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
     cap = arith._TABLE_CAP
     assert all(arith._primes(2 * cap - 1))
     assert len(arith._sieve) == cap
@@ -318,13 +334,13 @@ def test_windows_read_their_base_primes_from_windows(monkeypatch):
     # past 128^2 take theirs from windows
     monkeypatch.setattr(arith, "_TABLE_CAP", 64)
     monkeypatch.setattr(arith, "_WINDOW", 16)
-    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
     assert list(arith._primes(10**5)) == list(sieve_primes(10**5))
     assert len(arith._sieve) == 64
 
 
 def test_trial_division_sieves_only_as_far_as_the_number_needs(monkeypatch):
-    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
     # the default budget allows 10^6, but the walk stops at 11^2 > 97
     assert factorize(2).factored == ((2, 1),)
     assert factorize(2**40 * 3**5 * 97).factored == ((2, 40), (3, 5), (97, 1))
@@ -348,8 +364,8 @@ def test_a_walk_that_grows_the_table_never_holds_two_tables(monkeypatch):
     # before it must be gone by then, or the peak is cap / 2 above that
     # of the sieve alone
     cap = arith._TABLE_CAP
-    sieve_alone = _traced_peak(lambda: arith._odd_sieve(cap))
-    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    sieve_alone = _traced_peak(lambda: arith._odd_window(1, 2 * cap - 1))
+    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
     peak = _traced_peak(lambda: all(arith._primes(2 * cap - 1)))
     assert len(arith._sieve) == cap
     assert peak < sieve_alone + cap // 4
@@ -359,7 +375,7 @@ def test_trial_division_to_the_cap_holds_the_table_and_one_window(monkeypatch):
     # 3^200 + 2 has no prime factor below 10^6 but 2473, so the walk runs
     # to TRIAL_CAP: the 2^17-byte table and a 2^15-byte window, each with
     # its largest crossing-off temporary (a third of its size), at most
-    monkeypatch.setattr(arith, "_sieve", arith._odd_sieve(64))
+    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
     found = {}
     peak = _traced_peak(lambda: found.update(arith._trial_division(3**200 + 2, 10**6)[0]))
     assert found == {2473: 1}
@@ -610,6 +626,38 @@ def test_factorize_takes_integer_roots_of_what_rho_leaves():
     result = factorize(2 * (p * q) ** 2, 0)
     assert result.factored == ((2, 1),)
     assert result.cofactor == (p * q) ** 2
+
+
+def test_the_root_test_tries_only_exponents_the_trial_limit_allows():
+    # what rho searches has no prime up to L = max(min(budget,
+    # TRIAL_CAP), 2), so c = r^k needs k <= bits(c) // (bits(L + 1) - 1);
+    # rho is made to fail so that the root test sees each number
+    p, q = 1000003, 1000033
+    calls = Counter()
+    real = arith._iroot
+
+    def counted(n, k):
+        calls[n.bit_length(), k] += 1
+        return real(n, k)
+
+    def cases(budget):
+        calls.clear()
+        with patch.object(arith, "_iroot", counted), patch.object(
+            arith, "_pollard_rho_brent", lambda c, budget: None
+        ):
+            assert factorize(p**7, budget).factored == ((p, 7),)
+            assert factorize(p**7 * q, budget).cofactor == p**7 * q
+        return sorted(calls)
+
+    # p^7 has 140 bits and p^7 q 160; at L = 50000, 140 // 15 = 9 and
+    # 160 // 15 = 10, so k runs over 2, 3, 5, 7 in both
+    assert cases(50000) == [(140, k) for k in (2, 3, 5, 7)] + [
+        (160, k) for k in (2, 3, 5, 7)
+    ]
+    # budget 0 bounds nothing: L = 2 lets k run to the bit length
+    assert cases(0) == [(140, k) for k in (2, 3, 5, 7)] + [
+        (160, k) for k in primes_up_to(160)
+    ]
 
 
 @given(st.integers(1, 10**60), st.integers(2, 70))

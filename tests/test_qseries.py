@@ -2,11 +2,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evenk.arith import divisor_sum
-from evenk.qseries import _eta24, siegel_coeffs, t_series_pole_order
+from evenk.qseries import _int_mul, _int_power, siegel_coeffs, t_series_pole_order
 from oracles import (
     LaurentSeries,
+    _eta24,
+    _int_inverse_power,
     delta,
     eisenstein,
     series_invert,
@@ -134,6 +138,42 @@ def test_ramanujan_congruence():
         tau = eta[n - 1]
         assert isinstance(tau, int)
         assert (tau - divisor_sum(n, 11)) % 691 == 0
+
+
+# -- powers of integer series by Miller's recurrence -----------------------------
+
+def jacobi_series(prec):
+    """sum_k (-1)^k (2k+1) q^(k(k+1)/2), truncated at q^prec."""
+    coeffs = [0] * prec
+    for k in range(prec):
+        if k * (k + 1) // 2 < prec:
+            coeffs[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+    return coeffs
+
+
+def test_jacobi_power_matches_inverse_of_squared_eta_product():
+    # every h of the fraction-route test, and the highk bench range
+    for h in [*range(4, 401, 2), *range(1030, 1101, 2)]:
+        r = t_series_pole_order(h)
+        n = r + 1
+        assert _int_power(jacobi_series(n), -8 * r, n) == _int_inverse_power(
+            _eta24(n), r, n
+        ), h
+
+
+@given(
+    st.lists(st.integers(-50, 50), max_size=29).map(lambda tail: [1, *tail]),
+    st.integers(-40, 40),
+)
+def test_int_power_matches_repeated_products_and_the_inverse(a, alpha):
+    prec = len(a)
+    if alpha >= 0:
+        expected = [1] + [0] * (prec - 1)
+        for _ in range(alpha):
+            expected = _int_mul(expected, a, prec)
+    else:
+        expected = _int_inverse_power(a, -alpha, prec)
+    assert _int_power(a, alpha, prec) == expected
 
 
 # -- T_h and the Siegel coefficients ----------------------------------------------
