@@ -57,7 +57,6 @@ from .kgroups import (
     w_invariant,
     zeta_abelian,
 )
-from .prank import scan
 from .qseries import DegenerateConstantTerm, siegel_coeffs
 from .siegel import e_sum, fundamental_discriminant
 
@@ -246,6 +245,8 @@ def _esum(args):
 
 
 def _prank_scan(args):
+    from .prank import scan
+
     witnesses = scan(args.p, args.max_d)
     for w in witnesses:
         flags = " ".join("T" if value else "F" for _, value in w.statements)

@@ -6,11 +6,12 @@ determine it (Washington, Introduction to Cyclotomic Fields, ch. 3),
 and nothing else is stored.  Its conductor, primitive part and parity
 are read off them; its exponent at each unit is walked from them where
 the units are summed, in O(rank) memory, so the sums of L-values stay
-in integer arithmetic.  A generalized Bernoulli number B_{n,chi} is
+in integer arithmetic, and characters of prime order p are vectors
+over F_p (basis_indices).  A generalized Bernoulli number B_{n,chi} is
 held as a lift to the group ring Z[x]/(x^order - 1): one integer per
 power of zeta_order, over one denominator.  An orbit's L-product, the
-norm of L(chi, 1-2k) from Q(zeta_order) to Q, is taken in that ring,
-where each Galois conjugate permutes the coordinates.
+norm of L(chi, 1-2k) from Q(zeta_order) to Q, is doubled up in that
+ring, where each Galois conjugate permutes the coordinates.
 
 A field's characters are built one per Galois orbit, from the orbit's
 coordinates (CharacterOrbit.of).  Coordinates are checked in O(rank):
@@ -384,31 +385,22 @@ def primitive_orbits_of_order(f: int, p: int) -> tuple[CharacterOrbit, ...]:
     return tuple(CharacterOrbit.of(f, c, p) for c in _primitive_orbit_coordinates(f, p))
 
 
-def orbit_key(coords, p: int) -> tuple:
-    """The Galois orbit of an order-p character (p prime) from its
-    ((q, g), exponent) coordinates, where repeated generators add (the
-    coordinates of a product): the sorted nonzero coordinates mod p
-    scaled so that the first is 1 (the trivial character gives ())."""
-    total: dict[tuple[int, int], int] = {}
-    for g, x in coords:
-        total[g] = (total.get(g, 0) + x) % p
-    items = sorted((g, x) for g, x in total.items() if x)
-    if not items:
-        return ()
-    scale = pow(items[0][1], -1, p)
-    return tuple((g, x * scale % p) for g, x in items)
-
-
-def primitive_orbit_index(key, p: int) -> tuple[int, int]:
-    """(f, i): the conductor of the even order-p orbit with this
-    orbit_key and its index in primitive_orbits_of_order(f, p), found
-    among _primitive_orbit_coordinates(f, p) without building characters
-    mod f (for p = 2 there is one orbit per conductor)."""
-    f = _conductor_of(key, p)
-    if p == 2:
-        return f, 0
-    keys = [orbit_key(coords, p) for coords in _primitive_orbit_coordinates(f, p)]
-    return f, keys.index(key)
+def basis_indices(vectors, p: int):
+    """Yield, in order, each index whose ((q, g), c) coordinates raise the
+    rank over F_p (p prime) of the vectors before it, by Gaussian
+    elimination.  The labels (q, g) do not depend on the modulus, so
+    order-p characters of any conductors span the group they generate."""
+    basis = []  # (pivot, row): row is zero at the pivots before its own
+    for i, coords in enumerate(vectors):
+        row = dict(coords)
+        for pivot, b in basis:
+            c = row.get(pivot, 0) * pow(b[pivot], -1, p)
+            for g, x in b.items():
+                row[g] = (row.get(g, 0) - c * x) % p
+        row = {g: x % p for g, x in row.items() if x % p}
+        if row:
+            basis.append((min(row), row))
+            yield i
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +469,23 @@ def _conjugate(lift: list[int], i: int) -> list[int]:
     return [lift[j * inverse % n] for j in range(n)]
 
 
+def _galois_norm(lift: list[int]) -> list[int]:
+    """The product of sigma_a(lift) over (Z/n)^*, n = len(lift), taken
+    along each local generator's lift x, of order o, in turn: with P_t
+    the product of sigma_{x^j}(lift) for j < t, P_2t = P_t sigma_{x^t}(P_t)
+    and P_(t+1) = P_t sigma_{x^t}(lift), about 2 log2(o) products each."""
+    n = len(lift)
+    for _, _, o, x in _local_generators(n):
+        total, t = lift, 1
+        for bit in bin(o)[3:]:
+            total = _cyclic_product(total, _conjugate(total, pow(x, t, n)))
+            if bit == "1":
+                total = _cyclic_product(total, _conjugate(lift, pow(x, 2 * t, n)))
+            t = 2 * t + int(bit)
+        lift = total
+    return lift
+
+
 def _fixed_value(t: list[int]) -> int:
     """sum_j t[j] zeta_n^j (n = len(t)) for t fixed by every sigma_i,
     that is, t[j] depends only on gcd(j, n): the primitive m-th roots
@@ -498,7 +507,7 @@ def orbit_l_product(orbit: CharacterOrbit, k: int) -> Fraction:
 
     L(chi^i, 1-2k) is sigma_i(L(chi, 1-2k)) for zeta -> zeta^i, so one
     generalized Bernoulli number per orbit suffices: its lift, in lowest
-    terms, times its conjugates in Z[x]/(x^n - 1).  Every sigma_i fixes
+    terms, times its conjugates (_galois_norm).  Every sigma_i fixes
     that product; NotRational if it is not fixed (an arithmetic bug).
     """
     chi = orbit.representative
@@ -511,12 +520,8 @@ def orbit_l_product(orbit: CharacterOrbit, k: int) -> Fraction:
     lift, den = gen_bernoulli(chi.primitive_part(), 2 * k)
     g = -gcd(2 * k * den, *lift)  # so that den = -2k den / g > 0
     lift = [c // g for c in lift]
-    n = len(lift)
-    total = lift
-    for i in range(2, n):
-        if gcd(i, n) == 1:
-            total = _cyclic_product(total, _conjugate(lift, i))
-    return Fraction(_fixed_value(total), (-2 * k * den // g) ** euler_phi(n))
+    norm = _fixed_value(_galois_norm(lift))
+    return Fraction(norm, (-2 * k * den // g) ** euler_phi(len(lift)))
 
 
 # ---------------------------------------------------------------------------

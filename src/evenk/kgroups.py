@@ -26,11 +26,10 @@ from .arith import bernoulli, is_prime, valuation
 from .cyclodirichlet import (
     CharacterOrbit,
     _primitive_orbit_coordinates,
+    basis_indices,
     euler_phi,
     kronecker_coordinates,
-    orbit_key,
     orbit_l_product,
-    primitive_orbit_index,
 )
 from .siegel import QuadraticDiscriminant, zeta_quadratic
 from .values import Value
@@ -156,17 +155,12 @@ class CyclicPrime(_Field):
         return f"cyclic:{self.p}:{self.f}"
 
 
-def _cyclic_field(p: int, f: int, index: int = 0):
-    """The spec of the index-th real cyclic degree-p field of conductor f."""
-    return RealQuadratic(f) if p == 2 else CyclicPrime(p, f, index)
-
-
 class Elementary(_Field):
     """A totally real field with Galois group (Z/pZ)^n, n >= 2, listed
-    by its (p^n - 1)/(p - 1) degree-p subfields.  Their characters must
-    generate a group of order p^n whose nontrivial Galois orbits are
-    exactly the parts: with the count right, every chi_a * chi_b^e of
-    two parts must lie in a part (checked in local coordinates)."""
+    by its (p^n - 1)/(p - 1) degree-p subfields.  Their characters'
+    coordinates must have rank n over F_p (basis_indices): then the
+    parts are distinct lines of F_p^n, as many as it has, so they are
+    the nontrivial Galois orbits of the group they generate."""
 
     __slots__ = ("p", "parts")
     ORDER_METHODS = ("combiner", "characters")
@@ -183,22 +177,18 @@ class Elementary(_Field):
                 raise ValueError(f"{part.label()} is not a cyclic degree-{p} field")
         if len(set(self.parts)) != len(self.parts):
             raise ValueError("parts must be pairwise distinct")
-        degree = self.degree()
-        if degree < p * p or p ** valuation(degree, p) != degree:
+        n = valuation(self.degree(), p)
+        if n < 2 or p**n != self.degree():
             raise ValueError(
                 f"{len(self.parts)} parts is not (p^n - 1)/(p - 1) for any n >= 2"
             )
-        keys = [orbit_key(coords, p) for _, _, coords in self.orbits()]
-        for i, a in enumerate(keys):
-            for j in range(i + 1, len(keys)):
-                for e in range(1, p):
-                    key = orbit_key(a + tuple((g, e * x) for g, x in keys[j]), p)
-                    if key not in keys:
-                        missing = _cyclic_field(p, *primitive_orbit_index(key, p))
-                        raise ValueError(
-                            f"{self.parts[i].label()} and {self.parts[j].label()} "
-                            f"generate {missing.label()}, which is not a part"
-                        )
+        coords = [c for _, _, c in self.orbits()]
+        labels = [self.parts[i].label() for i in basis_indices(coords, p)]
+        if len(labels) > n:
+            raise ValueError(
+                f"{labels[n]} is not a subfield of the field that "
+                f"{', '.join(labels[:n - 1])} and {labels[n - 1]} generate"
+            )
 
     def orbits(self) -> tuple[tuple[int, int, tuple], ...]:
         return tuple(orbit for part in self.parts for orbit in part.orbits())

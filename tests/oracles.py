@@ -6,7 +6,9 @@ modulo Phi_n, the list-based trial division, the unbounded trial
 division factor_small once was, orbit numbering by
 building and sorting every character, the conductors of cyclic fields
 read off their factorization, a character's coordinates read
-off its values, its values read off
+off its values, Galois orbits keyed by their scaled coordinates and
+closed pair by pair, an orbit's norm taken one conjugate at a time,
+its values read off
 discrete-log tables, its conductor, primitive part and Kronecker
 symbol read off its value at every unit, the weights b_j(h) read off
 precision-tracking Laurent series from the eta product by three
@@ -43,7 +45,11 @@ from evenk.cyclodirichlet import (
     CharacterOrbit,
     DirichletCharacter,
     NotRational,
+    _conductor_of,
+    _conjugate,
+    _cyclic_product,
     _local_generators,
+    _primitive_orbit_coordinates,
     _primitive_root,
     characters_of_order_dividing,
     euler_phi,
@@ -785,6 +791,59 @@ def character_product(a: DirichletCharacter, b: DirichletCharacter) -> Dirichlet
         n,
         {u: e * (n // a.order) + table[u] * (n // b.order) for u, e in a.units()},
     )
+
+
+def orbit_key(coords, p: int) -> tuple:
+    """The Galois orbit of an order-p character (p prime) from its
+    ((q, g), exponent) coordinates, where repeated generators add (the
+    coordinates of a product): the sorted nonzero coordinates mod p
+    scaled so that the first is 1 (the trivial character gives ())."""
+    total: dict[tuple[int, int], int] = {}
+    for g, x in coords:
+        total[g] = (total.get(g, 0) + x) % p
+    items = sorted((g, x) for g, x in total.items() if x)
+    if not items:
+        return ()
+    scale = pow(items[0][1], -1, p)
+    return tuple((g, x * scale % p) for g, x in items)
+
+
+def primitive_orbit_index(key, p: int) -> tuple[int, int]:
+    """(f, i): the conductor of the even order-p orbit with this
+    orbit_key and its index in primitive_orbits_of_order(f, p), found
+    among _primitive_orbit_coordinates(f, p) without building characters
+    mod f (for p = 2 there is one orbit per conductor)."""
+    f = _conductor_of(key, p)
+    if p == 2:
+        return f, 0
+    keys = [orbit_key(coords, p) for coords in _primitive_orbit_coordinates(f, p)]
+    return f, keys.index(key)
+
+
+def closed_under_products(coords, p: int) -> bool:
+    """Whether the orbits of order-p characters with these coordinates
+    are closed under products, pair by pair: every chi_a * chi_b^e of
+    two of them lies in one of them.  This is the check Elementary made
+    before it compared one rank over F_p."""
+    keys = [orbit_key(c, p) for c in coords]
+    return all(
+        orbit_key(a + tuple((g, e * x) for g, x in b), p) in keys
+        for i, a in enumerate(keys)
+        for b in keys[i + 1:]
+        for e in range(1, p)
+    )
+
+
+def galois_norm_by_conjugates(lift: list[int]) -> list[int]:
+    """The product of sigma_i(lift) over the units i mod n = len(lift),
+    one conjugate at a time, as orbit_l_product took it before it
+    doubled along the local generators."""
+    n = len(lift)
+    total = lift
+    for i in range(2, n):
+        if gcd(i, n) == 1:
+            total = _cyclic_product(total, _conjugate(lift, i))
+    return total
 
 
 # -- characters read off their values at every unit ------------------------------

@@ -20,16 +20,16 @@ from evenk.cyclodirichlet import (
     euler_phi,
     gen_bernoulli,
     kronecker_coordinates,
-    orbit_key,
     orbit_l_product,
     parse_character_file,
-    primitive_orbit_index,
     primitive_orbits_of_order,
     quadratic_character,
     _conjugate,
     _cyclic_product,
     _fixed_value,
+    _galois_norm,
     _local_generators,
+    basis_indices,
 )
 from oracles import (
     FractionCyclotomic,
@@ -41,8 +41,11 @@ from oracles import (
     cyclotomic_polynomial,
     dlog_values,
     exponent_table,
+    galois_norm_by_conjugates,
     kronecker_character_by_units,
     local_coordinates,
+    orbit_key,
+    primitive_orbit_index,
     primitive_orbits_by_sorting,
     primitive_part_by_units,
     unit_group_dlogs,
@@ -761,6 +764,35 @@ def test_orbit_l_product_matches_per_conjugate_product():
                 ), (f, chi.order, k)
             checked += 1
     assert checked == 188  # nontrivial primitive even orbits, conductor <= 100
+
+
+def test_the_galois_norm_doubles_to_the_product_of_the_conjugates():
+    # composite orders, with cyclic and non-cyclic (Z/n)^*; the product
+    # one conjugate at a time is the reference
+    import random
+
+    rng = random.Random(0)
+    orders = list(range(2, 41)) + [48, 56, 60, 63, 64, 72, 84, 96, 105, 112, 120]
+    for n in orders:
+        lift = [rng.randint(-3, 3) for _ in range(n)]
+        assert _galois_norm(lift) == galois_norm_by_conjugates(lift), n
+    # and the lifts the L-values give, at orders 8, 12, 16, 24 and 48
+    for n in (8, 12, 16, 24, 48):
+        chi = DirichletCharacter(97, n, [((97, 5), 1)])
+        assert chi.order == n
+        lift, _ = gen_bernoulli(chi, 2)
+        assert _galois_norm(lift) == galois_norm_by_conjugates(lift), n
+
+
+def test_basis_indices_yields_each_index_that_raises_the_rank():
+    a, b = (((2, -1), 1), ((3, 2), 1)), (((2, 5), 1),)
+    ab = (((2, -1), 1), ((2, 5), 1), ((3, 2), 1))
+    assert list(basis_indices([a, b, ab, a], 2)) == [0, 1]
+    assert list(basis_indices([a, ab, (), b, (((5, 2), 1),)], 2)) == [0, 1, 4]
+    # over F_3, 2a + b is in the span of a and b, and a + b + c is not
+    # in that of a and b
+    a, b, c = (((7, 3), 1),), (((3, 2), 1),), (((13, 2), 2),)
+    assert list(basis_indices([a, b, (((7, 3), 2), ((3, 2), 1)), a + b + c], 3)) == [0, 1, 3]
 
 
 def test_orbit_l_product_of_imprimitive_orbits():

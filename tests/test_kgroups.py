@@ -208,8 +208,11 @@ def test_each_spec_states_its_orbits_once():
 
 def test_elementary_parts_must_be_closed_under_products():
     # Q(sqrt5, sqrt2) contains Q(sqrt10) (discriminant 40), not Q(sqrt3)
-    with pytest.raises(ValueError, match="quad:40"):
+    with pytest.raises(ValueError) as info:
         Elementary(2, (RealQuadratic(5), RealQuadratic(8), RealQuadratic(12)))
+    assert str(info.value) == (
+        "quad:12 is not a subfield of the field that quad:5 and quad:8 generate"
+    )
     Elementary(2, (RealQuadratic(5), RealQuadratic(8), RealQuadratic(40)))
     # Q(sqrt3, sqrt7) contains Q(sqrt21), whose discriminant is 21
     Elementary(2, (RealQuadratic(12), RealQuadratic(28), RealQuadratic(21)))
@@ -422,17 +425,31 @@ def test_elementary_closure_for_odd_p(data):
 
 
 def test_elementary_closure_names_the_missing_subfield():
-    with pytest.raises(ValueError, match="generate cyclic:3:63"):
+    # the error names the first part outside the field that the parts
+    # before it generate, and the parts that generate it
+    with pytest.raises(ValueError) as info:
         Elementary(3, tuple(CyclicPrime(3, f) for f in (7, 9, 13, 19)))
+    assert str(info.value) == (
+        "cyclic:3:13 is not a subfield of the field that cyclic:3:7 and cyclic:3:9 generate"
+    )
     # a degree-25 field: chi_11 * chi_31^e runs over the four orbits of
-    # conductor 341, and leaving one out names it
+    # conductor 341, and putting another quintic in place of one of them
+    # is named wherever it stands
     orbits = range(len(primitive_orbits_of_order(341, 5)))
     assert list(orbits) == [0, 1, 2, 3]
     parts = [CyclicPrime(5, 11), CyclicPrime(5, 31)]
     parts += [CyclicPrime(5, 341, i) for i in orbits]
     Elementary(5, tuple(parts))
-    with pytest.raises(ValueError, match="generate cyclic:5:341:3,"):
+    with pytest.raises(ValueError) as info:
         Elementary(5, tuple(parts[:-1] + [CyclicPrime(5, 61)]))
+    assert str(info.value) == (
+        "cyclic:5:61 is not a subfield of the field that cyclic:5:11 and cyclic:5:31 generate"
+    )
+    with pytest.raises(ValueError) as info:
+        Elementary(5, (CyclicPrime(5, 61),) + tuple(parts[1:]))
+    assert str(info.value) == (
+        "cyclic:5:341 is not a subfield of the field that cyclic:5:61 and cyclic:5:31 generate"
+    )
 
 
 def test_combiner_matches_the_characters_route_for_p_5():
@@ -449,6 +466,63 @@ def test_combiner_matches_the_characters_route_for_p_5():
         assert (combined.method, direct.method) == ("combiner", "characters")
         assert combined.order == direct.order
         assert combined.zeta_value == direct.zeta_value
+
+
+def _degree_p_fields(p, bound):
+    """The real cyclic degree-p fields of conductor below bound."""
+    if p == 2:
+        return [RealQuadratic(d) for d in range(5, bound) if is_fundamental_discriminant(d)]
+    return [
+        CyclicPrime(p, f, i)
+        for f in range(3, bound)
+        for i in range(len(primitive_orbits_of_order(f, p)))
+    ]
+
+
+def _closure(p, generators):
+    """Every degree-p subfield of the compositum of the generators: one
+    per line of the span of their coordinates, named through the orbit
+    numbering of its conductor."""
+    from itertools import product
+
+    from oracles import orbit_key, primitive_orbit_index
+
+    coords = [c for field in generators for _, _, c in field.orbits()]
+    keys = set()
+    for scales in product(range(p), repeat=len(coords)):
+        keys.add(orbit_key([(g, s * x) for s, c in zip(scales, coords) for g, x in c], p))
+    keys.discard(())
+    fields = [primitive_orbit_index(key, p) for key in sorted(keys)]
+    return [RealQuadratic(f) if p == 2 else CyclicPrime(p, f, i) for f, i in fields]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_rank_check_accepts_what_the_pairwise_loop_accepts(p):
+    # closures of 2 or 3 random generators, shuffled, and each with one
+    # part put out of place by a field outside it; the pairwise loop
+    # that checked elem: specs before is the reference
+    import random
+
+    from oracles import closed_under_products
+
+    rng = random.Random(p)
+    pool = _degree_p_fields(p, 200)
+    verdicts = []
+    for _ in range(50):
+        parts = _closure(p, rng.sample(pool, rng.choice((2, 3))))
+        rng.shuffle(parts)
+        corrupted = list(parts)
+        corrupted[rng.randrange(len(parts))] = rng.choice([f for f in pool if f not in parts])
+        for fields in (parts, corrupted):
+            closed = closed_under_products([c for f in fields for _, _, c in f.orbits()], p)
+            try:
+                Elementary(p, tuple(fields))
+            except ValueError as exc:
+                assert not closed and "is not a subfield of the field that" in str(exc), fields
+            else:
+                assert closed, fields
+            verdicts.append(closed)
+    assert verdicts.count(True) == verdicts.count(False) == 50
 
 
 def test_elementary_closure_check_builds_no_characters(built_moduli):
@@ -472,8 +546,8 @@ def test_cyclic_orbit_coordinates_are_those_of_the_built_orbit():
     # build-and-sort oracle's representative (cyclic: conductors below
     # 400, 1181, and the largest product of two cubic conductors) or the
     # Kronecker character (quad:, every fundamental d < 2000)
-    from evenk.cyclodirichlet import cyclic_conductor_is_valid, orbit_key, quadratic_character
-    from oracles import local_coordinates, primitive_orbits_by_sorting
+    from evenk.cyclodirichlet import cyclic_conductor_is_valid, quadratic_character
+    from oracles import local_coordinates, orbit_key, primitive_orbits_by_sorting
 
     specs = [CyclicPrime(5, 1181), CyclicPrime(3, 193 * 199, 1)]
     for p in (3, 5, 7):

@@ -120,11 +120,13 @@ def test_kgroup_method_choices_are_the_field_specs_order_methods():
 
 def test_cli_import_leaves_dataclasses_json_and_csv_unloaded():
     # -S keeps the site hook (and whatever it imports) out, -B writes no
-    # bytecode into the checkout
+    # bytecode into the checkout; evenk.prank is imported by prank-scan
+    # alone
     src = TRACING.parent.parent / "src"
     code = (
         "import evenk.cli, sys; "
-        "print([m for m in ('dataclasses', 'inspect', 'json', 'csv') if m in sys.modules])"
+        "print([m for m in ('dataclasses', 'inspect', 'json', 'csv', 'evenk.prank') "
+        "if m in sys.modules])"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-B", "-c", code],

@@ -66,11 +66,17 @@ def test_w_elementary_rejects_bad_counts():
 
 def test_w_elementary_rejects_parts_that_are_no_fields_subfields():
     # the counts are right, but the parts are not closed under products
-    with pytest.raises(ValueError, match="generate quad:65, which is not a part"):
+    with pytest.raises(ValueError) as info:
         w_elementary(2, quads([5, 13, 8]), 1)
+    assert str(info.value) == (
+        "quad:8 is not a subfield of the field that quad:5 and quad:13 generate"
+    )
     parts = [CyclicPrime(3, f) for f in (7, 13, 19, 31)]
-    with pytest.raises(ValueError, match="generate cyclic:3:91, which is not a part"):
+    with pytest.raises(ValueError) as info:
         w_elementary(3, parts, 1)
+    assert str(info.value) == (
+        "cyclic:3:19 is not a subfield of the field that cyclic:3:7 and cyclic:3:13 generate"
+    )
 
 
 def test_multiplicativity_identity_two_elementary():
