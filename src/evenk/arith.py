@@ -396,12 +396,6 @@ class PartialFactorization(Value):
     def complete(self) -> bool:
         return self.cofactor == 1
 
-    def value(self) -> int:
-        n = self.cofactor
-        for p, e in self.factored:
-            n *= p**e
-        return n
-
     def format(self) -> str:
         """Render like '2^11·3^2·7·17', with a trailing '·C' marker for
         an unfactored composite cofactor."""

@@ -11,9 +11,9 @@ numbers over the field's own character orbits for any supported field,
 and through the finite quadratic formula as an independent second
 route.  For p-elementary fields the combiner instead multiplies the
 orders of the cyclic degree-p subfields and divides by a power of
-|K_{4k-2}(Z)|; the direct formula above, over the whole field, checks
-it.  Every assembled order is asserted to be a positive integer before
-it is returned.
+|K_{4k-2}(Z)|, which is the formula above for F = Q; the direct
+formula over the whole field checks it.  Every assembled order is
+asserted to be a positive integer before it is returned.
 """
 
 from __future__ import annotations
@@ -231,13 +231,18 @@ def riemann_zeta_negative(k: int) -> Fraction:
     return -bernoulli(2 * k) / (2 * k)
 
 
+def _zeta_factors(spec: FieldSpec, k: int) -> list[Fraction]:
+    """zeta(1-2k) and one L-product per nontrivial character orbit of
+    the field; zeta_F(1-2k) is their product."""
+    return [riemann_zeta_negative(k)] + [
+        orbit_l_product(orbit, k) for orbit in spec.character_orbits()
+    ]
+
+
 def zeta_abelian(spec: FieldSpec, k: int) -> Fraction:
     """Exact zeta_F(1-2k) via the product of L-values over the
     nontrivial character orbits of the field."""
-    value = riemann_zeta_negative(k)
-    for orbit in spec.character_orbits():
-        value *= orbit_l_product(orbit, k)
-    return value
+    return prod(_zeta_factors(spec, k))
 
 
 def w_invariant(spec: FieldSpec, k: int) -> WInvariant:
@@ -250,21 +255,10 @@ def w_invariant(spec: FieldSpec, k: int) -> WInvariant:
 
 
 def kz(n: int) -> int:
-    """|K_n(Z)| for n = 2 or 6 mod 8.
-
-    n = 2 mod 8: s = 2(n-2)/8 + 1 and the order is |2 B_2s w_2s(Q)/(4s)|;
-    n = 6 mod 8: s = 2(n-6)/8 + 2 and the order is |B_2s w_2s(Q)/(4s)|.
-    """
-    if n % 8 == 2:
-        s = (n - 2) // 4 + 1
-        doubling = 2
-    elif n % 8 == 6:
-        s = (n - 6) // 4 + 2
-        doubling = 1
-    else:
+    """|K_n(Z)| for n = 4k - 2, k >= 1: the order of Q's own K_{4k-2}."""
+    if n % 4 != 2:
         raise ValueError("kz requires n = 2 or 6 (mod 8)")
-    c = doubling * bernoulli(2 * s) * winv.w_rational(s).value / (4 * s)
-    return _as_positive_int(abs(c), f"kz({n})")
+    return k_even_order(Rationals(), (n + 2) // 4).order
 
 
 def _as_positive_int(value: Fraction, context: str) -> int:
@@ -289,7 +283,7 @@ def k_even_order(
     method selects the zeta route among spec.ORDER_METHODS, whose first
     entry is the default: "characters" (any field), "zagier" (real
     quadratic only), "combiner" (elementary fields only), "kz" (the
-    rationals only).
+    rationals only: the characters route, labelled |K_{4k-2}(Z)|).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -301,10 +295,6 @@ def k_even_order(
         )
     if method == "combiner":
         return combine_elementary(spec, k)
-    if method == "kz":
-        return KGroupOrder(
-            spec, 4 * k - 2, kz(4 * k - 2), "kz", riemann_zeta_negative(k)
-        )
     if isinstance(spec, Elementary):
         return elementary_order_via_characters(spec, k)
     if method == "zagier":
@@ -339,8 +329,6 @@ def combine_elementary(spec: Elementary, k: int) -> KGroupOrder:
     exact.  zeta_E(1-2k) comes from the parts' zeta values: each is
     zeta(1-2k) times its one L-product, so zeta_E is their product over
     zeta(1-2k)^(#parts - 1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     parts = [k_even_order(part, k) for part in spec.parts]
     part_orders = [part.order for part in parts]
     zeta = riemann_zeta_negative(k) ** (1 - len(parts)) * prod(
@@ -368,11 +356,8 @@ def elementary_order_via_characters(spec: Elementary, k: int) -> KGroupOrder:
     formula over the whole field, w_2k(E) zeta_E(1-2k) with zeta_E the
     product of zeta(1-2k) and one L-product per character orbit.  It
     shares no w and no |K_{4k-2}(Z)| division with the combiner."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    factors = _zeta_factors(spec, k)
     w = w_invariant(spec, k).value
-    factors = [riemann_zeta_negative(k)]
-    factors += [orbit_l_product(orbit, k) for orbit in spec.character_orbits()]
     # a prime of a product of fractions divides one of their numerators
     pieces = _distinct([abs(x.numerator) for x in factors] + [w])
     return _order_from_zeta(spec, k, "characters", prod(factors), w, pieces)

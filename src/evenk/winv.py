@@ -14,13 +14,18 @@ ch. 3).  One formula then covers every field:
 * for l = 2, F ∩ Q(zeta_{2^∞}) = Q(zeta_{2^c})^+ where 2^(c-2) is the
   number of characters in X of 2-power conductor, and
   v_2(w) = c + v_2(2k).
+
+For Q every X_{l,a} is trivial, so an odd l divides w_2k(Q) only if
+l - 1 divides 2k: w_2k(Q) runs over the primes d + 1 for the divisors d
+of 2k (d = 1 gives 2).  A field's w recomputes it at 2 and at the
+primes of its conductor.
 """
 
 from __future__ import annotations
 
 from math import lcm, prod
 
-from .arith import factor_small, primes_up_to, valuation
+from .arith import divisors, factor_small, is_prime, valuation
 from .values import Value
 
 
@@ -38,9 +43,6 @@ class WInvariant(Value):
     @property
     def value(self) -> int:
         return prod(ell**e for ell, e in self.parts.items())
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def _valuation_of_w(ell: int, orbits: tuple, k: int) -> int:
@@ -66,10 +68,10 @@ def _w_from_valuations(parts: dict[int, int]) -> WInvariant:
 
 
 def w_rational(k: int) -> WInvariant:
-    """w_2k(Q)."""
+    """w_2k(Q), over the primes ell = d + 1 for the divisors d of 2k."""
     if k < 1:
         raise ValueError("w invariants need k >= 1")
-    primes = primes_up_to(2 * k + 1)
+    primes = [d + 1 for d in divisors(2 * k) if is_prime(d + 1)]
     return _w_from_valuations({ell: _valuation_of_w(ell, (), k) for ell in primes})
 
 

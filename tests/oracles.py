@@ -3,7 +3,8 @@
 Each is a plain transcription of a definition, or earlier code that a
 kernel in `evenk` replaced (Fraction arithmetic in Q(zeta_n) reduced
 modulo Phi_n, the list-based trial division, the unbounded trial
-division factor_small once was, orbit numbering by
+division factor_small once was, w_2k(Q) over every prime up to 2k + 1
+and |K_n(Z)| from B_2s and a doubling, orbit numbering by
 building and sorting every character, the conductors of cyclic fields
 read off their factorization, a character's coordinates read
 off its values, Galois orbits keyed by their scaled coordinates and
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 
 from evenk.arith import (
     _ECM_BABY_STEPS,
@@ -57,6 +58,7 @@ from evenk.cyclodirichlet import (
 from evenk.kgroups import _as_positive_int
 from evenk.qseries import DegenerateConstantTerm, _int_mul, t_series_pole_order
 from evenk.siegel import QuadraticDiscriminant, e_sum
+from evenk.winv import _valuation_of_w
 
 
 # -- Bernoulli polynomials ----------------------------------------------------
@@ -136,6 +138,15 @@ def factor_by_trial_division(n: int) -> tuple[tuple[int, int], ...]:
     if m > 1:
         out.append((m, 1))
     return tuple(out)
+
+
+def factorization_value(result) -> int:
+    """The integer a PartialFactorization stands for: its listed prime
+    powers times its cofactor."""
+    n = result.cofactor
+    for p, e in result.factored:
+        n *= p**e
+    return n
 
 
 def prime_power_root(n: int) -> tuple[int, int] | None:
@@ -463,6 +474,36 @@ def w_case_analysis(p: int, conductors, k: int) -> dict[int, int]:
         if exponent:
             parts[ell] = exponent
     return parts
+
+
+# -- w_2k(Q) and |K_n(Z)| by their own arithmetic ------------------------------
+
+def w_rational_by_all_primes(k: int) -> dict[int, int]:
+    """{l: v_l(w_2k(Q))} with v_l from the character formula at every
+    prime l up to 2k + 1, the zero ones dropped."""
+    if k < 1:
+        raise ValueError("w invariants need k >= 1")
+    parts = {ell: _valuation_of_w(ell, (), k) for ell in sieve_primes(2 * k + 1)}
+    return {ell: e for ell, e in parts.items() if e}
+
+
+def kz_by_bernoulli(n: int) -> int:
+    """|K_n(Z)| for n = 2 or 6 mod 8.
+
+    n = 2 mod 8: s = 2(n-2)/8 + 1 and the order is |2 B_2s w_2s(Q)/(4s)|;
+    n = 6 mod 8: s = 2(n-6)/8 + 2 and the order is |B_2s w_2s(Q)/(4s)|.
+    """
+    if n % 8 == 2:
+        s = (n - 2) // 4 + 1
+        doubling = 2
+    elif n % 8 == 6:
+        s = (n - 6) // 4 + 2
+        doubling = 1
+    else:
+        raise ValueError("kz requires n = 2 or 6 (mod 8)")
+    w = prod(ell**e for ell, e in w_rational_by_all_primes(s).items())
+    c = doubling * bernoulli(2 * s) * w / (4 * s)
+    return _as_positive_int(abs(c), f"kz({n})")
 
 
 # -- truncated Laurent series, Eisenstein series, Delta and T_h ----------------

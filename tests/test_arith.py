@@ -30,6 +30,7 @@ from oracles import (
     ecm_curve_projective,
     ecm_stage2_projective,
     factor_by_trial_division,
+    factorization_value,
     montgomery_multiple,
     prime_power_root,
     sieve_primes,
@@ -586,7 +587,7 @@ def test_factorize_examples():
 def test_factorize_multiplies_back():
     rng = random.Random(11)
     for n in list(range(1, 300)) + [rng.randrange(1, 10**12) for _ in range(40)]:
-        assert factorize(n).value() == n
+        assert factorization_value(factorize(n)) == n
 
 
 def test_factorize_finds_large_factors_with_rho():
@@ -602,7 +603,7 @@ def test_factorize_incomplete_is_flagged():
     result = factorize(n, 0)
     assert not result.complete
     assert result.cofactor == p * q
-    assert result.value() == n
+    assert factorization_value(result) == n
     assert result.format().endswith("·C")
 
 
@@ -690,7 +691,7 @@ PIECES_BUDGET = 3000
 
 
 def check_partial_factorization(result, n):
-    assert result.value() == n
+    assert factorization_value(result) == n
     primes = [p for p, _ in result.factored]
     assert primes == sorted(set(primes))
     assert all(is_prime(p) and e >= 1 for p, e in result.factored)

@@ -26,7 +26,7 @@ from evenk.kgroups import (
 from evenk.arith import is_prime
 from evenk.cyclodirichlet import primitive_orbits_of_order
 from evenk.siegel import is_fundamental_discriminant
-from oracles import quadratic_k2_closed_form, quadratic_k6_closed_form
+from oracles import kz_by_bernoulli, quadratic_k2_closed_form, quadratic_k6_closed_form
 
 
 @pytest.fixture
@@ -67,6 +67,11 @@ def test_kz_rejects_other_residues():
     for n in (1, 4, 8, 12, 20):
         with pytest.raises(ValueError):
             kz(n)
+
+
+def test_kz_is_the_bernoulli_doubling_formula():
+    for k in range(1, 61):
+        assert kz(4 * k - 2) == kz_by_bernoulli(4 * k - 2), k
 
 
 # -- zeta values ------------------------------------------------------------------

@@ -66,6 +66,34 @@ def test_a_traced_characters_route_command_records_every_l_value_layer(tmp_path)
     }
 
 
+def test_traced_order_commands_enter_every_assembly_layer(tmp_path):
+    # the combiner, the elementary characters route and --method kz
+    # between them must enter each assembly layer, so that no rerouting
+    # leaves one of them without spans
+    src = TRACING.parent.parent / "src"
+    commands = [
+        ["kgroup", "--field", "elem:2:quad:5,quad:8,quad:40", "--k", "2"],
+        ["kgroup", "--field", "elem:2:quad:5,quad:8,quad:40", "--k", "2", "--method", "characters"],
+        ["kgroup", "--field", "q", "--k", "2", "--method", "kz"],
+    ]
+    names = set()
+    for i, argv in enumerate(commands):
+        spans_path = tmp_path / f"spans{i}.json"
+        subprocess.run(
+            [sys.executable, "-B", str(TRACING), str(spans_path), str(i), *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        names |= {span[0] for span in json.loads(spans_path.read_text(encoding="utf-8"))["spans"]}
+    assert names >= {
+        "kgroups.k_even_order",
+        "kgroups.combine_elementary",
+        "kgroups.elementary_order_via_characters",
+        "winv",
+        "arith.bernoulli",
+    }
+
+
 README = TRACING.parent.parent / "README.md"
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from field_enum import two_elementary_fields
-from oracles import w_case_analysis
+from oracles import w_case_analysis, w_rational_by_all_primes
 from evenk.cyclodirichlet import cyclic_conductor_is_valid
 from evenk.kgroups import CyclicPrime, RealQuadratic
 from evenk.siegel import fundamental_discriminant, is_fundamental_discriminant
@@ -27,6 +27,30 @@ def test_w_rational_examples():
     assert w_rational(2).value == 240
     assert w_rational(6).value == 65520
     assert w_rational(6).parts == {2: 4, 3: 2, 5: 1, 7: 1, 13: 1}
+
+
+def test_w_rational_over_the_divisors_of_2k_is_the_all_primes_formula():
+    for k in range(1, 3001):
+        assert list(w_rational(k).parts.items()) == list(w_rational_by_all_primes(k).items()), k
+
+
+def test_w_rational_at_a_power_of_two_runs_over_the_fermat_primes():
+    # 2k = 2^61: d + 1 is prime for d = 1 and for d = 2^(2^j), j <= 4
+    assert w_rational(2**60).parts == {2: 63, 3: 1, 5: 1, 17: 1, 257: 1, 65537: 1}
+
+
+def test_w_rational_at_a_large_k_walks_no_prime_table():
+    # the primes up to 2k + 1 = 2·10^7 + 1 would take tens of MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        w = w_rational(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.parts[2] == 10 and w.parts[160001] == 1
+    assert peak < 2**20, peak
 
 
 def test_w_quadratic_examples():
