@@ -2,10 +2,10 @@
 
 Everything here is pure big-integer / big-rational arithmetic: divisor
 power sums, the full Kronecker symbol, l-adic valuations, Bernoulli
-numbers (from integer tangent numbers), a prime sieve (one shared table,
-grown lazily to 2^18, then windows of 2^15 odd numbers), and
-factorization.  `fractions.Fraction` is the rational scalar used
-throughout the package.
+numbers (from integer tangent numbers), a prime walk that keeps no
+table (windows of odd numbers sieved one at a time, doubling from 2^8
+to 2^15), and factorization.  `fractions.Fraction` is the rational
+scalar used throughout the package.
 
 factor_small factors completely, by trial division to TRIAL_CAP and a
 proof that what is left is prime, or refuses the number.  factorize is
@@ -75,10 +75,18 @@ _ECM_BABY_STEPS = tuple(j for j in range(1, _ECM_D // 2, 2) if gcd(j, _ECM_D) ==
 _ECM_CHUNK = 64
 
 
+# The walk sieves windows of odd numbers (Bays and Hudson, BIT 17,
+# 1977), one at a time and each let go before the next: the first of
+# _FIRST_WINDOW, each next one twice as long up to _WINDOW, so a walk
+# that stops early pays for about what it reached.
+_FIRST_WINDOW = 2**8
+_WINDOW = 2**15
+
+
 def _odd_window(lo: int, top: int) -> bytearray:
     """w[i] == 1 iff lo + 2i is prime, for odd 1 <= lo <= top: the odd
     numbers from lo to top crossed off by the odd primes up to
-    sqrt(top), which the walk itself gives, and 1 marked not prime."""
+    sqrt(top), which a walk of their own gives, and 1 marked not prime."""
     n = (top - lo) // 2 + 1
     w = bytearray([1]) * n
     if lo == 1:
@@ -93,67 +101,21 @@ def _odd_window(lo: int, top: int) -> bytearray:
     return w
 
 
-# The one prime table of the package, shared by every walk.  It starts
-# as the seed, one byte for the odd number 1, and is grown by
-# replacement, never in place, so a walk in progress keeps its view;
-# while a larger one is sieved, the table reads as the seed and grows
-# again to the square root of the new size.  Concurrent walks may sieve
-# the same table twice, never read a wrong one.
-_SEED = bytearray(1)
-_sieve = _SEED
-# The table stops growing at _TABLE_CAP bytes, the odd numbers below
-# 2^18, which cover ECM_B2; past them a walk sieves windows of _WINDOW
-# odd numbers (Bays and Hudson, BIT 17, 1977), one at a time.
-_TABLE_CAP = 2**17
-_WINDOW = 2**15
-
-
-def _odd_table(hi: int) -> bytearray:
-    """The shared table, first doubled as often as it takes to cover the
-    odd numbers up to hi, or to reach _TABLE_CAP bytes: the window of
-    the odd numbers from 1, sieved once the old table is let go, by base
-    primes from a table of square-root size, so two full tables never
-    count to the peak memory together."""
-    global _sieve
-    s = _sieve
-    if 2 * len(s) - 1 < hi and len(s) < _TABLE_CAP:
-        n = 2 * len(s)
-        while 2 * n - 1 < hi and n < _TABLE_CAP:
-            n *= 2
-        s = _sieve = _SEED
-        s = _sieve = _odd_window(1, 2 * n - 1)
-    return s
-
-
 def _primes(hi: int) -> Iterator[int]:
-    """The primes <= hi in increasing order, sieved lazily: the cached
-    table doubles only when the walk passes its end, up to _TABLE_CAP
-    bytes, and past that the walk sieves one window at a time, so a
-    caller that stops early never pays for the primes it did not reach,
-    and one past the cap holds one window beside the table."""
+    """The primes <= hi in increasing order, sieved lazily one window at
+    a time, so a caller that stops early never pays for much more than
+    the primes it reached, and a walk holds one window at most."""
     if hi >= 2:
         yield 2
-    lo = 3
+    lo, size = 3, _FIRST_WINDOW
     while lo <= hi:
-        s = _odd_table(lo)
-        if lo < 2 * len(s):
-            top = min(hi, 2 * len(s) - 1)
-            s = memoryview(s)[lo // 2 : (top + 1) // 2]
-        else:
-            top = min(hi, lo + 2 * _WINDOW - 2)
-            s = _odd_window(lo, top)
-        yield from compress(range(lo, top + 1, 2), s)
-        # let go of the table or window before the next is sieved, so
-        # the two never count to the peak memory together
-        del s
-        lo = top + 2
-
-
-def primes_up_to(x: int) -> list[int]:
-    """All primes <= x in increasing order."""
-    if x < 1:
-        raise ValueError("primes_up_to requires x >= 1")
-    return list(_primes(x))
+        top = min(hi, lo + 2 * size - 2)
+        w = _odd_window(lo, top)
+        yield from compress(range(lo, top + 1, 2), w)
+        # let go of the window before the next is sieved, so the two
+        # never count to the peak memory together
+        del w
+        lo, size = top + 2, min(2 * size, _WINDOW)
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -527,12 +489,12 @@ def _ecm_stage2_plan() -> bytes:
     giant step from mDQ to (m + 1)DQ, starting at m = 2, and j > 0 pairs
     mDQ with the baby step jQ, for a prime p = mD +- j in (ECM_B1,
     ECM_B2]; a pair that covers two primes comes once, and the pairs of
-    one giant step come in increasing j.  About 15k bytes, read off the
-    shared sieve in columns: mD + j and mD - j for m = 0, 1, ... lie D/2
-    entries apart in it."""
+    one giant step come in increasing j.  About 15k bytes, read off one
+    window of the odd numbers up to ECM_B2 in columns: mD + j and mD - j
+    for m = 0, 1, ... lie D/2 entries apart in it."""
     half = _ECM_D // 2
     top = (ECM_B2 + half) // _ECM_D  # the last giant step m
-    table = _odd_table(ECM_B2)
+    window = _odd_window(1, ECM_B2)
     lo, hi = (ECM_B1 + 1) // 2, (ECM_B2 + 1) // 2  # the entries of (B1, B2]
 
     def column(c: int) -> int:
@@ -541,7 +503,7 @@ def _ecm_stage2_plan() -> bytes:
         that two columns OR together."""
         first = max(0, -((c - lo) // half))
         last = (hi - 1 - c) // half
-        flags = table[first * half + c : last * half + c + 1 : half]
+        flags = window[first * half + c : last * half + c + 1 : half]
         return int.from_bytes(bytes(first) + flags + bytes(top - last), "big")
 
     # one row per m: its baby steps, then 255 where the giant step goes

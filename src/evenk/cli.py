@@ -107,8 +107,14 @@ def _spec(text: str) -> FieldSpec:
     if parts[0] == "cyclic" and len(parts) in (3, 4):
         return CyclicPrime(*map(_natural, parts[1:]))
     if parts[0] == "elem" and len(parts) >= 3:
-        members = text.split(":", 2)[2].split(",")
-        return Elementary(_natural(parts[1]), tuple(map(_spec, members)))
+        p = _natural(parts[1])
+        members = []
+        for member in text.split(":", 2)[2].split(","):
+            if member.startswith("elem:"):
+                # the commas split its own parts off as this field's
+                raise ValueError(f"{member} is not a cyclic degree-{p} field")
+            members.append(_spec(member))
+        return Elementary(p, tuple(members))
     raise ValueError
 
 

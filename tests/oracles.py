@@ -39,7 +39,6 @@ from evenk.arith import (
     divisors,
     is_prime,
     kronecker,
-    primes_up_to,
     valuation,
 )
 from evenk.cyclodirichlet import (
@@ -462,7 +461,7 @@ def w_case_analysis(p: int, conductors, k: int) -> dict[int, int]:
     zeta_p_squared = p if p * p in conductors else None
     two_k = 2 * k
     parts = {2: 2 + valuation(two_k, 2) + (1 if sqrt2 else 0)}
-    candidates = set(primes_up_to(two_k + 1)) | zeta_prime | {zeta_p_squared}
+    candidates = set(sieve_primes(two_k + 1)) | zeta_prime | {zeta_p_squared}
     for ell in sorted(candidates - {2, None}):
         exponent = 0
         if two_k % (ell - 1) == 0 or (

@@ -3,7 +3,6 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import compress
 from math import comb, gcd, isqrt, prod
 from tracemalloc import get_traced_memory
 from tracemalloc import start as start_tracing
@@ -22,7 +21,6 @@ from evenk.arith import (
     factorize,
     is_prime,
     kronecker,
-    primes_up_to,
     valuation,
 )
 from oracles import (
@@ -119,7 +117,7 @@ def test_kronecker_examples():
 
 
 def test_kronecker_matches_legendre():
-    for p in primes_up_to(100):
+    for p in sieve_primes(100):
         if p == 2:
             continue
         for a in range(-30, 60):
@@ -240,7 +238,7 @@ def test_bernoulli_odd_vanishing():
 def test_von_staudt_clausen():
     for n in range(2, 601, 2):
         expected = 1
-        for p in primes_up_to(n + 1):
+        for p in sieve_primes(n + 1):
             if n % (p - 1) == 0:
                 expected *= p
         assert bernoulli(n).denominator == expected
@@ -272,83 +270,85 @@ def test_bernoulli_poly_bounds():
 
 # -- primes ------------------------------------------------------------------
 
-def test_primes_up_to(monkeypatch):
-    assert primes_up_to(1) == []
-    assert primes_up_to(10) == [2, 3, 5, 7]
-    assert primes_up_to(30)[-1] == 29
-    assert len(primes_up_to(1000)) == 168
-    # a fresh 64-byte table covers the odd numbers up to 127 and doubles
-    # each time a walk passes its end: 255, 511, 1023, ...
-    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
-    edges = [b + d for b in (127, 255, 511, 1023) for d in (-1, 0, 1)]
-    for x in [1, 2, 3, 4, *edges]:
+def test_primes_up_to():
+    assert list(arith._primes(1)) == []
+    assert list(arith._primes(2)) == [2]
+    assert list(arith._primes(3)) == [2, 3]
+    assert list(arith._primes(4)) == [2, 3]
+    assert list(arith._primes(10)) == [2, 3, 5, 7]
+    assert list(arith._primes(30))[-1] == 29
+    assert len(list(arith._primes(1000))) == 168
+    for x in range(601):
         naive = [n for n in range(2, x + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
-        assert primes_up_to(x) == naive
-    for x in (10**4, 10**6):
-        assert primes_up_to(x) == list(sieve_primes(x))
-
-
-def test_the_table_grows_from_the_one_byte_seed(monkeypatch):
-    # each doubling takes its base primes from a walk that grows the
-    # table again from the seed; every length stays a power of two, and
-    # the table marks exactly the odd primes, 1 not among them
-    assert arith._SEED == bytearray(1)
-    xs = [*range(601), *(2**j + d for j in range(10, 19) for d in (-1, 1))]
-    for x in xs:
-        monkeypatch.setattr(arith, "_sieve", arith._SEED)
+        assert list(arith._primes(x)) == naive, x
+    # each side of the powers of two up to 2^18
+    for x in (2**j + d for j in range(10, 19) for d in (-1, 1)):
         assert tuple(arith._primes(x)) == sieve_primes(x), x
-        table = arith._sieve
-        n = len(table)
-        assert n & (n - 1) == 0, x
-        assert tuple(compress(range(1, 2 * n, 2), table)) == sieve_primes(2 * n)[1:], x
 
 
-def test_the_table_doubles_up_to_its_cap_and_no_further(monkeypatch):
-    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
-    cap = arith._TABLE_CAP
-    assert all(arith._primes(2 * cap - 1))
-    assert len(arith._sieve) == cap
+def _record_windows(monkeypatch):
+    """The (lo, top) of each window that the walks to come sieve
+    themselves, in order; the windows of their base primes' own walks
+    are left out."""
+    windows, depth = [], [0]
+    sieve = arith._odd_window
+
+    def recorded(lo, top):
+        if depth[0] == 0:
+            windows.append((lo, top))
+        depth[0] += 1
+        try:
+            return sieve(lo, top)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(arith, "_odd_window", recorded)
+    return windows
+
+
+def test_the_windows_double_up_to_their_cap_and_no_further(monkeypatch):
+    windows = _record_windows(monkeypatch)
     assert all(arith._primes(10**6))
-    assert len(arith._sieve) == cap
-    # the table covers ECM_B2, so stage 2's plan reads it alone
-    assert 2 * cap - 1 >= arith.ECM_B2
+    sizes = [(top - lo) // 2 + 1 for lo, top in windows]
+    assert sizes[:8] == [2**j for j in range(8, 16)]
+    assert set(sizes[8:-1]) == {2**15} and 0 < sizes[-1] <= 2**15
+    # one after the other, they cover the odd numbers from 3 to 10^6
+    assert windows[0][0] == 3 and windows[-1][1] == 10**6
+    assert all(lo == top + 2 for (_, top), (lo, _) in zip(windows, windows[1:]))
 
 
-def test_the_walk_agrees_at_every_window_edge():
-    # windows of _WINDOW odd numbers start at 2 _TABLE_CAP + 1
+def test_the_walk_agrees_at_every_window_edge(monkeypatch):
     last = 2 * 10**6 + 2
-    oracle = sieve_primes(last)
-    step = 2 * arith._WINDOW
-    edges = [2 * arith._TABLE_CAP + d for d in (-3, -2, -1, 0, 1, 2, 3)]
-    edges += [
-        lo + d
-        for lo in range(2 * arith._TABLE_CAP + 1, last - 1, step)
-        for d in (-2, -1, 0, 1, 2)
-    ]
-    for x in edges:
+    windows = _record_windows(monkeypatch)
+    assert all(arith._primes(last))
+    monkeypatch.undo()
+    oracle = sieve_primes(last + 2)
+    for x in [top + d for _, top in windows for d in (-2, -1, 0, 1, 2)]:
         assert tuple(arith._primes(x)) == oracle[: bisect_right(oracle, x)], x
 
 
 def test_windows_read_their_base_primes_from_windows(monkeypatch):
-    # at the real sizes every base prime below 2^18 comes from the table;
-    # with a 64-byte table and windows of 16 odd numbers, the windows
-    # past 128^2 take theirs from windows
-    monkeypatch.setattr(arith, "_TABLE_CAP", 64)
+    # with windows of 4 odd numbers doubling to 16, the base primes up
+    # to 316 come from walks over windows as small
+    monkeypatch.setattr(arith, "_FIRST_WINDOW", 4)
     monkeypatch.setattr(arith, "_WINDOW", 16)
-    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
+    windows = _record_windows(monkeypatch)
     assert list(arith._primes(10**5)) == list(sieve_primes(10**5))
-    assert len(arith._sieve) == 64
+    assert max((top - lo) // 2 + 1 for lo, top in windows) == 16
 
 
 def test_trial_division_sieves_only_as_far_as_the_number_needs(monkeypatch):
-    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
-    # the default budget allows 10^6, but the walk stops at 11^2 > 97
+    windows = _record_windows(monkeypatch)
+    # the default budget allows 10^6, but the walk for 2 stops at 2^2 > 2
+    # before any window, and the next at 11^2 > 97, in the first window
     assert factorize(2).factored == ((2, 1),)
+    assert windows == []
     assert factorize(2**40 * 3**5 * 97).factored == ((2, 40), (3, 5), (97, 1))
-    assert len(arith._sieve) == 64
-    # here it stops at 10009^2 > 10009, so the table doubles just past it
+    assert windows == [(3, 3 + 2 * arith._FIRST_WINDOW - 2)]
+    # here it stops at 10009^2 > 10009, in the window that holds 10009
+    windows.clear()
     assert factorize(10007 * 10009).factored == ((10007, 1), (10009, 1))
-    assert 10009 <= 2 * len(arith._sieve) - 1 < 2 * 10009
+    assert windows[-1][0] <= 10009 <= windows[-1][1] < 2 * 10009
 
 
 def _traced_peak(work):
@@ -360,27 +360,23 @@ def _traced_peak(work):
         stop_tracing()
 
 
-def test_a_walk_that_grows_the_table_never_holds_two_tables(monkeypatch):
-    # the last doubling sieves _TABLE_CAP bytes; the half-size table
-    # before it must be gone by then, or the peak is cap / 2 above that
-    # of the sieve alone
-    cap = arith._TABLE_CAP
-    sieve_alone = _traced_peak(lambda: arith._odd_window(1, 2 * cap - 1))
-    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
-    peak = _traced_peak(lambda: all(arith._primes(2 * cap - 1)))
-    assert len(arith._sieve) == cap
-    assert peak < sieve_alone + cap // 4
+def test_a_walk_never_holds_two_windows():
+    # each window of _WINDOW bytes must be gone before the next is
+    # sieved, or the peak is a window above that of one window alone
+    lo = 2 * 10**5 + 1
+    window_alone = _traced_peak(lambda: arith._odd_window(lo, lo + 2 * arith._WINDOW - 2))
+    peak = _traced_peak(lambda: all(arith._primes(arith.TRIAL_CAP)))
+    assert peak < window_alone + arith._WINDOW // 4
 
 
-def test_trial_division_to_the_cap_holds_the_table_and_one_window(monkeypatch):
+def test_trial_division_to_the_cap_holds_one_window():
     # 3^200 + 2 has no prime factor below 10^6 but 2473, so the walk runs
-    # to TRIAL_CAP: the 2^17-byte table and a 2^15-byte window, each with
-    # its largest crossing-off temporary (a third of its size), at most
-    monkeypatch.setattr(arith, "_sieve", arith._odd_window(1, 127))
+    # to TRIAL_CAP: one 2^15-byte window and its largest crossing-off
+    # temporary (a third of its size), at most
     found = {}
     peak = _traced_peak(lambda: found.update(arith._trial_division(3**200 + 2, 10**6)[0]))
     assert found == {2473: 1}
-    assert peak < 2**17 + 2**16
+    assert peak < 2**15 + 2**14
 
 
 def test_trial_limit_zero_still_divides_by_two():
@@ -457,7 +453,7 @@ def test_factorize_matches_list_based_trial_division(n, trial_limit):
 
 
 def test_is_prime():
-    known = set(primes_up_to(500))
+    known = set(sieve_primes(500))
     for n in range(500):
         assert is_prime(n) == (n in known)
     assert not is_prime(561)  # Carmichael
@@ -657,7 +653,7 @@ def test_the_root_test_tries_only_exponents_the_trial_limit_allows():
     ]
     # budget 0 bounds nothing: L = 2 lets k run to the bit length
     assert cases(0) == [(140, k) for k in (2, 3, 5, 7)] + [
-        (160, k) for k in primes_up_to(160)
+        (160, k) for k in sieve_primes(160)
     ]
 
 
@@ -683,7 +679,7 @@ def _next_prime(x):
 # rho splits off quickly, and primes rho cannot separate from each other
 # in its budget
 _PRIME_POOLS = (
-    primes_up_to(97),
+    sieve_primes(97),
     [_next_prime(x) for x in range(10**4, 2 * 10**5, 9973)],
     [_next_prime(10**15 + 37 * 10**12 * i) for i in range(8)],
 )
@@ -838,7 +834,7 @@ def test_factorize_searches_a_repeated_composite_once():
 def montgomery_points(draw):
     """(p, a, b, (x, y)): a point with x, y != 0 on b y^2 = x^3 + a x^2 + x
     over F_p, a^2 != 4; b is whatever puts (x, y) on the curve."""
-    p = draw(st.sampled_from(primes_up_to(600)[2:]))
+    p = draw(st.sampled_from(sieve_primes(600)[2:]))
     a = draw(st.integers(0, p - 1).filter(lambda a: (a * a - 4) % p))
     x = draw(st.integers(1, p - 1).filter(lambda x: (x * x + a * x + 1) % p))
     y = draw(st.integers(1, p - 1))
@@ -961,7 +957,7 @@ def test_the_ecm_plan_covers_every_stage_2_prime_once():
     assert sorted(covered) == [p for p in sieve_primes(arith.ECM_B2) if p > arith.ECM_B1]
 
 
-_STAGE_2_PRIMES = primes_up_to(2 * 10**5)
+_STAGE_2_PRIMES = sieve_primes(2 * 10**5)
 
 
 @st.composite

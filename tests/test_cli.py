@@ -95,6 +95,8 @@ def test_elementary_spec_that_is_not_a_field_is_usage_error(capsys):
         ),
         ("cyclic:3:63:5", "orbit index 5"),
         ("cyclic:3:7:1", "orbit index 1"),
+        # an elem: part is refused as a part, not parsed as a field
+        ("elem:2:elem:2:quad:5,quad:8,quad:40", "elem:2:quad:5 is not a cyclic degree-2 field\n"),
     ],
 )
 def test_specs_that_name_no_field_are_usage_errors(capsys, command, field, message):
@@ -197,6 +199,10 @@ def test_conductors_and_divisor_sums_are_factored_to_the_trial_cap_only(capsys):
     # e_1(4m) starts with sigma_1(m), m = 1000003 * 1000033
     code, out, err = invoke(capsys, "esum", "--m", str(4 * 1000003 * 1000033), "--j", "1")
     assert (code, out) == (1, "") and err.startswith("error: cannot factor 1000036000099: ")
+    # w_2k(Q) factors 2k: here a prime cofactor above 3.3·10^24 is left
+    code, out, err = invoke(capsys, "w", "--field", "q", "--k", "10000000000000000000000013")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot factor 20000000000000000000000026: ")
 
 
 def test_a_primitive_root_searches_q_minus_1_past_the_trial_cap(capsys):

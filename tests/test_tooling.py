@@ -8,7 +8,8 @@ The `kgroup --method` choices are spelled out in the CLI's command
 table; they must stay the routes the field specs accept.  The README's
 character-file example must stay a file that `char-check` accepts, its
 count of green tests the suite's size, and the factorization caps it
-and the `--factor-budget` help state the constants of `evenk.arith`.  Only `evenk.values.Value`
+and the `--factor-budget` help state the constants of `evenk.arith`,
+which keeps no prime table as a module global.  Only `evenk.values.Value`
 defines equality, hashing and repr.  Every command
 is a fresh process, so importing the CLI must not load modules it only
 sometimes needs."""
@@ -225,10 +226,9 @@ def test_readme_factorization_caps_are_the_arith_constants(capsys):
     price = arith.ECM_CURVE_PRICE
     default = arith.FACTOR_BUDGET
     assert stated(r"up to `min\(N, ([^)]+)\)`, so a small order costs no sieve") == arith.TRIAL_CAP
-    # the table cap, in bytes and in the numbers it covers, and the window
-    assert 2 ** int(re.search(r"up to at most `2\^(\d+)` bytes", text)[1]) == arith._TABLE_CAP
-    assert 2 ** int(re.search(r"the odd numbers below `2\^(\d+)`", text)[1]) == 2 * arith._TABLE_CAP
-    assert 2 ** int(re.search(r"windows of `2\^(\d+)` odd numbers", text)[1]) == arith._WINDOW
+    # the prime walk's first window and the size its windows double to
+    assert 2 ** int(re.search(r"a first window of `2\^(\d+)` odd numbers", text)[1]) == arith._FIRST_WINDOW
+    assert 2 ** int(re.search(r"up to windows of `2\^(\d+)` odd numbers", text)[1]) == arith._WINDOW
     threshold = arith.RHO_CAP + price
     assert stated(r"all `N` iterations when `N < (\d+)`, and `([^`]+)` otherwise") == threshold
     assert stated(r"`N < \d+`, and `([^`]+)` otherwise") == arith.RHO_CAP
@@ -247,6 +247,18 @@ def test_readme_factorization_caps_are_the_arith_constants(capsys):
     help_text = _factor_budget_help(capsys)
     assert stated(r"iterations up to (\S+),", help_text) == arith.RHO_CAP
     assert stated(r"curve \(from (\d+) on\)", help_text) == threshold
+
+
+def test_arith_keeps_no_process_wide_prime_table():
+    # a walk to the trial cap and the stage-2 plan sieve the most; no
+    # window of either may outlive them as a module global
+    from evenk import arith
+
+    arith._trial_division(3**200 + 2, 10**6)
+    arith._ecm_stage2_plan()
+    tables = [name for name, value in vars(arith).items()
+              if isinstance(value, (bytearray, memoryview))]
+    assert tables == []
 
 
 def test_the_factor_budget_help_and_default_are_read_off_the_arith_constants(
