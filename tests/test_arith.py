@@ -278,10 +278,17 @@ def test_primes_up_to():
     assert list(arith._primes(10)) == [2, 3, 5, 7]
     assert list(arith._primes(30))[-1] == 29
     assert len(list(arith._primes(1000))) == 168
+    for x in (10**4, 10**6):
+        assert tuple(arith._primes(x)) == sieve_primes(x), x
+
+
+def test_the_walk_from_the_first_window_marks_exactly_the_primes():
+    # every walk starts again at the first window of 2^8 odd numbers;
+    # below 601 it is checked against trial division, then on each side
+    # of the powers of two up to 2^18, as the windows double
     for x in range(601):
         naive = [n for n in range(2, x + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
         assert list(arith._primes(x)) == naive, x
-    # each side of the powers of two up to 2^18
     for x in (2**j + d for j in range(10, 19) for d in (-1, 1)):
         assert tuple(arith._primes(x)) == sieve_primes(x), x
 
