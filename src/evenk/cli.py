@@ -301,7 +301,7 @@ _FIELD_K = {"--field": dict(required=True, type=parse_field_spec), "--k": _K}
 COMMANDS = {
     "kgroup": Command(
         "order of K_{4k-2}(O_F)",
-        {**_FIELD_K, "--method": dict(choices=("characters", "zagier", "combiner", "kz"))},
+        {**_FIELD_K, "--method": dict(choices=("characters", "zagier", "combiner"))},
         _kgroup, table=True,
     ),
     "kodd": Command("order of K_{4k-1}(O_F)", _FIELD_K, _kodd, table=True),

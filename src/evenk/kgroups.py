@@ -9,11 +9,14 @@ For a totally real abelian field of degree r,
 with zeta_F(1-2k) evaluated exactly: through generalized Bernoulli
 numbers over the field's own character orbits for any supported field,
 and through the finite quadratic formula as an independent second
-route.  For p-elementary fields the combiner instead multiplies the
-orders of the cyclic degree-p subfields and divides by a power of
-|K_{4k-2}(Z)|, which is the formula above for F = Q; the direct
-formula over the whole field checks it.  Every assembled order is
-asserted to be a positive integer before it is returned.
+route.  Each route hands its order w_2k(F) and the numerators of
+zeta(1-2k) and of its cofactors as pieces, so that a factorization
+splits those rather than the whole order.  For p-elementary fields the
+combiner instead multiplies the orders of the cyclic degree-p subfields
+and divides by a power of |K_{4k-2}(Z)|, which is the formula above for
+F = Q; the direct formula over the whole field checks it.  Every
+assembled order is asserted to be a positive integer before it is
+returned.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class _Field(Value):
     __slots__ = ()
 
     # zeta routes k_even_order accepts, default first
-    ORDER_METHODS: tuple[str, ...]
+    ORDER_METHODS = ("characters",)
 
     def orbits(self) -> tuple[tuple[int, int, tuple], ...]:
         return ()
@@ -91,7 +94,6 @@ class _Field(Value):
 
 class Rationals(_Field):
     __slots__ = ()
-    ORDER_METHODS = ("characters", "kz")
 
     def label(self) -> str:
         return "q"
@@ -124,7 +126,6 @@ class CyclicPrime(_Field):
 
     __slots__ = ("p", "f", "orbit")
     _defaults = {"orbit": 0}
-    ORDER_METHODS = ("characters",)
 
     p: int
     f: int
@@ -282,8 +283,9 @@ def k_even_order(
 
     method selects the zeta route among spec.ORDER_METHODS, whose first
     entry is the default: "characters" (any field), "zagier" (real
-    quadratic only), "combiner" (elementary fields only), "kz" (the
-    rationals only: the characters route, labelled |K_{4k-2}(Z)|).
+    quadratic only), "combiner" (elementary fields only).  The others
+    hand _order_from_zeta zeta(1-2k) and its cofactors in zeta_F(1-2k):
+    one L-product per character orbit, or the zagier value's quotient.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -298,27 +300,26 @@ def k_even_order(
     if isinstance(spec, Elementary):
         return elementary_order_via_characters(spec, k)
     if method == "zagier":
-        zeta = zeta_quadratic(spec.d, k)
-    else:
-        zeta = zeta_abelian(spec, k)
-    return _order_from_zeta(spec, k, method, zeta, w_invariant(spec, k).value)
+        zeta = riemann_zeta_negative(k)
+        return _order_from_zeta(spec, k, method, [zeta, zeta_quadratic(spec.d, k) / zeta])
+    return _order_from_zeta(spec, k, method, _zeta_factors(spec, k))
 
 
 def _order_from_zeta(
-    spec: FieldSpec,
-    k: int,
-    method: str,
-    zeta: Fraction,
-    w: int,
-    pieces: tuple[int, ...] = (),
+    spec: FieldSpec, k: int, method: str, factors: list[Fraction]
 ) -> KGroupOrder:
     """|K_{4k-2}(O_F)| = (-1)^r w zeta_F(1-2k) for odd k, and
-    w zeta_F(1-2k) / 2^r for even k, asserted a positive integer."""
+    w zeta_F(1-2k) / 2^r for even k, asserted a positive integer, with
+    zeta_F(1-2k) the product of factors; a prime of the order divides w
+    or a factor's numerator, so those are its pieces."""
+    w = w_invariant(spec, k).value
+    zeta = prod(factors)
     r = spec.degree()
     multiplier = Fraction((-1) ** r * w) if k % 2 else Fraction(w, 2**r)
     order = _as_positive_int(
         multiplier * zeta, f"|K_{4 * k - 2}| of {spec.label()} via {method}"
     )
+    pieces = _distinct([abs(x.numerator) for x in factors] + [w])
     return KGroupOrder(spec, 4 * k - 2, order, method, zeta, pieces=pieces)
 
 
@@ -356,11 +357,7 @@ def elementary_order_via_characters(spec: Elementary, k: int) -> KGroupOrder:
     formula over the whole field, w_2k(E) zeta_E(1-2k) with zeta_E the
     product of zeta(1-2k) and one L-product per character orbit.  It
     shares no w and no |K_{4k-2}(Z)| division with the combiner."""
-    factors = _zeta_factors(spec, k)
-    w = w_invariant(spec, k).value
-    # a prime of a product of fractions divides one of their numerators
-    pieces = _distinct([abs(x.numerator) for x in factors] + [w])
-    return _order_from_zeta(spec, k, "characters", prod(factors), w, pieces)
+    return _order_from_zeta(spec, k, "characters", _zeta_factors(spec, k))
 
 
 def _distinct(pieces: list[int]) -> tuple[int, ...]:

@@ -134,6 +134,34 @@ def test_default_budget_rows_that_ecm_splits_are_pinned_byte_for_byte(capsys, fi
     assert (code, err, out) == (0, "", expected)
 
 
+def test_a_large_k_quadratic_row_is_complete_and_pinned(capsys):
+    # the prime 26315271553053477373 of B_36's numerator is a piece of
+    # its own, not a factor of a cofactor left to rho and ECM
+    code, out, err = invoke(capsys, "kgroup", "--field", "quad:5", "--k", "18")
+    assert (code, err) == (0, "")
+    assert out == (
+        "field   k   index  order                                                     factorization                                                   method      zeta\n"
+        "quad:5  18  70     32613724432434114882079789497713006473885167100345949413  557·1601·531342581699·2615600385513088367·26315271553053477373  characters  32613724432434114882079789497713006473885167100345949413/34545420\n"
+    )
+
+
+@pytest.mark.parametrize("budget", [(), ("--factor-budget", "10000")], ids=["default", "10000"])
+@pytest.mark.parametrize("field", ["quad:5", "quad:8", "quad:13", "quad:29"])
+def test_both_quadratic_routes_print_the_same_row(capsys, field, budget):
+    for k in ("12", "18"):
+        rows = []
+        for method in ("characters", "zagier"):
+            code, out, err = invoke(
+                capsys, "kgroup", "--field", field, "--k", k, "--method", method,
+                "--format", "json", *budget,
+            )
+            assert (code, err) == (0, "")
+            row = json.loads(out)
+            assert row.pop("method") == method
+            rows.append(row)
+        assert rows[0] == rows[1], (field, k)
+
+
 def test_kgroup_rationals(capsys):
     code, out, _ = invoke(capsys, "kgroup", "--field", "q", "--k", "6")
     assert code == 0
@@ -412,7 +440,6 @@ def test_impossible_budget_and_jobs_are_usage_errors(capsys):
 def test_inapplicable_method_is_usage_error(capsys):
     for field, method in (
         ("quad:5", "combiner"),
-        ("quad:5", "kz"),
         ("cyclic:3:7", "zagier"),
         ("elem:2:quad:5,quad:8,quad:40", "zagier"),
     ):
@@ -421,8 +448,11 @@ def test_inapplicable_method_is_usage_error(capsys):
         )
         assert code == 1 and out == "", (field, method)
         assert err.startswith("error:") and method in err
-    code, out, _ = invoke(capsys, "kgroup", "--field", "q", "--k", "1", "--method", "kz")
-    assert code == 0 and "kz" in out
+    # kz names no route, so argparse refuses it on every field
+    for field in ("q", "quad:5"):
+        code, out, err = invoke(capsys, "kgroup", "--field", field, "--k", "1", "--method", "kz")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --method: invalid choice: 'kz'")
 
 
 def test_computation_error_exit_code(capsys, tmp_path):

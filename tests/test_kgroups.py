@@ -131,15 +131,17 @@ def test_k_even_examples():
 
 def test_k_even_equals_kz():
     for k in range(1, 11):
-        assert k_even_order(Rationals(), k).order == kz(4 * k - 2)
-        assert k_even_order(Rationals(), k, method="kz").order == kz(4 * k - 2)
+        result = k_even_order(Rationals(), k)
+        assert (result.order, result.method) == (kz(4 * k - 2), "characters")
 
 
 def test_k_even_method_validation():
     with pytest.raises(UnsupportedField):
         k_even_order(Rationals(), 1, method="zagier")
-    with pytest.raises(UnsupportedField):
-        k_even_order(RealQuadratic(5), 1, method="kz")
+    # kz names no route
+    for spec in (Rationals(), RealQuadratic(5)):
+        with pytest.raises(UnsupportedField):
+            k_even_order(spec, 1, method="kz")
     with pytest.raises(UnsupportedField):
         k_even_order(RealQuadratic(5), 1, method="nonsense")
 
@@ -248,9 +250,13 @@ def test_elementary_orders_carry_their_pieces():
             assert factorize(result.order, budget, result.pieces) == whole
     part_orders = {k_even_order(part, 3).order for part in spec.parts}
     assert set(combine_elementary(spec, 3).pieces) == part_orders | {kz(10)}
-    # routes over a single L-norm factor the order whole
-    assert k_even_order(RealQuadratic(5), 3).pieces == ()
-    assert k_even_order(CyclicPrime(3, 7), 3).pieces == ()
+    # an order over a single L-norm carries the numerators of zeta(-5)
+    # and of that L-product, and w
+    zeta = riemann_zeta_negative(3)
+    for part in (RealQuadratic(5), CyclicPrime(3, 7)):
+        result = k_even_order(part, 3)
+        numerators = [abs(x.numerator) for x in (zeta, result.zeta_value / zeta)]
+        assert set(result.pieces) == {*numerators, w_invariant(part, 3).value} - {1}
 
 
 def test_combine_elementary_multiquad_k1():

@@ -25,6 +25,8 @@ from pathlib import Path
 
 import pytest
 
+from pinned_outputs import readme_character_file, readme_cli_examples
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -68,14 +70,14 @@ def test_a_traced_characters_route_command_records_every_l_value_layer(tmp_path)
 
 
 def test_traced_order_commands_enter_every_assembly_layer(tmp_path):
-    # the combiner, the elementary characters route and --method kz
+    # the combiner, the elementary characters route and Q's order
     # between them must enter each assembly layer, so that no rerouting
     # leaves one of them without spans
     src = TRACING.parent.parent / "src"
     commands = [
         ["kgroup", "--field", "elem:2:quad:5,quad:8,quad:40", "--k", "2"],
         ["kgroup", "--field", "elem:2:quad:5,quad:8,quad:40", "--k", "2", "--method", "characters"],
-        ["kgroup", "--field", "q", "--k", "2", "--method", "kz"],
+        ["kgroup", "--field", "q", "--k", "2"],
     ]
     names = set()
     for i, argv in enumerate(commands):
@@ -98,17 +100,10 @@ def test_traced_order_commands_enter_every_assembly_layer(tmp_path):
 README = TRACING.parent.parent / "README.md"
 
 
-def _readme_cli_examples() -> list[list[str]]:
-    """The `evenk ...` lines of the first code block under "## CLI"."""
-    text = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
-    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line.split("#")[0].split() for line in block.splitlines() if line.startswith("evenk ")]
-
-
 def test_readme_cli_examples_parse_and_cover_every_command():
     from evenk import cli
 
-    examples = _readme_cli_examples()
+    examples = readme_cli_examples()
     parser = cli._build_parser()
     for argv in examples:
         parser.parse_args(argv[1:])  # raises UsageError on drift
@@ -128,9 +123,8 @@ def test_readme_character_file_example_is_accepted(tmp_path, capsys):
     from evenk import cli
     from evenk.cyclodirichlet import parse_character_file
 
-    text = README.read_text(encoding="utf-8").split("\n## Character files\n", 1)[1]
     path = tmp_path / "chi.json"
-    path.write_text(text.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    path.write_text(readme_character_file(), encoding="utf-8")
     (chi,) = parse_character_file(path)
     assert cli.run(["char-check", "--file", str(path)]) == 0
     assert capsys.readouterr().out.startswith(f"ok modulus={chi.modulus} ")
