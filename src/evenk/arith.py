@@ -35,6 +35,7 @@ above): one shared inversion and 4 multiplications a point.
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
@@ -320,6 +321,8 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("bernoulli requires n >= 0")
+    if n >= sys.maxsize // 8:
+        raise ValueError(f"B_{n} needs a table of {n + 1} entries, more than a list can hold")
     top = len(_bernoulli_cache) - 1
     if n > top:
         top = max(n, 2 * top)

@@ -9,22 +9,19 @@ divisibility witness scans (`prank-scan`), and character-file checks
 `--format {text,json,csv}` and `--factor-budget`; the others take
 `--format {text,json}`.
 
-Field specs use a small grammar: `q`, `quad:D`, `cyclic:p:f` (or
-`cyclic:p:f:orbit` when one conductor carries several fields), and
-`elem:p:part,part,...` where each part is itself a `quad:` or
-`cyclic:` spec.
-
-Every integer, in a spec or as an option's value, is written
-canonically: 0, or a nonzero digit followed by digits, with no sign,
-space or underscore.
+`--field` takes a field spec (`q`, `quad:D`, `cyclic:p:f[:orbit]`,
+`elem:p:part,...`), read by kgroups.parse_spec.  Every integer, in a
+spec or as an option's value, is written canonically (parse_natural):
+0, or a nonzero digit followed by digits, with no sign, space or underscore.
 
 Exit codes: 0 success, 1 usage error (including a field spec that names
 no field, an integer option that is not canonical, a negative
 --factor-budget among them, a --method that does not apply to the
-field, which k_even_order rejects with UnsupportedField, and a
-conductor or divisor-sum argument that factor_small refuses),
-2 computation/data error (NonIntegralOrder, InexactDivision,
-NotRational, bad character files and kin), 3 witness inconsistency.
+field, which k_even_order rejects with UnsupportedField, a conductor
+or divisor-sum argument that factor_small refuses, and a --k or --h
+whose Bernoulli or weight table no list can hold), 2 computation/data
+error (NonIntegralOrder, InexactDivision, NotRational, bad character
+files and kin), 3 witness inconsistency.
 """
 
 from __future__ import annotations
@@ -50,10 +47,11 @@ from .kgroups import (
     InexactDivision,
     KGroupOrder,
     NonIntegralOrder,
-    Rationals,
     RealQuadratic,
     k_even_order,
     k_odd_order,
+    parse_natural,
+    parse_spec,
     w_invariant,
     zeta_abelian,
 )
@@ -88,42 +86,13 @@ and the zeta value as a fraction string; the fields are the columns."""
 
 
 def parse_field_spec(text: str) -> FieldSpec:
-    """Parse the field mini-language into a FieldSpec; every error names
-    the whole spec."""
+    """kgroups.parse_spec at the command line: every error is a
+    UsageError that names the whole spec."""
     try:
-        return _spec(text)
+        return parse_spec(text)
     except ValueError as exc:
         detail = f": {exc}" if str(exc) else ""
         raise UsageError(f"bad field spec {text!r}{detail}") from exc
-
-
-def _spec(text: str) -> FieldSpec:
-    """text as a FieldSpec; a bare ValueError when it has no spec's shape."""
-    parts = text.split(":")
-    if parts == ["q"]:
-        return Rationals()
-    if parts[0] == "quad" and len(parts) == 2:
-        return RealQuadratic(_natural(parts[1]))
-    if parts[0] == "cyclic" and len(parts) in (3, 4):
-        return CyclicPrime(*map(_natural, parts[1:]))
-    if parts[0] == "elem" and len(parts) >= 3:
-        p = _natural(parts[1])
-        members = []
-        for member in text.split(":", 2)[2].split(","):
-            if member.startswith("elem:"):
-                # the commas split its own parts off as this field's
-                raise ValueError(f"{member} is not a cyclic degree-{p} field")
-            members.append(_spec(member))
-        return Elementary(p, tuple(members))
-    raise ValueError
-
-
-def _natural(token: str) -> int:
-    """A spec's integer, written canonically: 0, or a nonzero digit
-    followed by digits, with no sign and no spaces."""
-    if not (token.isascii() and token.isdigit()) or (token[0] == "0" and token != "0"):
-        raise ValueError(f"{token!r} is not a canonical integer")
-    return int(token)
 
 
 def _record_from_order(result: KGroupOrder, budget: int) -> OutputRecord:
@@ -140,16 +109,9 @@ def _record_from_order(result: KGroupOrder, budget: int) -> OutputRecord:
     )
 
 
-def _field_sort_key(field: str):
-    return tuple(
-        int(tok) if tok.lstrip("-").isdigit() else tok
-        for tok in field.replace(",", ":").split(":")
-    )
-
-
 def emit_table(records: list[OutputRecord], fmt: str) -> str:
-    """Render records deterministically (sorted by field then k)."""
-    records = sorted(records, key=lambda r: (_field_sort_key(r.field), r.k))
+    """Render records in the order given, as --format's json, csv or
+    text; each table command yields its rows in print order."""
     columns = OutputRecord._fields
     if fmt == "json":
         import json
@@ -163,22 +125,20 @@ def emit_table(records: list[OutputRecord], fmt: str) -> str:
         writer.writerow(columns)
         writer.writerows(records)
         return buf.getvalue()
-    if fmt == "text":
-        rows = [columns] + [[str(v) for v in r] for r in records]
-        widths = [max(len(row[i]) for row in rows) for i in range(len(columns))]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            for row in rows
-        ]
-        return "\n".join(lines) + "\n"
-    raise UsageError(f"unknown format {fmt!r}")
+    rows = [columns] + [[str(v) for v in r] for r in records]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(columns))]
+    lines = [
+        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _canonical_int(text: str) -> int:
     """An integer option's value, held to the rule of a spec's integers
-    (_natural); argparse names the option in the error."""
+    (parse_natural); argparse names the option in the error."""
     try:
-        return _natural(text)
+        return parse_natural(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -542,7 +542,7 @@ def parse_character_file(path) -> list[DirichletCharacter]:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CharacterFileError(f"cannot read character file: {exc}") from exc
     if not isinstance(data, dict):
         raise CharacterFileError("top-level JSON object expected")

@@ -202,6 +202,39 @@ class Elementary(_Field):
 FieldSpec = Rationals | RealQuadratic | CyclicPrime | Elementary
 
 
+def parse_spec(text: str) -> FieldSpec:
+    """The spec that text names, the inverse of label(): `q`, `quad:D`,
+    `cyclic:p:f[:orbit]` (orbit 0, the default, reads as `cyclic:p:f`) or
+    `elem:p:part,...` with `quad:` or `cyclic:` parts, integers canonical
+    (parse_natural).  A ValueError says what is wrong, bare when text
+    has no spec's shape."""
+    parts = text.split(":")
+    if parts == ["q"]:
+        return Rationals()
+    if parts[0] == "quad" and len(parts) == 2:
+        return RealQuadratic(parse_natural(parts[1]))
+    if parts[0] == "cyclic" and len(parts) in (3, 4):
+        return CyclicPrime(*map(parse_natural, parts[1:]))
+    if parts[0] == "elem" and len(parts) >= 3:
+        p = parse_natural(parts[1])
+        members = []
+        for member in text.split(":", 2)[2].split(","):
+            if member.startswith("elem:"):
+                # the commas split its own parts off as this field's
+                raise ValueError(f"{member} is not a cyclic degree-{p} field")
+            members.append(parse_spec(member))
+        return Elementary(p, tuple(members))
+    raise ValueError
+
+
+def parse_natural(token: str) -> int:
+    """An integer written canonically: 0, or a nonzero digit followed
+    by digits, with no sign and no spaces."""
+    if not (token.isascii() and token.isdigit()) or (token[0] == "0" and token != "0"):
+        raise ValueError(f"{token!r} is not a canonical integer")
+    return int(token)
+
+
 class KGroupOrder(Value):
     """A computed |K_index(O_F)| with method provenance.  pieces are
     positive integers whose primes cover those of the order (the

@@ -14,6 +14,7 @@ number is the Eisenstein scale -2k/B_k.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .arith import bernoulli, divisor_sum
@@ -67,6 +68,8 @@ def siegel_coeffs(h: int) -> list[Fraction]:
     r = t_series_pole_order(h)
     k = 12 * r - h + 2
     n = r + 1
+    if n > sys.maxsize // 8:
+        raise ValueError(f"b_j({h}) needs a series of {n} coefficients, more than a list can hold")
     jacobi = [0] * n
     i = 0
     while (t := i * (i + 1) // 2) < n:

@@ -1,4 +1,5 @@
 import random
+import sys
 from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
@@ -228,6 +229,15 @@ def test_bernoulli_examples():
     assert bernoulli(7) == 0
     assert bernoulli(12) == Fraction(-691, 2730)
     assert bernoulli(1) == Fraction(-1, 2)
+
+
+def test_bernoulli_refuses_an_index_beyond_any_list():
+    # only indices past the limit: they fail before anything is allocated
+    memo = list(arith._bernoulli_cache)
+    for n in (sys.maxsize // 8, 10**20):
+        with pytest.raises(ValueError, match=rf"^B_{n} needs a table of {n + 1} entries"):
+            bernoulli(n)
+    assert arith._bernoulli_cache == memo
 
 
 def test_bernoulli_odd_vanishing():

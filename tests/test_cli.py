@@ -373,13 +373,11 @@ def sample_records():
     ]
 
 
-def test_emit_table_sorted_and_deterministic():
-    text1 = emit_table(sample_records(), "text")
-    text2 = emit_table(list(reversed(sample_records())), "text")
-    assert text1 == text2
-    lines = text1.splitlines()
-    assert lines[0].startswith("field")
-    assert lines[1].startswith("quad:5")
+def test_emit_table_prints_records_in_the_order_given():
+    for records in (sample_records(), list(reversed(sample_records()))):
+        lines = emit_table(records, "text").splitlines()
+        assert lines[0].startswith("field")
+        assert [line.split()[0] for line in lines[1:]] == [r.field for r in records]
 
 
 def test_emit_table_csv_header_only_for_empty():
@@ -391,9 +389,16 @@ def test_emit_table_csv_header_only_for_empty():
 def test_emit_table_json_round_trip():
     out = emit_table(sample_records(), "json")
     parsed = [OutputRecord(**json.loads(line)) for line in out.splitlines()]
-    assert parsed == sorted(
-        sample_records(), key=lambda r: (r.field, r.k)
+    assert parsed == sample_records()
+
+
+def test_cubic_table_prints_its_conductors_in_increasing_order(capsys):
+    code, out, err = invoke(
+        capsys, "cubic-table", "--max-f", "100", "--k", "1", "--format", "json"
     )
+    assert (code, err) == (0, "")
+    conductors = [int(json.loads(line)["field"].split(":")[2]) for line in out.splitlines()]
+    assert conductors == [7, 9, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97]
 
 
 def test_cofactor_marker_present(capsys):
@@ -455,6 +460,29 @@ def test_inapplicable_method_is_usage_error(capsys):
         assert err.startswith("error: argument --method: invalid choice: 'kz'")
 
 
+# a k of 10^20 - 1 asks for B_(2k), an h of 2^70 for 9.8·10^19 weights: no
+# list that long can be allocated, so both are refused before any work
+HUGE_K = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("kgroup", "--field", "quad:5", "--k", HUGE_K), "B_199999999999999999998 needs a table"),
+        (("kgroup", "--field", "quad:5", "--k", HUGE_K, "--method", "zagier"),
+         "B_199999999999999999998 needs a table"),
+        (("zeta", "--field", "q", "--k", HUGE_K), "B_199999999999999999998 needs a table"),
+        (("cubic-table", "--max-f", "499", "--k", HUGE_K), "B_199999999999999999998 needs a table"),
+        (("siegel-coeffs", "--h", str(2**70)), f"b_j({2**70}) needs a series"),
+    ],
+    ids=["kgroup", "kgroup-zagier", "zeta", "cubic-table", "siegel-coeffs"],
+)
+def test_an_index_beyond_any_list_is_a_usage_error(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_computation_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}", encoding="utf-8")
@@ -481,6 +509,17 @@ def test_char_check_matches_the_kronecker_character_of_either_sign(capsys, tmp_p
     assert payload["conductor"] == abs(d)
     assert payload["even"] == (d > 0)
     assert payload["matches_kronecker"] is True
+
+
+def test_a_character_file_that_is_not_utf8_is_a_computation_error(capsys, tmp_path):
+    path = tmp_path / "chi.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = invoke(capsys, "char-check", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "computation error: cannot read character file: 'utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte\n"
+    )
 
 
 def test_char_check_good_file(capsys, tmp_path):

@@ -19,6 +19,7 @@ from evenk.kgroups import (
     k_even_order,
     k_odd_order,
     kz,
+    parse_spec,
     riemann_zeta_negative,
     w_invariant,
     zeta_abelian,
@@ -466,10 +467,8 @@ def test_elementary_closure_names_the_missing_subfield():
 def test_combiner_matches_the_characters_route_for_p_5():
     # the degree-25 field of conductor 341: the combiner's product of six
     # quintic orders over |K_{4k-2}(Z)|^5 equals w_2k(E) zeta_E(1-2k)
-    from evenk.cli import parse_field_spec
-
     quintics = ["cyclic:5:11", "cyclic:5:31"] + [f"cyclic:5:341:{i}" for i in range(4)]
-    spec = parse_field_spec("elem:5:" + ",".join(quintics))
+    spec = parse_spec("elem:5:" + ",".join(quintics))
     assert spec.degree() == 25 and spec.conductor() == 341
     for k in (1, 2):
         combined = k_even_order(spec, k)
@@ -671,3 +670,48 @@ def test_integrality_sweep_small():
     for f in (7, 9, 13, 19):
         for k in (1, 2):
             assert k_even_order(CyclicPrime(3, f), k).order >= 1
+
+
+# -- spec text ----------------------------------------------------------------------
+
+
+def specs_the_tests_build():
+    """The 2-elementary fields of field_enum, the acceptance tables'
+    multiquadratic and degree-9 fields, the conductor-63 cubics and the
+    degree-25 field of conductor 341."""
+    from field_enum import two_elementary_fields
+    from test_acceptance import degree9_spec, load, multiquad_spec
+
+    discs = two_elementary_fields(120, 2) + two_elementary_fields(120, 3)
+    specs = [Elementary(2, tuple(RealQuadratic(d) for d in ds)) for ds in discs]
+    specs += [multiquad_spec(int(m)) for m in load("multiquad_orders.json")]
+    specs += [degree9_spec(e["parts"]) for e in load("degree9_orders.json") if e["parts"]]
+    specs += [CyclicPrime(3, 63, i) for i in range(2)]
+    quintics = [CyclicPrime(5, 11), CyclicPrime(5, 31)] + [CyclicPrime(5, 341, i) for i in range(4)]
+    return specs + [Elementary(5, tuple(quintics))]
+
+
+def readme_specs():
+    """The --field values of the README's CLI block."""
+    from pinned_outputs import readme_cli_examples
+
+    return [argv[argv.index("--field") + 1] for argv in readme_cli_examples() if "--field" in argv]
+
+
+def test_parse_spec_reads_back_every_label():
+    specs = specs_the_tests_build()
+    specs += [part for spec in specs for part in getattr(spec, "parts", ())]
+    specs += [parse_spec(text) for text in readme_specs()]
+    assert len(specs) > 100
+    for spec in specs + [Rationals()]:
+        assert parse_spec(spec.label()) == spec, spec.label()
+
+
+def test_parse_spec_labels_canonical_text_as_written():
+    texts = readme_specs() + [spec.label() for spec in specs_the_tests_build()]
+    assert {"q", "quad:5", "cyclic:3:7", "elem:2:quad:8,quad:12,quad:24"} <= set(texts)
+    assert {"cyclic:3:63:1", "elem:3:cyclic:3:7,cyclic:3:9,cyclic:3:63,cyclic:3:63:1"} <= set(texts)
+    for text in texts:
+        assert parse_spec(text).label() == text
+    # an orbit index 0 is the default, which the label leaves out
+    assert parse_spec("cyclic:3:63:0").label() == "cyclic:3:63"

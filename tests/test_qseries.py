@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -207,6 +208,15 @@ def test_siegel_coeffs_examples():
     assert siegel_coeffs(4) == [Fraction(1, 240)]
     assert len(siegel_coeffs(8)) == 1
     assert len(siegel_coeffs(40)) == 4
+
+
+def test_siegel_coeffs_refuses_a_series_beyond_any_list():
+    # h = 2^70 has r + 1 = 98382635059784275287 coefficients, past the
+    # limit, so it fails before anything is allocated
+    h = 2**70
+    assert t_series_pole_order(h) + 1 > sys.maxsize // 8
+    with pytest.raises(ValueError, match=rf"^b_j\({h}\) needs a series of 98382635059784275287"):
+        siegel_coeffs(h)
 
 
 def test_siegel_coeffs_lengths():
