@@ -226,24 +226,24 @@ def _prank_scan(args):
 
 
 def _char_check(args):
-    for chi in parse_character_file(args.file):
-        matches_kronecker = False
-        conductor = chi.conductor()
-        if chi.order <= 2 and conductor > 1:
-            # the Kronecker symbol of an odd character has a negative
-            # discriminant
-            matches_kronecker = chi.primitive_part() == quadratic_character(
-                conductor if chi.is_even() else -conductor
-            )
-        payload = {
-            "modulus": chi.modulus,
-            "order": chi.order,
-            "conductor": conductor,
-            "even": chi.is_even(),
-            "primitive": chi.is_primitive(),
-            "matches_kronecker": matches_kronecker,
-        }
-        yield payload, "ok " + " ".join(f"{key}={value}" for key, value in payload.items())
+    chi = parse_character_file(args.file)
+    matches_kronecker = False
+    conductor = chi.conductor()
+    if chi.order <= 2 and conductor > 1:
+        # the Kronecker symbol of an odd character has a negative
+        # discriminant
+        matches_kronecker = chi.primitive_part() == quadratic_character(
+            conductor if chi.is_even() else -conductor
+        )
+    payload = {
+        "modulus": chi.modulus,
+        "order": chi.order,
+        "conductor": conductor,
+        "even": chi.is_even(),
+        "primitive": chi.is_primitive(),
+        "matches_kronecker": matches_kronecker,
+    }
+    yield payload, "ok " + " ".join(f"{key}={value}" for key, value in payload.items())
 
 
 Command = namedtuple("Command", ("help", "arguments", "handler", "table"), defaults=(False,))

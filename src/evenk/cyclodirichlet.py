@@ -529,8 +529,8 @@ def orbit_l_product(orbit: CharacterOrbit, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def parse_character_file(path) -> list[DirichletCharacter]:
-    """Read characters from a UTF-8 JSON file.
+def parse_character_file(path) -> DirichletCharacter:
+    """Read the one character of a UTF-8 JSON file.
 
     One object per file: {"modulus": m, "order": n, "values":
     [[a, e], ...]} where the pairs list every residue coprime to m in
@@ -569,6 +569,6 @@ def parse_character_file(path) -> list[DirichletCharacter]:
     if list(seen) != sorted(seen):
         raise CharacterFileError("residues must be listed in increasing order")
     try:
-        return [DirichletCharacter.from_values(m, n, seen)]
+        return DirichletCharacter.from_values(m, n, seen)
     except ValueError as exc:
         raise CharacterFileError(str(exc)) from exc

@@ -5,6 +5,10 @@ For each fundamental discriminant D the listed statements are provably
 equivalent (all true or all false together); evaluating them exactly
 and checking they agree is therefore a sharp end-to-end test of the
 power-sum machinery.  chi(2) below is the Kronecker symbol (D|2).
+
+The statements are data: STATEMENTS[p] holds one row (text, modulus,
+terms) per statement, the text verbatim, and a term (a, b, j, s) stands
+for (a chi(2) + b) e_j(sD).  One evaluator reads every row.
 """
 
 from __future__ import annotations
@@ -40,70 +44,49 @@ class DivisibilityWitness(Value):
         return f"D={self.d}: {body} [{sums}]"
 
 
-def rank3_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
-    """The eight 3-divisibility statements for discriminant D."""
+STATEMENTS = {
+    3: (
+        ("3 | e_1(D)", 3, ((0, 1, 1, 1),)),
+        ("3 | e_3(D)", 3, ((0, 1, 3, 1),)),
+        ("9 | e_5(4D) + (5 chi(2) + 6) e_5(D)", 9, ((0, 1, 5, 4), (5, 6, 5, 1))),
+        ("27 | e_7(4D) + 19 chi(2) e_7(D)", 27, ((0, 1, 7, 4), (19, 0, 7, 1))),
+        ("9 | e_9(4D) + (8 chi(2) + 3) e_9(D)", 9, ((0, 1, 9, 4), (8, 3, 9, 1))),
+        ("3 | e_11(9D)", 3, ((0, 1, 11, 9),)),
+        ("3 | e_13(9D)", 3, ((0, 1, 13, 9),)),
+        ("3 | e_15(9D)", 3, ((0, 1, 15, 9),)),
+    ),
+    5: (
+        ("25 | e_1(D)", 25, ((0, 1, 1, 1),)),
+        ("25 | e_5(4D) + (7 chi(2) - 1) e_5(D)", 25, ((0, 1, 5, 4), (7, -1, 5, 1))),
+        ("25 | e_9(4D) + (8 chi(2) + 3) e_9(D)", 25, ((0, 1, 9, 4), (8, 3, 9, 1))),
+        ("5 | e_13(9D)", 5, ((0, 1, 13, 9),)),
+    ),
+}
+
+
+def _witness(p: int, disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
+    """STATEMENTS[p] evaluated at D, each e_j(sD) once, in increasing (j, s)."""
     d = int(as_discriminant(disc))
     chi2 = kronecker(d, 2)
-    sums = {
-        "e_1(D)": e_sum(d, 1),
-        "e_3(D)": e_sum(d, 3),
-        "e_5(D)": e_sum(d, 5),
-        "e_5(4D)": e_sum(4 * d, 5),
-        "e_7(D)": e_sum(d, 7),
-        "e_7(4D)": e_sum(4 * d, 7),
-        "e_9(D)": e_sum(d, 9),
-        "e_9(4D)": e_sum(4 * d, 9),
-        "e_11(9D)": e_sum(9 * d, 11),
-        "e_13(9D)": e_sum(9 * d, 13),
-        "e_15(9D)": e_sum(9 * d, 15),
-    }
-    statements = [
-        ("3 | e_1(D)", sums["e_1(D)"] % 3 == 0),
-        ("3 | e_3(D)", sums["e_3(D)"] % 3 == 0),
-        (
-            "9 | e_5(4D) + (5 chi(2) + 6) e_5(D)",
-            (sums["e_5(4D)"] + (5 * chi2 + 6) * sums["e_5(D)"]) % 9 == 0,
-        ),
-        (
-            "27 | e_7(4D) + 19 chi(2) e_7(D)",
-            (sums["e_7(4D)"] + 19 * chi2 * sums["e_7(D)"]) % 27 == 0,
-        ),
-        (
-            "9 | e_9(4D) + (8 chi(2) + 3) e_9(D)",
-            (sums["e_9(4D)"] + (8 * chi2 + 3) * sums["e_9(D)"]) % 9 == 0,
-        ),
-        ("3 | e_11(9D)", sums["e_11(9D)"] % 3 == 0),
-        ("3 | e_13(9D)", sums["e_13(9D)"] % 3 == 0),
-        ("3 | e_15(9D)", sums["e_15(9D)"] % 3 == 0),
-    ]
-    return DivisibilityWitness(d, tuple(statements), tuple(sums.items()))
+    rows = STATEMENTS[p]
+    keys = sorted({(j, s) for _, _, terms in rows for _, _, j, s in terms})
+    sums = {(j, s): e_sum(s * d, j) for j, s in keys}
+    statements = tuple(
+        (text, sum((a * chi2 + b) * sums[j, s] for a, b, j, s in terms) % modulus == 0)
+        for text, modulus, terms in rows
+    )
+    names = tuple((f"e_{j}({s if s > 1 else ''}D)", value) for (j, s), value in sums.items())
+    return DivisibilityWitness(d, statements, names)
+
+
+def rank3_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
+    """The eight 3-divisibility statements for discriminant D."""
+    return _witness(3, disc)
 
 
 def rank5_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
     """The four 5-divisibility statements for discriminant D."""
-    d = int(as_discriminant(disc))
-    chi2 = kronecker(d, 2)
-    sums = {
-        "e_1(D)": e_sum(d, 1),
-        "e_5(D)": e_sum(d, 5),
-        "e_5(4D)": e_sum(4 * d, 5),
-        "e_9(D)": e_sum(d, 9),
-        "e_9(4D)": e_sum(4 * d, 9),
-        "e_13(9D)": e_sum(9 * d, 13),
-    }
-    statements = [
-        ("25 | e_1(D)", sums["e_1(D)"] % 25 == 0),
-        (
-            "25 | e_5(4D) + (7 chi(2) - 1) e_5(D)",
-            (sums["e_5(4D)"] + (7 * chi2 - 1) * sums["e_5(D)"]) % 25 == 0,
-        ),
-        (
-            "25 | e_9(4D) + (8 chi(2) + 3) e_9(D)",
-            (sums["e_9(4D)"] + (8 * chi2 + 3) * sums["e_9(D)"]) % 25 == 0,
-        ),
-        ("5 | e_13(9D)", sums["e_13(9D)"] % 5 == 0),
-    ]
-    return DivisibilityWitness(d, tuple(statements), tuple(sums.items()))
+    return _witness(5, disc)
 
 
 def fundamental_discriminants_up_to(bound: int) -> list[int]:
@@ -113,10 +96,7 @@ def fundamental_discriminants_up_to(bound: int) -> list[int]:
 
 def scan(p: int, max_d: int) -> list[DivisibilityWitness]:
     """Witnesses for every fundamental discriminant up to max_d."""
-    if p == 3:
-        witness = rank3_witness
-    elif p == 5:
-        witness = rank5_witness
-    else:
+    if p not in STATEMENTS:
         raise ValueError("witness scans are defined for p = 3 and p = 5")
+    witness = rank3_witness if p == 3 else rank5_witness
     return [witness(d) for d in fundamental_discriminants_up_to(max_d)]

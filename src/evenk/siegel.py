@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .arith import divisor_sum, divisors, factor_small, kronecker
+from .arith import divisor_sum, factor_small, kronecker
 from .qseries import siegel_coeffs
 from .values import Value
 
@@ -87,32 +87,29 @@ def e_sum(m: int, j: int) -> int:
     return total + 2 * side
 
 
-def chi_weighted_sum(disc: QuadraticDiscriminant | int, l: int, k: int) -> int:
-    """sum over m | l of (D|m) * m^(2k-1) * e_{2k-1}((l/m)^2 * D)."""
-    d = int(as_discriminant(disc))
-    if l < 1 or k < 1:
-        raise ValueError("chi_weighted_sum requires l, k >= 1")
-    j = 2 * k - 1
-    return sum(
-        kronecker(d, m) * m**j * e_sum((l // m) ** 2 * d, j) for m in divisors(l)
-    )
-
-
 def zeta_quadratic(disc: QuadraticDiscriminant | int, k: int) -> Fraction:
-    """Exact zeta_K(1-2k) for the real quadratic field of discriminant D:
+    """Exact zeta_K(1-2k) for the real quadratic field of discriminant D.
 
-        4 * sum_{j=1}^{floor(k/3)+1} b_j(4k) * S(D, j, k)
+    With T = floor(k/3) + 1 and j = 2k - 1, the paper's form is
 
-    where S is chi_weighted_sum.
+        4 * sum_{l=1}^{T} b_l(4k) * sum_{m | l} (D|m) m^j e_j((l/m)^2 D);
+
+    written l = s*m, it is evaluated as
+
+        4 * sum_{s=1}^{T} e_j(s^2 D) * sum_{m <= T/s} b_{sm}(4k) (D|m) m^j,
+
+    which reads each power sum e_j(s^2 D) once.
     """
-    disc = as_discriminant(disc)
+    d = int(as_discriminant(disc))
     if k < 1:
         raise ValueError("zeta_quadratic requires k >= 1")
     weights = siegel_coeffs(4 * k)
     terms = k // 3 + 1
     if len(weights) != terms:
         raise AssertionError(f"expected {terms} weights for h={4 * k}")
+    j = 2 * k - 1
     total = Fraction(0)
-    for j in range(1, terms + 1):
-        total += weights[j - 1] * chi_weighted_sum(disc, j, k)
+    for s in range(1, terms + 1):
+        inner = sum(weights[s * m - 1] * kronecker(d, m) * m**j for m in range(1, terms // s + 1))
+        total += e_sum(s * s * d, j) * inner
     return 4 * total

@@ -14,7 +14,7 @@ discrete-log tables, its conductor, primitive part and Kronecker
 symbol read off its value at every unit, the weights b_j(h) read off
 precision-tracking Laurent series from the eta product by three
 squarings and its inverse by binary powering, the power sums e_j(m) by
-enumerating b^2 + 4ac = m, multiples of a point on a Montgomery curve by
+enumerating b^2 + 4ac = m, zeta_quadratic's sum in the paper's indexing, multiples of a point on a Montgomery curve by
 affine double-and-add, ECM's stage 2 on projective points); the tests
 require the kernels to agree with them exactly.
 """
@@ -1002,6 +1002,15 @@ def e_sum_brute_force(m: int, j: int) -> int:
             if b * b == rem:
                 total += a**j * (1 if b == 0 else 2)
     return total
+
+
+def chi_weighted_sum(d: int, l: int, k: int) -> int:
+    """sum over m | l of (D|m) * m^(2k-1) * e_{2k-1}((l/m)^2 * D): the
+    inner sum of zeta_quadratic as the paper indexes it, before the
+    reindexing l = s*m that reads each power sum once."""
+    QuadraticDiscriminant(d)
+    j = 2 * k - 1
+    return sum(kronecker(d, m) * m**j * e_sum((l // m) ** 2 * d, j) for m in divisors(l))
 
 
 # -- closed forms for quadratic K_2 and K_6 -----------------------------------

@@ -864,8 +864,7 @@ def test_parse_trivial_character(tmp_path):
     path = write_char(
         tmp_path, "trivial.json", {"modulus": 1, "order": 1, "values": [[0, 0]]}
     )
-    chars = parse_character_file(path)
-    assert len(chars) == 1 and chars[0].is_trivial()
+    assert parse_character_file(path).is_trivial()
 
 
 def test_parse_quadratic_mod5(tmp_path):
@@ -874,8 +873,7 @@ def test_parse_quadratic_mod5(tmp_path):
         "quad5.json",
         {"modulus": 5, "order": 2, "values": [[1, 0], [2, 1], [3, 1], [4, 0]]},
     )
-    chars = parse_character_file(path)
-    assert chars[0] == quadratic_character(5)
+    assert parse_character_file(path) == quadratic_character(5)
 
 
 def test_parse_rejects_multiplicativity_violation(tmp_path):

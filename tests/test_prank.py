@@ -1,5 +1,8 @@
+import re
+
 from evenk.arith import kronecker
 from evenk.prank import (
+    STATEMENTS,
     fundamental_discriminants_up_to,
     rank3_witness,
     rank5_witness,
@@ -8,8 +11,18 @@ from evenk.prank import (
 from oracles import e_sum_brute_force, quadratic_k2_closed_form
 
 
+def test_statement_rows_name_the_power_sums_they_read():
+    # a row's text is the statement; its modulus and terms are what the
+    # evaluator reads, so each must say what the text says
+    for p, rows in STATEMENTS.items():
+        for text, modulus, terms in rows:
+            assert text.startswith(f"{modulus} | "), (p, text)
+            named = {(int(j), int(s or 1)) for j, s in re.findall(r"e_(\d+)\((\d*)D\)", text)}
+            assert named == {(j, s) for _, _, j, s in terms}, (p, text)
+
+
 def test_rank3_statement_values_match_brute_force():
-    for d in (5, 8, 24, 29):
+    for d in fundamental_discriminants_up_to(60):
         w = rank3_witness(d)
         chi2 = kronecker(d, 2)
         expected = [
@@ -46,7 +59,7 @@ def test_rank3_witness_first_divisible_case():
 
 
 def test_rank5_statement_values_match_brute_force():
-    for d in (5, 8, 13):
+    for d in fundamental_discriminants_up_to(60):
         w = rank5_witness(d)
         chi2 = kronecker(d, 2)
         expected = [

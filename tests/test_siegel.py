@@ -5,16 +5,16 @@ import pytest
 from evenk.arith import kronecker
 from evenk.kgroups import RealQuadratic, zeta_abelian
 from evenk.prank import rank3_witness, rank5_witness
+from evenk.qseries import siegel_coeffs
 from evenk.siegel import (
     QuadraticDiscriminant,
-    chi_weighted_sum,
     e_sum,
     fundamental_discriminant,
     is_fundamental_discriminant,
     zeta_quadratic,
 )
 from evenk.winv import w_quadratic
-from oracles import e_sum_brute_force
+from oracles import chi_weighted_sum, e_sum_brute_force
 
 
 def fundamentals(bound):
@@ -72,6 +72,18 @@ def test_chi_weighted_sum_examples():
     assert chi_weighted_sum(5, 2, 2) == expected
 
 
+def test_zeta_quadratic_is_the_papers_sum_over_l():
+    # zeta_quadratic sums over l = s*m with e_j(s^2 D) outside; the
+    # paper sums chi_weighted_sum(D, l, k) over l
+    for d in fundamentals(200):
+        for k in range(1, 13):
+            weights = siegel_coeffs(4 * k)
+            paper = 4 * sum(
+                b * chi_weighted_sum(d, l, k) for l, b in enumerate(weights, start=1)
+            )
+            assert zeta_quadratic(d, k) == paper, (d, k)
+
+
 # -- zeta values ------------------------------------------------------------------
 
 def test_zeta_quadratic_examples():
@@ -102,13 +114,12 @@ def test_zeta_quadratic_rejects_non_fundamental():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda d: chi_weighted_sum(d, 1, 1),
         lambda d: zeta_quadratic(d, 1),
         lambda d: w_quadratic(d, 1),
         rank3_witness,
         rank5_witness,
     ],
-    ids=["chi_weighted_sum", "zeta_quadratic", "w_quadratic", "rank3_witness", "rank5_witness"],
+    ids=["zeta_quadratic", "w_quadratic", "rank3_witness", "rank5_witness"],
 )
 def test_discriminant_check_is_shared(call):
     for bad in (20, 1):
@@ -129,6 +140,25 @@ def test_zeta_quadratic_checks_its_discriminant_once(monkeypatch):
 
     expected = zeta_abelian(RealQuadratic(5), 7)
     monkeypatch.setattr(siegel, "is_fundamental_discriminant", counted)
-    # k = 7 sums three chi_weighted_sum terms
+    # k = 7 sums over s = 1, 2, 3, each e_13(s^2 D) once; none of them
+    # checks D again
     assert zeta_quadratic(5, 7) == expected
     assert calls == [5]
+
+
+def test_zeta_quadratic_reads_each_power_sum_once(monkeypatch):
+    import evenk.siegel as siegel
+
+    calls = []
+    e_sum_unwrapped = siegel.e_sum
+
+    def counted(m, j):
+        calls.append((m, j))
+        return e_sum_unwrapped(m, j)
+
+    monkeypatch.setattr(siegel, "e_sum", counted)
+    for k in (1, 2, 3, 5, 6, 11, 20):
+        calls.clear()
+        zeta_quadratic(13, k)
+        terms = k // 3 + 1
+        assert calls == [(s * s * 13, 2 * k - 1) for s in range(1, terms + 1)], k

@@ -30,12 +30,17 @@ from pinned_outputs import readme_character_file, readme_cli_examples
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_every_traced_layer_resolves_in_evenk(monkeypatch):
+def _traced_targets(monkeypatch) -> list[str]:
+    """The "module:attribute" targets of bench/tracing.py's LAYERS."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    targets = [t for group in tracing.LAYERS.values() for t in group]
+    return [t for group in tracing.LAYERS.values() for t in group]
+
+
+def test_every_traced_layer_resolves_in_evenk(monkeypatch):
+    targets = _traced_targets(monkeypatch)
     assert targets
     for target in targets:
         module_name, attr = target.split(":")
@@ -45,6 +50,42 @@ def test_every_traced_layer_resolves_in_evenk(monkeypatch):
             assert isinstance(vars(getattr(owner, cls_name)).get(method), classmethod), target
         else:
             assert callable(getattr(owner, attr, None)), target
+
+
+# kept uncalled for the cubic-field tables still to come
+UNCALLED_BY_DESIGN = {"cubic_from_conductor"}
+
+
+def test_every_uncalled_public_name_is_traced(monkeypatch):
+    # a public function or class that no evenk module calls is either
+    # a traced layer or test-only code, which belongs in tests/; an
+    # import or an __init__ re-export is no call, nor is a use inside
+    # the name's own definition
+    import ast
+
+    package = TRACING.parent.parent / "src" / "evenk"
+    defined, used = set(), set()
+    for path in package.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = node.name
+                if not own.startswith("_"):
+                    defined.add((path.stem, own))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name is not None and name != own:
+                    used.add(name)
+    uncalled = {(module, name) for module, name in defined if name not in used}
+    traced = {
+        (module, attr.split(".")[0])
+        for module, attr in (t.split(":") for t in _traced_targets(monkeypatch))
+    }
+    assert {name for module, name in uncalled - traced} <= UNCALLED_BY_DESIGN
 
 
 def test_a_traced_characters_route_command_records_every_l_value_layer(tmp_path):
@@ -125,7 +166,7 @@ def test_readme_character_file_example_is_accepted(tmp_path, capsys):
 
     path = tmp_path / "chi.json"
     path.write_text(readme_character_file(), encoding="utf-8")
-    (chi,) = parse_character_file(path)
+    chi = parse_character_file(path)
     assert cli.run(["char-check", "--file", str(path)]) == 0
     assert capsys.readouterr().out.startswith(f"ok modulus={chi.modulus} ")
 
