@@ -34,7 +34,7 @@ from .cyclodirichlet import (
     kronecker_coordinates,
     orbit_l_product,
 )
-from .siegel import QuadraticDiscriminant, zeta_quadratic
+from .siegel import check_discriminant, zeta_quadratic
 from .values import Value
 from .winv import WInvariant
 
@@ -106,7 +106,7 @@ class RealQuadratic(_Field):
     d: int
 
     def __post_init__(self) -> None:
-        QuadraticDiscriminant(self.d)
+        check_discriminant(self.d)
 
     def orbits(self) -> tuple[tuple[int, int, tuple], ...]:
         """The Kronecker symbol (d|x) at the local generators' lifts x."""

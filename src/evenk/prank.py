@@ -8,18 +8,14 @@ power-sum machinery.  chi(2) below is the Kronecker symbol (D|2).
 
 The statements are data: STATEMENTS[p] holds one row (text, modulus,
 terms) per statement, the text verbatim, and a term (a, b, j, s) stands
-for (a chi(2) + b) e_j(sD).  One evaluator reads every row.
+for (a chi(2) + b) e_j(sD).  witness(p, D) evaluates the rows of p at
+the int D; scan(p, max_D) at every fundamental D up to max_D.
 """
 
 from __future__ import annotations
 
 from .arith import kronecker
-from .siegel import (
-    QuadraticDiscriminant,
-    as_discriminant,
-    e_sum,
-    is_fundamental_discriminant,
-)
+from .siegel import check_discriminant, e_sum, is_fundamental_discriminant
 from .values import Value
 
 
@@ -64,11 +60,17 @@ STATEMENTS = {
 }
 
 
-def _witness(p: int, disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
-    """STATEMENTS[p] evaluated at D, each e_j(sD) once, in increasing (j, s)."""
-    d = int(as_discriminant(disc))
+def _rows(p: int) -> tuple:
+    if p not in STATEMENTS:
+        raise ValueError("witness scans are defined for p = 3 and p = 5")
+    return STATEMENTS[p]
+
+
+def witness(p: int, d: int) -> DivisibilityWitness:
+    """STATEMENTS[p] at D = d, each e_j(sD) once, in increasing (j, s)."""
+    rows = _rows(p)
+    check_discriminant(d)
     chi2 = kronecker(d, 2)
-    rows = STATEMENTS[p]
     keys = sorted({(j, s) for _, _, terms in rows for _, _, j, s in terms})
     sums = {(j, s): e_sum(s * d, j) for j, s in keys}
     statements = tuple(
@@ -79,16 +81,6 @@ def _witness(p: int, disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
     return DivisibilityWitness(d, statements, names)
 
 
-def rank3_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
-    """The eight 3-divisibility statements for discriminant D."""
-    return _witness(3, disc)
-
-
-def rank5_witness(disc: QuadraticDiscriminant | int) -> DivisibilityWitness:
-    """The four 5-divisibility statements for discriminant D."""
-    return _witness(5, disc)
-
-
 def fundamental_discriminants_up_to(bound: int) -> list[int]:
     """All fundamental discriminants 1 < D <= bound."""
     return [d for d in range(2, bound + 1) if is_fundamental_discriminant(d)]
@@ -96,7 +88,5 @@ def fundamental_discriminants_up_to(bound: int) -> list[int]:
 
 def scan(p: int, max_d: int) -> list[DivisibilityWitness]:
     """Witnesses for every fundamental discriminant up to max_d."""
-    if p not in STATEMENTS:
-        raise ValueError("witness scans are defined for p = 3 and p = 5")
-    witness = rank3_witness if p == 3 else rank5_witness
-    return [witness(d) for d in fundamental_discriminants_up_to(max_d)]
+    _rows(p)
+    return [witness(p, d) for d in fundamental_discriminants_up_to(max_d)]

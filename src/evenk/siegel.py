@@ -13,7 +13,6 @@ from math import isqrt
 
 from .arith import divisor_sum, factor_small, kronecker
 from .qseries import siegel_coeffs
-from .values import Value
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -38,26 +37,10 @@ def _squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factor_small(n))
 
 
-class QuadraticDiscriminant(Value):
-    """A positive fundamental discriminant, verified at construction."""
-
-    __slots__ = ("value",)
-    value: int
-
-    def __post_init__(self) -> None:
-        if not is_fundamental_discriminant(self.value):
-            raise ValueError(f"{self.value} is not a fundamental discriminant > 1")
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def as_discriminant(disc: QuadraticDiscriminant | int) -> QuadraticDiscriminant:
-    """disc as a QuadraticDiscriminant, checking it only if it is not
-    one already."""
-    if isinstance(disc, QuadraticDiscriminant):
-        return disc
-    return QuadraticDiscriminant(int(disc))
+def check_discriminant(d: int) -> None:
+    """Raise ValueError unless d is a fundamental discriminant > 1."""
+    if not is_fundamental_discriminant(d):
+        raise ValueError(f"{d} is not a fundamental discriminant > 1")
 
 
 def fundamental_discriminant(m: int) -> int:
@@ -87,8 +70,9 @@ def e_sum(m: int, j: int) -> int:
     return total + 2 * side
 
 
-def zeta_quadratic(disc: QuadraticDiscriminant | int, k: int) -> Fraction:
-    """Exact zeta_K(1-2k) for the real quadratic field of discriminant D.
+def zeta_quadratic(d: int, k: int) -> Fraction:
+    """Exact zeta_K(1-2k) for the real quadratic field K of fundamental
+    discriminant D = d, a plain int that check_discriminant checks.
 
     With T = floor(k/3) + 1 and j = 2k - 1, the paper's form is
 
@@ -100,7 +84,7 @@ def zeta_quadratic(disc: QuadraticDiscriminant | int, k: int) -> Fraction:
 
     which reads each power sum e_j(s^2 D) once.
     """
-    d = int(as_discriminant(disc))
+    check_discriminant(d)
     if k < 1:
         raise ValueError("zeta_quadratic requires k >= 1")
     weights = siegel_coeffs(4 * k)

@@ -70,7 +70,7 @@ def _w_from_valuations(parts: dict[int, int]) -> WInvariant:
 def w_rational(k: int) -> WInvariant:
     """w_2k(Q), over the primes ell = d + 1 for the divisors d of 2k."""
     if k < 1:
-        raise ValueError("w invariants need k >= 1")
+        raise ValueError("k must be >= 1")
     primes = [d + 1 for d in divisors(2 * k) if is_prime(d + 1)]
     return _w_from_valuations({ell: _valuation_of_w(ell, (), k) for ell in primes})
 
@@ -90,12 +90,12 @@ def w_from_orbits(orbits, k: int) -> WInvariant:
 
 # bench/tracing.py wraps w_quadratic, w_cyclic and w_elementary by their
 # winv names, so they stay here.
-def w_quadratic(disc, k: int) -> WInvariant:
+def w_quadratic(disc: int, k: int) -> WInvariant:
     """w_2k of the real quadratic field with fundamental discriminant
-    disc (an int or a QuadraticDiscriminant)."""
+    disc, which RealQuadratic checks."""
     from .kgroups import RealQuadratic
 
-    return w_from_orbits(RealQuadratic(int(disc)).orbit_shapes(), k)
+    return w_from_orbits(RealQuadratic(disc).orbit_shapes(), k)
 
 
 def w_cyclic(p: int, f: int, k: int) -> WInvariant:

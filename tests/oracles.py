@@ -56,7 +56,7 @@ from evenk.cyclodirichlet import (
 )
 from evenk.kgroups import _as_positive_int
 from evenk.qseries import DegenerateConstantTerm, _int_mul, t_series_pole_order
-from evenk.siegel import QuadraticDiscriminant, e_sum
+from evenk.siegel import check_discriminant, e_sum
 from evenk.winv import _valuation_of_w
 
 
@@ -1008,7 +1008,7 @@ def chi_weighted_sum(d: int, l: int, k: int) -> int:
     """sum over m | l of (D|m) * m^(2k-1) * e_{2k-1}((l/m)^2 * D): the
     inner sum of zeta_quadratic as the paper indexes it, before the
     reindexing l = s*m that reads each power sum once."""
-    QuadraticDiscriminant(d)
+    check_discriminant(d)
     j = 2 * k - 1
     return sum(kronecker(d, m) * m**j * e_sum((l // m) ** 2 * d, j) for m in divisors(l))
 
@@ -1018,7 +1018,7 @@ def chi_weighted_sum(d: int, l: int, k: int) -> int:
 def quadratic_k2_closed_form(d: int) -> int:
     """|K_2| of a real quadratic field: (4/5) e_1(8) over Q(sqrt 2),
     2 e_1(5) over Q(sqrt 5), (2/5) e_1(D) otherwise."""
-    QuadraticDiscriminant(d)
+    check_discriminant(d)
     if d == 8:
         value = Fraction(4, 5) * e_sum(8, 1)
     elif d == 5:
@@ -1031,7 +1031,7 @@ def quadratic_k2_closed_form(d: int) -> int:
 def quadratic_k6_closed_form(d: int) -> int:
     """|K_6| of a real quadratic field: e_3(8) over Q(sqrt 2), else
     e_3(D)/2."""
-    QuadraticDiscriminant(d)
+    check_discriminant(d)
     if d == 8:
         value = Fraction(e_sum(8, 3))
     else:

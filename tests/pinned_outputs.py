@@ -11,7 +11,11 @@ list is:
   character file as chi.json;
 - every command of tests/test_cli.py that exits nonzero, unless it
   names one of that test's temporary files;
-- orders at large k beyond the benchmark (LARGE_K).
+- orders at large k beyond the benchmark (LARGE_K);
+- the branches the lists above leave out (BRANCHES): every --format of
+  every command, e_j(m) at m = 2 mod 4, the refusal of k = 0, and a
+  character file that is not multiplicative (NOT_MULTIPLICATIVE, next
+  to chi.json).
 
 The file holds evenk's own outputs, not reference data.  A change that
 alters an output rewrites it in the same commit and names each changed
@@ -48,6 +52,29 @@ LARGE_K = (
     ("kgroup", "--field", "quad:13", "--k", "18", "--factor-budget", "10000"),
 )
 
+NOT_MULTIPLICATIVE = "chi_not_multiplicative.json"
+
+BRANCHES = (
+    *(
+        (*argv, "--format", fmt)
+        for argv in (
+            ("kgroup", "--field", "quad:5", "--k", "2"),
+            ("kodd", "--field", "quad:5", "--k", "2"),
+            ("cubic-table", "--max-f", "13", "--k", "1"),
+            ("multiquad-table", "--m", "5", "--max-k", "2"),
+        )
+        for fmt in ("json", "csv")
+    ),
+    ("zeta", "--field", "quad:5", "--k", "1", "--format", "json"),
+    ("w", "--field", "quad:5", "--k", "1", "--format", "json"),
+    ("siegel-coeffs", "--h", "12", "--format", "json"),
+    ("esum", "--m", "5", "--j", "1", "--format", "json"),
+    ("char-check", "--file", "chi.json", "--format", "json"),
+    ("esum", "--m", "6", "--j", "1"),
+    *((command, "--field", "q", "--k", "0") for command in ("kgroup", "kodd", "zeta", "w")),
+    ("char-check", "--file", NOT_MULTIPLICATIVE),
+)
+
 
 def readme_cli_examples() -> list[list[str]]:
     """The `evenk ...` lines of the first code block under "## CLI"."""
@@ -60,6 +87,16 @@ def readme_character_file() -> str:
     """The JSON example under "## Character files"."""
     text = README.read_text(encoding="utf-8").split("\n## Character files\n", 1)[1]
     return text.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def write_character_files(directory: str | Path) -> None:
+    """chi.json, the README's character file, and NOT_MULTIPLICATIVE,
+    the same file with chi(4) = -1."""
+    Path(directory, "chi.json").write_text(readme_character_file(), encoding="utf-8")
+    Path(directory, NOT_MULTIPLICATIVE).write_text(
+        '{"modulus": 5, "order": 2, "values": [[1, 0], [2, 1], [3, 1], [4, 1]]}\n',
+        encoding="utf-8",
+    )
 
 
 def record(argv: list[str]) -> dict:
@@ -118,7 +155,7 @@ def commands() -> list[list[str]]:
         _workload_commands()
         + [argv[1:] for argv in readme_cli_examples()]
         + _test_cli_refusals()
-        + [list(argv) for argv in LARGE_K]
+        + [list(argv) for argv in LARGE_K + BRANCHES]
     )
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
@@ -126,7 +163,7 @@ def commands() -> list[list[str]]:
 def main() -> None:
     argvs = commands()
     with tempfile.TemporaryDirectory() as directory:
-        Path(directory, "chi.json").write_text(readme_character_file(), encoding="utf-8")
+        write_character_files(directory)
         here = os.getcwd()
         os.chdir(directory)
         try:

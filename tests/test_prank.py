@@ -1,12 +1,13 @@
 import re
 
+import pytest
+
 from evenk.arith import kronecker
 from evenk.prank import (
     STATEMENTS,
     fundamental_discriminants_up_to,
-    rank3_witness,
-    rank5_witness,
     scan,
+    witness,
 )
 from oracles import e_sum_brute_force, quadratic_k2_closed_form
 
@@ -23,7 +24,7 @@ def test_statement_rows_name_the_power_sums_they_read():
 
 def test_rank3_statement_values_match_brute_force():
     for d in fundamental_discriminants_up_to(60):
-        w = rank3_witness(d)
+        w = witness(3, d)
         chi2 = kronecker(d, 2)
         expected = [
             e_sum_brute_force(d, 1) % 3 == 0,
@@ -44,7 +45,7 @@ def test_rank3_statement_values_match_brute_force():
 
 
 def test_rank3_witness_all_false_case():
-    w = rank3_witness(5)
+    w = witness(3, 5)
     assert all(value is False for _, value in w.statements)
     assert w.consistent
 
@@ -52,15 +53,15 @@ def test_rank3_witness_all_false_case():
 def test_rank3_witness_first_divisible_case():
     # D = 24 is the smallest fundamental discriminant with 3 | e_1(D)
     for d in fundamental_discriminants_up_to(23):
-        assert rank3_witness(d).statements[0][1] is False
-    w = rank3_witness(24)
+        assert witness(3, d).statements[0][1] is False
+    w = witness(3, 24)
     assert w.statements[0][1] is True
     assert w.consistent
 
 
 def test_rank5_statement_values_match_brute_force():
     for d in fundamental_discriminants_up_to(60):
-        w = rank5_witness(d)
+        w = witness(5, d)
         chi2 = kronecker(d, 2)
         expected = [
             e_sum_brute_force(d, 1) % 25 == 0,
@@ -77,13 +78,13 @@ def test_rank5_statement_values_match_brute_force():
 
 def test_consistency_flag_is_all_equal():
     for d in fundamental_discriminants_up_to(60):
-        w = rank3_witness(d)
+        w = witness(3, d)
         values = [value for _, value in w.statements]
         assert w.consistent == (all(values) or not any(values))
 
 
 def test_details_reports_statements():
-    w = rank3_witness(24)
+    w = witness(3, 24)
     text = w.details()
     assert "D=24" in text
     assert "e_1(D)" in text
@@ -91,7 +92,7 @@ def test_details_reports_statements():
 
 def test_statement_one_matches_k2_divisibility():
     for d in fundamental_discriminants_up_to(200):
-        w = rank3_witness(d)
+        w = witness(3, d)
         assert w.statements[0][1] == (quadratic_k2_closed_form(d) % 3 == 0)
 
 
@@ -100,3 +101,10 @@ def test_scan_shapes():
     assert [w.d for w in witnesses] == fundamental_discriminants_up_to(50)
     assert all(len(w.statements) == 8 for w in witnesses)
     assert all(len(w.statements) == 4 for w in scan(5, 50))
+
+
+def test_witnesses_are_defined_for_3_and_5_only():
+    # scan refuses p = 7 even when max_d leaves no discriminant to evaluate
+    for call in (lambda: witness(7, 5), lambda: scan(7, 100), lambda: scan(7, 1)):
+        with pytest.raises(ValueError, match="defined for p = 3 and p = 5"):
+            call()

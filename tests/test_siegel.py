@@ -4,10 +4,9 @@ import pytest
 
 from evenk.arith import kronecker
 from evenk.kgroups import RealQuadratic, zeta_abelian
-from evenk.prank import rank3_witness, rank5_witness
+from evenk.prank import witness
 from evenk.qseries import siegel_coeffs
 from evenk.siegel import (
-    QuadraticDiscriminant,
     e_sum,
     fundamental_discriminant,
     is_fundamental_discriminant,
@@ -28,7 +27,9 @@ def test_fundamental_discriminants():
     for bad in (1, 2, 3, 4, 7, 9, 16, 20, 25, 45, 48):
         assert not is_fundamental_discriminant(bad)
         with pytest.raises(ValueError):
-            QuadraticDiscriminant(bad)
+            RealQuadratic(bad)
+        with pytest.raises(ValueError):
+            zeta_quadratic(bad, 1)
     assert fundamental_discriminant(2) == 8
     assert fundamental_discriminant(5) == 5
     assert fundamental_discriminant(30) == 120
@@ -116,16 +117,15 @@ def test_zeta_quadratic_rejects_non_fundamental():
     [
         lambda d: zeta_quadratic(d, 1),
         lambda d: w_quadratic(d, 1),
-        rank3_witness,
-        rank5_witness,
+        lambda d: witness(3, d),
+        lambda d: witness(5, d),
     ],
-    ids=["zeta_quadratic", "w_quadratic", "rank3_witness", "rank5_witness"],
+    ids=["zeta_quadratic", "w_quadratic", "witness_3", "witness_5"],
 )
 def test_discriminant_check_is_shared(call):
     for bad in (20, 1):
         with pytest.raises(ValueError, match="not a fundamental discriminant"):
             call(bad)
-    assert call(QuadraticDiscriminant(5)) == call(5)
 
 
 def test_zeta_quadratic_checks_its_discriminant_once(monkeypatch):

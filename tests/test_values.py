@@ -22,7 +22,6 @@ from evenk.kgroups import (
     RealQuadratic,
 )
 from evenk.prank import DivisibilityWitness
-from evenk.siegel import QuadraticDiscriminant
 from evenk.winv import WInvariant
 
 
@@ -50,11 +49,6 @@ FROZEN = [
         lambda: quadratic_character(5),
         lambda: DirichletCharacter(5, 4, (((5, 2), 1),)),
         "DirichletCharacter(modulus=5, order=2, coords=(((5, 2), 1),))",
-    ),
-    (
-        lambda: QuadraticDiscriminant(5),
-        lambda: QuadraticDiscriminant(8),
-        "QuadraticDiscriminant(value=5)",
     ),
     (
         lambda: CharacterOrbit(quadratic_character(5)),
