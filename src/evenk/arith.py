@@ -40,7 +40,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .values import Value
 
@@ -341,10 +341,10 @@ class PartialFactorization(Value):
 
     factored lists (prime, exponent) pairs in increasing prime order;
     cofactor is the remaining unfactored part, and the factorization is
-    complete exactly when it is 1.  The
-    product of everything reproduces the original integer.  factorize
-    proves each listed prime once, while finding it, so only the shape
-    is checked here.
+    complete exactly when it is 1.  value, the product of everything,
+    is the original integer.  factorize proves each listed prime once,
+    while finding it, and winv builds w_2k(F) as one with cofactor 1
+    from primes it has proved, so only the shape is checked here.
     """
 
     __slots__ = ("factored", "cofactor")
@@ -360,6 +360,10 @@ class PartialFactorization(Value):
     @property
     def complete(self) -> bool:
         return self.cofactor == 1
+
+    @property
+    def value(self) -> int:
+        return self.cofactor * prod(p**e for p, e in self.factored)
 
     def format(self) -> str:
         """Render like '2^11·3^2·7·17', with a trailing '·C' marker for

@@ -188,12 +188,10 @@ def _zeta(args):
 
 def _w(args):
     label, w = args.field.label(), w_invariant(args.field, args.k)
-    parts = sorted(w.parts.items())
-    text = "·".join(f"{ell}^{e}" if e > 1 else str(ell) for ell, e in parts)
     yield (
         {"field": label, "k": args.k, "w": str(w.value),
-         "parts": {str(ell): e for ell, e in parts}},
-        f"w_{2 * args.k}({label}) = {w.value} = {text}",
+         "parts": {str(ell): e for ell, e in w.factored}},
+        f"w_{2 * args.k}({label}) = {w.value} = {w.format()}",
     )
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import isqrt, lcm, prod
 
 from . import winv
-from .arith import bernoulli, is_prime, valuation
+from .arith import PartialFactorization, bernoulli, is_prime, valuation
 from .cyclodirichlet import (
     CharacterOrbit,
     _primitive_orbit_coordinates,
@@ -36,7 +36,6 @@ from .cyclodirichlet import (
 )
 from .siegel import check_discriminant, zeta_quadratic
 from .values import Value
-from .winv import WInvariant
 
 
 class NonIntegralOrder(ArithmeticError):
@@ -279,7 +278,7 @@ def zeta_abelian(spec: FieldSpec, k: int) -> Fraction:
     return prod(_zeta_factors(spec, k))
 
 
-def w_invariant(spec: FieldSpec, k: int) -> WInvariant:
+def w_invariant(spec: FieldSpec, k: int) -> PartialFactorization:
     return winv.w_from_orbits(spec.orbit_shapes(), k)
 
 
@@ -302,11 +301,12 @@ def _as_positive_int(value: Fraction, context: str) -> int:
 
 
 def k_odd_order(spec: FieldSpec, k: int) -> KGroupOrder:
-    """|K_{4k-1}(O_F)| = 2^r w_2k(F) for odd k, w_2k(F) for even k."""
+    """|K_{4k-1}(O_F)| = 2^r w_2k(F) for odd k, w_2k(F) for even k; 2
+    divides w, so the primes of w are its pieces."""
     w = w_invariant(spec, k)
     r = spec.degree()
     order = (2**r if k % 2 else 1) * w.value
-    return KGroupOrder(spec, 4 * k - 1, order, "w")
+    return KGroupOrder(spec, 4 * k - 1, order, "w", pieces=tuple(p for p, _ in w.factored))
 
 
 def k_even_order(

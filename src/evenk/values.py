@@ -12,10 +12,11 @@ class Value:
     """A frozen value whose fields are its class's __slots__, in order.
 
     __init__ takes the fields by position or keyword, falls back on the
-    class's _defaults, then calls __post_init__.  Equality and hash go
-    by type and fields, so a value never equals or hashes like the tuple
-    of its fields; repr reads Name(field=value, ...).  Assigning or
-    deleting a field raises AttributeError.
+    class's _defaults, refuses a list, dict or set field with TypeError,
+    then calls __post_init__.  Equality and hash go by type and fields,
+    so a value never equals or hashes like the tuple of its fields, and
+    every value can hash; repr reads Name(field=value, ...).  Assigning
+    or deleting a field raises AttributeError.
     """
 
     __slots__ = ()
@@ -26,18 +27,20 @@ class Value:
         name = type(self).__name__
         if len(args) > len(names):
             raise TypeError(f"{name}() takes {len(names)} arguments, got {len(args)}")
-        for field, value in zip(names, args):
-            object.__setattr__(self, field, value)
+        values = list(args)
         for field in names[len(args):]:
             if field in kwargs:
-                value = kwargs.pop(field)
+                values.append(kwargs.pop(field))
             elif field in self._defaults:
-                value = self._defaults[field]
+                values.append(self._defaults[field])
             else:
                 raise TypeError(f"{name}() missing argument {field!r}")
-            object.__setattr__(self, field, value)
         if kwargs:
             raise TypeError(f"{name}() got an unexpected argument {next(iter(kwargs))!r}")
+        for field, value in zip(names, values):
+            if isinstance(value, (list, dict, set)):
+                raise TypeError(f"{name}() field {field!r} is a mutable {type(value).__name__}")
+            object.__setattr__(self, field, value)
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -18,31 +18,15 @@ ch. 3).  One formula then covers every field:
 For Q every X_{l,a} is trivial, so an odd l divides w_2k(Q) only if
 l - 1 divides 2k: w_2k(Q) runs over the primes d + 1 for the divisors d
 of 2k (d = 1 gives 2).  A field's w recomputes it at 2 and at the
-primes of its conductor.
+primes of its conductor.  w is returned as an arith.PartialFactorization
+with cofactor 1: its (ell, exponent) pairs, and their product as value.
 """
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import lcm
 
-from .arith import divisors, factor_small, is_prime, valuation
-from .values import Value
-
-
-class WInvariant(Value):
-    """w held as its prime decomposition {ell: exponent}; value is their
-    product."""
-
-    __slots__ = ("parts",)
-    parts: dict[int, int]
-
-    def __post_init__(self) -> None:
-        if any(e < 1 for e in self.parts.values()):
-            raise ValueError("zero exponents must be omitted")
-
-    @property
-    def value(self) -> int:
-        return prod(ell**e for ell, e in self.parts.items())
+from .arith import PartialFactorization, divisors, factor_small, is_prime, valuation
 
 
 def _valuation_of_w(ell: int, orbits: tuple, k: int) -> int:
@@ -63,11 +47,11 @@ def _valuation_of_w(ell: int, orbits: tuple, k: int) -> int:
         a += 1
 
 
-def _w_from_valuations(parts: dict[int, int]) -> WInvariant:
-    return WInvariant({ell: e for ell, e in sorted(parts.items()) if e})
+def _w_from_valuations(parts: dict[int, int]) -> PartialFactorization:
+    return PartialFactorization(tuple((ell, e) for ell, e in sorted(parts.items()) if e))
 
 
-def w_rational(k: int) -> WInvariant:
+def w_rational(k: int) -> PartialFactorization:
     """w_2k(Q), over the primes ell = d + 1 for the divisors d of 2k."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -75,13 +59,13 @@ def w_rational(k: int) -> WInvariant:
     return _w_from_valuations({ell: _valuation_of_w(ell, (), k) for ell in primes})
 
 
-def w_from_orbits(orbits, k: int) -> WInvariant:
+def w_from_orbits(orbits, k: int) -> PartialFactorization:
     """w_2k of the totally real abelian field whose nontrivial Galois
     orbits of even characters have the (conductor, size) pairs `orbits`:
     w_2k(Q) with the 2-part and the parts at primes dividing the
     conductor recomputed (elsewhere X_{l,a} is trivial, as for Q)."""
     orbits = tuple(orbits)
-    parts = dict(w_rational(k).parts)
+    parts = dict(w_rational(k).factored)
     conductor = lcm(1, *(f for f, _ in orbits))
     for ell in [2] + [q for q, _ in factor_small(conductor)]:
         parts[ell] = _valuation_of_w(ell, orbits, k)
@@ -90,7 +74,7 @@ def w_from_orbits(orbits, k: int) -> WInvariant:
 
 # bench/tracing.py wraps w_quadratic, w_cyclic and w_elementary by their
 # winv names, so they stay here.
-def w_quadratic(disc: int, k: int) -> WInvariant:
+def w_quadratic(disc: int, k: int) -> PartialFactorization:
     """w_2k of the real quadratic field with fundamental discriminant
     disc, which RealQuadratic checks."""
     from .kgroups import RealQuadratic
@@ -98,14 +82,14 @@ def w_quadratic(disc: int, k: int) -> WInvariant:
     return w_from_orbits(RealQuadratic(disc).orbit_shapes(), k)
 
 
-def w_cyclic(p: int, f: int, k: int) -> WInvariant:
+def w_cyclic(p: int, f: int, k: int) -> PartialFactorization:
     """w_2k of a real cyclic degree-p field of conductor f (p odd)."""
     from .kgroups import CyclicPrime
 
     return w_from_orbits(CyclicPrime(p, f).orbit_shapes(), k)
 
 
-def w_elementary(p: int, parts, k: int) -> WInvariant:
+def w_elementary(p: int, parts, k: int) -> PartialFactorization:
     """w_2k of the totally real p-elementary field whose degree-p
     subfields are the field specs `parts` (all of them; see Elementary)."""
     from .kgroups import Elementary

@@ -13,9 +13,11 @@ list is:
   names one of that test's temporary files;
 - orders at large k beyond the benchmark (LARGE_K);
 - the branches the lists above leave out (BRANCHES): every --format of
-  every command, e_j(m) at m = 2 mod 4, the refusal of k = 0, and a
+  every command, e_j(m) at m = 2 mod 4, the refusal of k = 0, a
   character file that is not multiplicative (NOT_MULTIPLICATIVE, next
-  to chi.json).
+  to chi.json), each refusal of a cyclic or elementary field spec, of
+  esum's m and j and of siegel-coeffs' h, and a kodd order whose w has
+  primes too large for its factor budget to find alone.
 
 The file holds evenk's own outputs, not reference data.  A change that
 alters an output rewrites it in the same commit and names each changed
@@ -73,6 +75,21 @@ BRANCHES = (
     ("esum", "--m", "6", "--j", "1"),
     *((command, "--field", "q", "--k", "0") for command in ("kgroup", "kodd", "zeta", "w")),
     ("char-check", "--file", NOT_MULTIPLICATIVE),
+    *(
+        ("kgroup", "--field", spec, "--k", "1")
+        for spec in (
+            "cyclic:4:5",
+            "cyclic:3:27",
+            "elem:4:quad:5,quad:8,quad:40",
+            "elem:3:quad:5,quad:8,quad:40,quad:13",
+            "elem:2:quad:5,quad:5,quad:8",
+            "elem:2:quad:5,quad:8",
+        )
+    ),
+    ("esum", "--m", "0", "--j", "1"),
+    ("esum", "--m", "5", "--j", "2"),
+    ("siegel-coeffs", "--h", "2"),
+    ("kodd", "--field", "q", "--k", "1000248", "--factor-budget", "10"),
 )
 
 

@@ -20,9 +20,9 @@ from evenk.kgroups import (
     KGroupOrder,
     Rationals,
     RealQuadratic,
+    w_invariant,
 )
 from evenk.prank import DivisibilityWitness
-from evenk.winv import WInvariant
 
 
 def quad_235():
@@ -44,6 +44,12 @@ FROZEN = [
         lambda: PartialFactorization(((2, 1),), 15),
         lambda: PartialFactorization(((2, 1),)),
         "PartialFactorization(factored=((2, 1),), cofactor=15)",
+    ),
+    (
+        # w is a complete factorization, so it hashes
+        lambda: w_invariant(RealQuadratic(5), 1),
+        lambda: w_invariant(RealQuadratic(8), 1),
+        "PartialFactorization(factored=((2, 3), (3, 1), (5, 1)), cofactor=1)",
     ),
     (
         lambda: quadratic_character(5),
@@ -100,22 +106,11 @@ def test_values_of_different_types_differ():
     assert len({Rationals(), (), RealQuadratic(5), (5,)}) == 4
 
 
-def test_w_invariant_compares_but_does_not_hash():
-    # its parts are a dict, as they were in the dataclass
-    w = WInvariant({2: 3, 3: 1})
-    assert w == WInvariant({2: 3, 3: 1}) and w != WInvariant({2: 3})
-    assert repr(w) == "WInvariant(parts={2: 3, 3: 1})"
-    with pytest.raises(TypeError):
-        hash(w)
-    with pytest.raises(AttributeError):
-        w.value = 8
-
-
 def test_derived_fields_are_read_only_properties():
     # each is read off the stored fields, so no check keeps two copies in step
     derived = [
         (PartialFactorization(((2, 1),), 15), "complete", False),
-        (WInvariant({2: 3, 3: 1}), "value", 24),
+        (PartialFactorization(((2, 3), (3, 1))), "value", 24),
         (DivisibilityWitness(5, (("a", True), ("b", False))), "consistent", False),
     ]
     for value, name, expected in derived:
@@ -133,6 +128,13 @@ def test_checks_still_run_on_construction():
         RealQuadratic(5, 8)
     with pytest.raises(TypeError):
         PartialFactorization(((2, 1),), cofacter=3)
+    # a list-built value would differ from the tuple-built one and not hash
+    with pytest.raises(TypeError, match="'parts' is a mutable list"):
+        Elementary(2, [RealQuadratic(5), RealQuadratic(8), RealQuadratic(40)])
+    with pytest.raises(TypeError, match="'factored' is a mutable list"):
+        PartialFactorization([(2, 3)])
+    with pytest.raises(TypeError, match="'pieces' is a mutable set"):
+        KGroupOrder(Rationals(), 2, 48, "kz", pieces={48})
 
 
 def test_k_group_order_is_a_frozen_value():
